@@ -26,6 +26,7 @@ import os
 import random
 import time
 
+from repro.codec import Transformation
 from repro.engine import Engine, compile_dtop
 from repro.serve import TransformService, iter_stream_documents
 from repro.serve.shard import forest_costs
@@ -40,7 +41,7 @@ from repro.workloads.xmlflip import (
     xmlflip_transducer,
 )
 from repro.xml.encode import DTDEncoder
-from repro.xml.pipeline import XMLTransformation
+from repro.xml.pipeline import xml_codec
 from repro.xml.schema import schema_dtta
 from repro.xml.xmlio import serialize_xml
 
@@ -167,11 +168,10 @@ def test_e15_parallel_service_beats_single_process(benchmark):
 
 def test_e15_stream_ingestion_matches_materialized(benchmark):
     input_encoder = DTDEncoder(xmlflip_input_dtd())
-    transformation = XMLTransformation(
-        transducer=xmlflip_transducer(),
-        input_encoder=input_encoder,
-        output_encoder=DTDEncoder(xmlflip_output_dtd()),
-        domain=schema_dtta(input_encoder),
+    transformation = Transformation(
+        xmlflip_transducer(),
+        xml_codec(input_encoder, DTDEncoder(xmlflip_output_dtd())),
+        schema_dtta(input_encoder),
     )
     documents = [xmlflip_document(n % 7, (3 * n + 1) % 8) for n in range(2000)]
     stream_text = (

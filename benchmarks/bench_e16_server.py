@@ -213,7 +213,6 @@ def test_e16_micro_batching_beats_per_request_dispatch(
 
 def test_e16_stream_serving_round_trip(benchmark, tmp_path, capsys):
     """The XML stream path serves a batch end-to-end over the wire."""
-    from repro.cli import save_transformation
     from repro.workloads.xmlflip import (
         transform_xmlflip,
         xmlflip_document,
@@ -230,7 +229,7 @@ def test_e16_stream_serving_round_trip(benchmark, tmp_path, capsys):
         xmlflip_examples(),
         compact_lists=True,
     )
-    save_transformation(transformation, tmp_path / "xmlflip@1.json")
+    transformation.save(tmp_path / "xmlflip@1.json")
     documents = [xmlflip_document(n % 5, (n + 2) % 5) for n in range(500)]
     stream = (
         "<batch>"

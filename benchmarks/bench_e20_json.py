@@ -8,7 +8,7 @@ ISSUE 9 the way E15/E16 priced the XML one.
     and encoded nodes/s, with full fidelity asserted.
 (b) **serving**: the same corpus replayed through a live server
     hosting the stock ``rename-json@1`` bundle, byte-identical to the
-    local ``JsonTransformation``, reported in requests/s.
+    local JSON ``Transformation``, reported in requests/s.
 
 Results land in ``BENCH_json.json`` (or ``$BENCH_JSON_JSON``) for the
 bench-smoke artifact.

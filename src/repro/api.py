@@ -54,7 +54,7 @@ from repro.engine import (
     reset_backend_stats,
     sample_tables_stats,
 )
-from repro.errors import UndefinedTransductionError
+from repro.errors import ReproError, UndefinedTransductionError
 from repro.learning.rpni import LearnedDTOP, clear_learning_memos, rpni_dtop
 from repro.learning.sample import Sample
 from repro.trees.lcp import clear_lcp_cache, lcp_cache_stats
@@ -388,8 +388,8 @@ def learn_json(examples: Iterable[Tuple[Any, Any]], domain: Optional[DTTA] = Non
 
     Examples are plain Python values of the modeled JSON subset
     (``dict`` / ``list`` / ``str`` / numbers / bools / ``None``); the
-    result is a :class:`repro.json.pipeline.JsonTransformation`.  See
-    :func:`repro.json.pipeline.learn_json_transformation`.
+    result is a :class:`repro.codec.Transformation` over the JSON codec.
+    See :func:`repro.json.pipeline.learn_json_transformation`.
     """
     from repro.json.pipeline import learn_json_transformation
 
@@ -403,16 +403,21 @@ def run_json(transformation, document: Any) -> Any:
 
 def save_json(transformation, path: str) -> None:
     """Persist a JSON transformation as ``repro/json-transformation@1``."""
-    from repro.json.pipeline import save_json_transformation
-
-    save_json_transformation(transformation, path)
+    transformation.save(path)
 
 
 def load_json(path: str):
     """Load a transformation saved by :func:`save_json`."""
-    from repro.json.pipeline import load_json_transformation
+    import json
 
-    return load_json_transformation(path)
+    from repro.codec import transformation_from_bundle
+    from repro.json.pipeline import JSON_BUNDLE_FORMAT
+
+    with open(path) as handle:
+        bundle = json.load(handle)
+    if not isinstance(bundle, dict) or bundle.get("format") != JSON_BUNDLE_FORMAT:
+        raise ReproError(f"{path} is not a {JSON_BUNDLE_FORMAT} bundle")
+    return transformation_from_bundle(bundle)
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:

@@ -57,9 +57,11 @@ Usage (also via ``python -m repro``)::
     # Show a saved transducer as an XSLT-like stylesheet:
     python -m repro show --transform transform.json
 
-    # JSON bundles (repro/json-transformation@1) load transparently:
-    # apply/serve auto-detect the format, parse documents as JSON, and
-    # render canonical single-line JSON.  Streams are JSON lines:
+    # Every saved artifact loads through one loader
+    # (repro.codec.load_transformation), and its codec decides the
+    # document syntax: JSON bundles (repro/json-transformation@1) parse
+    # documents as JSON and render canonical single-line JSON, with
+    # JSON-lines streams; raw repro/dtop@1 machines use term syntax:
     python -m repro apply --transform rename.json doc.json
     python -m repro apply --transform rename.json --stream docs.jsonl
     python -m repro apply --remote localhost:7455 --format json \
@@ -77,25 +79,19 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
+from repro.codec import Transformation, compose_transformations, load_transformation
 from repro.errors import ReproError
-from repro.json.jsonio import parse_json, serialize_json
 from repro.obs.trace import NULL_TRACE, new_trace, render_trace_dict
-from repro.json.pipeline import (
-    JSON_BUNDLE_FORMAT,
-    JsonTransformation,
-    json_transformation_from_bundle,
-)
-from repro.serialize import dtop_from_data, dtop_to_data, dtta_from_data, dtta_to_data
 from repro.xml.dtd import parse_dtd
-from repro.xml.encode import DTDEncoder
-from repro.xml.pipeline import XMLTransformation, learn_xml_transformation
+from repro.xml.pipeline import learn_xml_transformation
 from repro.xml.unranked import UTree
-from repro.xml.xmlio import parse_xml, serialize_xml
+from repro.xml.xmlio import parse_xml
 from repro.xml.xslt import to_xslt
 
-BUNDLE_FORMAT = "repro/xml-transformation@1"
+#: The shared loader under its earlier CLI name (perfbench imports it).
+load_any_transformation = load_transformation
 
 
 def _load_examples(directory: Path) -> List[Tuple[UTree, UTree]]:
@@ -115,76 +111,6 @@ def _load_examples(directory: Path) -> List[Tuple[UTree, UTree]]:
     if not pairs:
         raise ReproError(f"no *.in.xml examples found in {directory}")
     return pairs
-
-
-def transformation_to_bundle(transformation: XMLTransformation) -> dict:
-    """The JSON bundle dict of a transformation (transducer + DTDs + flags)."""
-    return {
-        "format": BUNDLE_FORMAT,
-        "transducer": dtop_to_data(transformation.transducer),
-        "domain": dtta_to_data(transformation.domain),
-        "input_dtd": transformation.input_encoder.dtd.describe(),
-        "input_start": transformation.input_encoder.dtd.start,
-        "output_dtd": transformation.output_encoder.dtd.describe(),
-        "output_start": transformation.output_encoder.dtd.start,
-        "flags": {
-            "fuse_input": transformation.input_encoder.fuse,
-            "fuse_output": transformation.output_encoder.fuse,
-            "compact_lists": transformation.input_encoder.compact_lists,
-            "abstract_values": transformation.input_encoder.abstract_values,
-        },
-    }
-
-
-def save_transformation(transformation: XMLTransformation, path: Path) -> None:
-    """Persist a learned transformation (transducer + DTDs + flags)."""
-    bundle = transformation_to_bundle(transformation)
-    path.write_text(json.dumps(bundle, indent=2, ensure_ascii=False))
-
-
-def load_transformation(path: Path) -> XMLTransformation:
-    """Load a transformation saved by :func:`save_transformation`."""
-    bundle = json.loads(path.read_text())
-    if bundle.get("format") != BUNDLE_FORMAT:
-        raise ReproError(f"{path} is not a {BUNDLE_FORMAT} bundle")
-    return transformation_from_bundle(bundle)
-
-
-def load_any_transformation(path: Path):
-    """Load an XML or JSON transformation bundle, dispatching on format."""
-    bundle = json.loads(path.read_text())
-    format_key = bundle.get("format") if isinstance(bundle, dict) else None
-    if format_key == BUNDLE_FORMAT:
-        return transformation_from_bundle(bundle)
-    if format_key == JSON_BUNDLE_FORMAT:
-        return json_transformation_from_bundle(bundle)
-    raise ReproError(
-        f"{path} is neither a {BUNDLE_FORMAT} nor a "
-        f"{JSON_BUNDLE_FORMAT} bundle"
-    )
-
-
-def transformation_from_bundle(bundle: dict) -> XMLTransformation:
-    """Rebuild a transformation from an already-parsed bundle dict."""
-    flags = bundle["flags"]
-    input_encoder = DTDEncoder(
-        parse_dtd(bundle["input_dtd"], start=bundle["input_start"]),
-        fuse=flags["fuse_input"],
-        compact_lists=flags["compact_lists"],
-        abstract_values=flags["abstract_values"],
-    )
-    output_encoder = DTDEncoder(
-        parse_dtd(bundle["output_dtd"], start=bundle["output_start"]),
-        fuse=flags["fuse_output"],
-        compact_lists=flags["compact_lists"],
-        abstract_values=flags["abstract_values"],
-    )
-    return XMLTransformation(
-        transducer=dtop_from_data(bundle["transducer"]),
-        input_encoder=input_encoder,
-        output_encoder=output_encoder,
-        domain=dtta_from_data(bundle["domain"]),
-    )
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
@@ -207,12 +133,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     if args.stats:
         _print_learning_stats(transformation)
     if args.save:
-        save_transformation(transformation, Path(args.save))
+        transformation.save(args.save)
         print(f"saved to {args.save}")
     return 0
 
 
-def _print_learning_stats(transformation: XMLTransformation) -> None:
+def _print_learning_stats(transformation: Transformation) -> None:
     """Report the learner's timing and cache counters (``learn --stats``)."""
     from repro import api
 
@@ -244,20 +170,19 @@ def _print_learning_stats(transformation: XMLTransformation) -> None:
         print(f"stats: {name}: {line}")
 
 
-def _resolve_format(args: argparse.Namespace, transformation=None) -> str:
-    """The document format of this invocation: ``"xml"`` or ``"json"``.
+def _resolve_format(
+    args: argparse.Namespace, transformation: Optional[Transformation] = None
+) -> str:
+    """The document format of this invocation: a codec name.
 
-    A loaded transformation decides; an explicit ``--format`` must agree
-    with it.  Without a transformation (``--remote``, where the server
-    parses in the model's own syntax) ``auto`` means XML, the historical
-    default — pass ``--format json`` for JSON globbing and extensions.
+    A loaded transformation's codec decides; an explicit ``--format``
+    must agree with it.  Without a transformation (``--remote``, where
+    the server parses in the model's own syntax) ``auto`` means XML, the
+    historical default — pass ``--format json`` for JSON globbing and
+    extensions.  The name doubles as the file extension.
     """
     chosen = getattr(args, "format", None) or "auto"
-    actual = None
-    if isinstance(transformation, JsonTransformation):
-        actual = "json"
-    elif isinstance(transformation, XMLTransformation):
-        actual = "xml"
+    actual = transformation.codec.name if transformation is not None else None
     if chosen == "auto":
         return actual or "xml"
     if actual is not None and chosen != actual:
@@ -266,18 +191,6 @@ def _resolve_format(args: argparse.Namespace, transformation=None) -> str:
             f"(a {actual} transformation)"
         )
     return chosen
-
-
-def _parse_document_text(text: str, doc_format: str):
-    if doc_format == "json":
-        return parse_json(text)
-    return parse_xml(text, ignore_attributes=True)
-
-
-def _render_document(document, doc_format: str) -> str:
-    if doc_format == "json":
-        return serialize_json(document)
-    return serialize_xml(document)
 
 
 def _collect_documents(
@@ -292,8 +205,9 @@ def _collect_documents(
         # platform-dependent (case folding on Windows); sort the plain
         # names so batch order, per-document error reports, and exit
         # codes are stable everywhere.
-        pattern = "*.json" if doc_format == "json" else "*.xml"
-        paths.extend(sorted(directory.glob(pattern), key=lambda p: p.name))
+        paths.extend(
+            sorted(directory.glob(f"*.{doc_format}"), key=lambda p: p.name)
+        )
     if not paths:
         raise ReproError("no input documents (pass files or --batch-dir)")
     return paths
@@ -306,6 +220,80 @@ def _parse_hostport(value: str) -> Tuple[str, int]:
             f"--remote takes HOST:PORT, not {value!r}"
         )
     return host or "127.0.0.1", int(port)
+
+
+def _stream_source(args: argparse.Namespace) -> str:
+    """The single stream file (or ``-``) of ``--stream``."""
+    if args.batch_dir:
+        raise ReproError("--stream and --batch-dir are mutually exclusive")
+    if args.trace:
+        raise ReproError(
+            "--trace does not support --stream (trace single documents"
+            + (")" if args.remote else " or a --batch-dir batch)")
+        )
+    if len(args.documents) != 1:
+        raise ReproError("--stream takes exactly one stream file (or -)")
+    return args.documents[0]
+
+
+def _ensure_output_dir(output: Optional[str]) -> Optional[Path]:
+    if not output:
+        return None
+    out_dir = Path(output)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ReproError(f"--output {out_dir} must be a directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _stream_results(outcomes: Iterable, render) -> Iterable[Tuple]:
+    """Label the outcomes of a stream for :func:`_report`."""
+    for index, outcome in enumerate(outcomes):
+        if not isinstance(outcome, Exception):
+            outcome = render(outcome)
+        yield f"document #{index + 1}", f"doc{index + 1:06d}", outcome
+
+
+def _report(
+    results: Iterable[Tuple[str, str, object]],
+    out_dir: Optional[Path],
+    doc_format: str,
+) -> Tuple[int, int]:
+    """Print or write ``(label, stem, rendered text or error)`` results.
+
+    Errors go to stderr as ``error: LABEL: message``.  Outputs land in
+    ``out_dir`` as ``STEM.out.FORMAT``, or on stdout — XML ones under a
+    ``<!-- LABEL -->`` comment.  Ends with the ``k/n documents
+    transformed`` line on stderr; returns ``(count, failures)``.
+    """
+    count = failures = 0
+    written: set = set()
+    for label, stem, outcome in results:
+        count += 1
+        if isinstance(outcome, Exception):
+            failures += 1
+            print(f"error: {label}: {outcome}", file=sys.stderr)
+            continue
+        if out_dir is not None:
+            # Same-stem inputs from different directories must not
+            # silently overwrite each other; dedupe the final filename.
+            name = f"{stem}.out.{doc_format}"
+            serial = 1
+            while name in written:
+                name = f"{stem}.{serial}.out.{doc_format}"
+                serial += 1
+            written.add(name)
+            (out_dir / name).write_text(outcome + "\n")
+            continue
+        if doc_format == "xml":
+            print(f"<!-- {label} -->")
+        print(outcome)
+    print(
+        f"{count - failures}/{count} documents transformed"
+        + (f", {failures} failed" if failures else ""),
+        file=sys.stderr,
+    )
+    return count, failures
 
 
 def _apply_remote(args: argparse.Namespace) -> int:
@@ -321,52 +309,18 @@ def _apply_remote(args: argparse.Namespace) -> int:
     host, port = _parse_hostport(args.remote)
     model = args.transform
     doc_format = _resolve_format(args)
-    extension = "json" if doc_format == "json" else "xml"
     with ServerClient(host, port) as client:
         if args.stream:
-            if args.batch_dir:
-                raise ReproError(
-                    "--stream and --batch-dir are mutually exclusive"
-                )
-            if args.trace:
-                raise ReproError(
-                    "--trace does not support --stream (trace single "
-                    "documents)"
-                )
-            if len(args.documents) != 1:
-                raise ReproError("--stream takes exactly one stream file (or -)")
-            source = args.documents[0]
+            source = _stream_source(args)
             if source == "-":
                 payload = sys.stdin.buffer.read()
             else:
                 payload = Path(source).read_bytes()
             out_dir = _ensure_output_dir(args.output)
-            failures = count = 0
-            for index, outcome in enumerate(
-                client.transform_stream(model, payload)
-            ):
-                count += 1
-                if isinstance(outcome, Exception):
-                    failures += 1
-                    print(
-                        f"error: document #{index + 1}: {outcome}",
-                        file=sys.stderr,
-                    )
-                    continue
-                if out_dir is not None:
-                    (
-                        out_dir / f"doc{index + 1:06d}.out.{extension}"
-                    ).write_text(outcome + "\n")
-                elif doc_format == "json":
-                    print(outcome)
-                else:
-                    print(f"<!-- document #{index + 1} -->")
-                    print(outcome)
-            print(
-                f"{count - failures}/{count} documents transformed"
-                + (f", {failures} failed" if failures else ""),
-                file=sys.stderr,
+            results = _stream_results(
+                client.transform_stream(model, payload), str
             )
+            _, failures = _report(results, out_dir, doc_format)
             return 1 if failures else 0
 
         paths = _collect_documents(args, doc_format)
@@ -390,67 +344,28 @@ def _apply_remote(args: argparse.Namespace) -> int:
             )
 
         out_dir = _ensure_output_dir(args.output)
-        failures = 0
-        written: set = set()
-        for path in paths:
-            try:
-                outcome = client.try_transform(model, path.read_text())
-            except OSError as error:
-                outcome = error
-            if isinstance(outcome, Exception):
-                failures += 1
-                print(f"error: {path}: {outcome}", file=sys.stderr)
-                continue
-            if out_dir is not None:
-                name = f"{path.stem}.out.{extension}"
-                serial = 1
-                while name in written:
-                    name = f"{path.stem}.{serial}.out.{extension}"
-                    serial += 1
-                written.add(name)
-                (out_dir / name).write_text(outcome + "\n")
-            elif doc_format == "json":
-                print(outcome)
-            else:
-                print(f"<!-- {path} -->")
-                print(outcome)
-        print(
-            f"{len(paths) - failures}/{len(paths)} documents transformed"
-            + (f", {failures} failed" if failures else ""),
-            file=sys.stderr,
-        )
+
+        def results():
+            for path in paths:
+                try:
+                    outcome = client.try_transform(model, path.read_text())
+                except OSError as error:
+                    outcome = error
+                yield str(path), path.stem, outcome
+
+        _, failures = _report(results(), out_dir, doc_format)
         return 1 if failures else 0
-
-
-def _ensure_output_dir(output: Optional[str]) -> Optional[Path]:
-    if not output:
-        return None
-    out_dir = Path(output)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ReproError(f"--output {out_dir} must be a directory here")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     if args.remote:
         return _apply_remote(args)
-    transformation = load_any_transformation(Path(args.transform))
+    transformation = load_transformation(args.transform)
     doc_format = _resolve_format(args, transformation)
-    extension = "json" if doc_format == "json" else "xml"
     if args.stream:
-        if args.batch_dir:
-            raise ReproError("--stream and --batch-dir are mutually exclusive")
-        if args.trace:
-            raise ReproError(
-                "--trace does not support --stream (trace single "
-                "documents or a --batch-dir batch)"
-            )
-        if len(args.documents) != 1:
-            raise ReproError("--stream takes exactly one stream file (or -)")
         return _serve_stream(
             transformation,
-            args.documents[0],
+            _stream_source(args),
             jobs=args.jobs,
             output=args.output,
             chunk_docs=args.chunk_docs,
@@ -458,17 +373,18 @@ def _cmd_apply(args: argparse.Namespace) -> int:
             backend=args.backend,
             doc_format=doc_format,
         )
+    codec = transformation.codec
     paths = _collect_documents(args, doc_format)
 
     if len(paths) == 1 and not args.batch_dir:
         # Single-document mode: unchanged contract (raises via main()).
         trace = new_trace() if args.trace else NULL_TRACE
         with trace.span("decode", format=doc_format):
-            document = _parse_document_text(paths[0].read_text(), doc_format)
+            document = codec.parse(paths[0].read_text())
         with trace.span("execute"):
             result = transformation.apply(document)
         with trace.span("encode", format=doc_format):
-            output = _render_document(result, doc_format)
+            output = codec.render(result)
         if trace:
             print(trace.render(), file=sys.stderr)
         if args.output:
@@ -480,22 +396,12 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     # Batch mode: validate the output target first (before any work),
     # parse what parses, run everything through the engine's run_batch
     # in one sweep, report per-document errors and continue.
-    out_dir: Optional[Path] = None
-    if args.output:
-        out_dir = Path(args.output)
-        if out_dir.exists() and not out_dir.is_dir():
-            raise ReproError(
-                f"--output {out_dir} must be a directory in batch mode"
-            )
-        out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = _ensure_output_dir(args.output)
     documents: List[Optional[object]] = []
     outcomes: List[object] = [None] * len(paths)
     for index, path in enumerate(paths):
         try:
-            documents.append(
-                _parse_document_text(path.read_text(), doc_format)
-            )
+            documents.append(codec.parse(path.read_text()))
         except (OSError, ValueError, ReproError) as error:
             # ValueError covers UnicodeDecodeError on non-UTF-8 files.
             outcomes[index] = error
@@ -519,39 +425,20 @@ def _cmd_apply(args: argparse.Namespace) -> int:
             outcomes[index] = next(batch)
     if trace:
         print(trace.render(), file=sys.stderr)
-    failures = 0
-    written: set = set()
-    for path, outcome in zip(paths, outcomes):
-        if isinstance(outcome, Exception):
-            failures += 1
-            print(f"error: {path}: {outcome}", file=sys.stderr)
-            continue
-        output = _render_document(outcome, doc_format)
-        if out_dir is not None:
-            # Same-stem inputs from different directories must not
-            # silently overwrite each other; dedupe the final filename.
-            name = f"{path.stem}.out.{extension}"
-            serial = 1
-            while name in written:
-                name = f"{path.stem}.{serial}.out.{extension}"
-                serial += 1
-            written.add(name)
-            (out_dir / name).write_text(output + "\n")
-        elif doc_format == "json":
-            print(output)
-        else:
-            print(f"<!-- {path} -->")
-            print(output)
-    print(
-        f"{len(paths) - failures}/{len(paths)} documents transformed"
-        + (f", {failures} failed" if failures else ""),
-        file=sys.stderr,
+    results = (
+        (
+            str(path),
+            path.stem,
+            outcome if isinstance(outcome, Exception) else codec.render(outcome),
+        )
+        for path, outcome in zip(paths, outcomes)
     )
+    _, failures = _report(results, out_dir, doc_format)
     return 1 if failures else 0
 
 
 def _serve_stream(
-    transformation,
+    transformation: Transformation,
     source: str,
     jobs: Optional[int],
     output: Optional[str],
@@ -562,63 +449,27 @@ def _serve_stream(
 ) -> int:
     """Shared engine of ``serve`` and ``apply --stream``.
 
-    Parses the stream incrementally (XML: documents are the direct
-    children of the stream's root element; JSON: one document per
-    line), transforms it chunk-wise — sharded across ``jobs`` workers
-    when requested — and writes outcomes as they complete.
-    Per-document failures are reported without aborting; the exit code
-    is 1 when any document failed.
+    Parses the stream incrementally with the codec's stream parser (XML:
+    documents are the direct children of the stream's root element;
+    JSON: one document per line), transforms it chunk-wise — sharded
+    across ``jobs`` workers when requested — and writes outcomes as they
+    complete.  Per-document failures are reported without aborting; the
+    exit code is 1 when any document failed.
     """
-    from repro.serve.stream import iter_stream_documents
-
-    from repro.json.jsonio import iter_json_documents
-
-    out_dir: Optional[Path] = None
-    if output:
-        out_dir = Path(output)
-        if out_dir.exists() and not out_dir.is_dir():
-            raise ReproError(f"--output {out_dir} must be a directory")
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    iterate = (
-        iter_json_documents if doc_format == "json" else iter_stream_documents
+    out_dir = _ensure_output_dir(output)
+    codec = transformation.codec
+    documents = codec.iter_stream(
+        sys.stdin.buffer if source == "-" else Path(source)
     )
-    if source == "-":
-        documents = iterate(sys.stdin.buffer)
-    else:
-        documents = iterate(Path(source))
-    extension = "json" if doc_format == "json" else "xml"
-
-    count = 0
-    failures = 0
     start = time.perf_counter()
-    for index, outcome in enumerate(
-        transformation.apply_stream(
-            documents, jobs=jobs, chunk_docs=chunk_docs, backend=backend
-        )
-    ):
-        count += 1
-        if isinstance(outcome, Exception):
-            failures += 1
-            print(f"error: document #{index + 1}: {outcome}", file=sys.stderr)
-            continue
-        rendered = _render_document(outcome, doc_format)
-        if out_dir is not None:
-            (out_dir / f"doc{index + 1:06d}.out.{extension}").write_text(
-                rendered + "\n"
-            )
-        elif doc_format == "json":
-            print(rendered)
-        else:
-            print(f"<!-- document #{index + 1} -->")
-            print(rendered)
-    elapsed = time.perf_counter() - start
-    print(
-        f"{count - failures}/{count} documents transformed"
-        + (f", {failures} failed" if failures else ""),
-        file=sys.stderr,
+    outcomes = transformation.apply_stream(
+        documents, jobs=jobs, chunk_docs=chunk_docs, backend=backend
+    )
+    count, failures = _report(
+        _stream_results(outcomes, codec.render), out_dir, doc_format
     )
     if stats:
+        elapsed = time.perf_counter() - start
         rate = count / elapsed if elapsed > 0 else float("inf")
         print(
             f"stats: {count} documents in {elapsed:.2f} s "
@@ -630,7 +481,7 @@ def _serve_stream(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    transformation = load_any_transformation(Path(args.transform))
+    transformation = load_transformation(args.transform)
     return _serve_stream(
         transformation,
         args.input,
@@ -667,15 +518,12 @@ def _cmd_server(args: argparse.Namespace) -> int:
 def _cmd_compose(args: argparse.Namespace) -> int:
     """Fuse two (``--first``/``--second``) or N (``--chain``) artifacts.
 
+    Every artifact loads through the shared loader; the chain must use
+    one codec (see :func:`repro.codec.compose_transformations`).
     Reporting goes to **stderr** (state/rule counts, the save
     confirmation); stdout carries only the fused artifact's JSON when
     ``--save`` is omitted, so the command pipes like ``serve --stats``.
     """
-    from repro.serialize import dumps as serialize_dumps
-    from repro.serialize import from_data as serialize_from_data
-    from repro.transducers.compose import compose_chain
-    from repro.transducers.dtop import DTOP
-
     if args.chain:
         if args.first or args.second:
             raise ReproError(
@@ -692,94 +540,26 @@ def _cmd_compose(args: argparse.Namespace) -> int:
             )
         paths = [Path(args.first), Path(args.second)]
 
-    datas = []
-    kinds = []
-    for path in paths:
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError) as error:
-            raise ReproError(f"cannot read {path}: {error}") from None
-        datas.append(data)
-        is_bundle = (
-            isinstance(data, dict) and data.get("format") == BUNDLE_FORMAT
-        )
-        kinds.append("xml" if is_bundle else "dtop")
-    if len(set(kinds)) > 1:
-        raise ReproError(
-            "cannot mix transformation bundles and raw transducer "
-            "artifacts in one chain"
-        )
-    labels = [path.name for path in paths]
-
-    if kinds[0] == "xml":
-        transformations = [transformation_from_bundle(d) for d in datas]
-        for index in range(1, len(transformations)):
-            left, right = transformations[index - 1], transformations[index]
-            if (
-                left.output_encoder.dtd.describe()
-                != right.input_encoder.dtd.describe()
-            ):
-                raise ReproError(
-                    f"cannot compose: the output DTD of "
-                    f"{labels[index - 1]} does not match the input DTD "
-                    f"of {labels[index]}"
-                )
-        transducer = compose_chain(
-            [t.transducer for t in transformations],
-            earliest=args.earliest,
-            labels=labels,
-        )
-        composed = XMLTransformation(
-            transducer=transducer,
-            input_encoder=transformations[0].input_encoder,
-            output_encoder=transformations[-1].output_encoder,
-            domain=transformations[0].domain,
-        )
-        print(
-            f"composed {composed.num_states} states / "
-            f"{composed.num_rules} rules",
-            file=sys.stderr,
-        )
-        if args.save:
-            save_transformation(composed, Path(args.save))
-            print(f"saved to {args.save}", file=sys.stderr)
-        else:
-            print(
-                json.dumps(
-                    transformation_to_bundle(composed),
-                    indent=2,
-                    ensure_ascii=False,
-                )
-            )
-        return 0
-
-    machines = []
-    for path, data in zip(paths, datas):
-        try:
-            machine = serialize_from_data(data)
-        except ReproError as error:
-            raise ReproError(f"cannot load {path}: {error}") from None
-        if not isinstance(machine, DTOP):
-            raise ReproError(
-                f"{path} holds a {type(machine).__name__}, not a "
-                f"transducer"
-            )
-        machines.append(machine)
-    fused = compose_chain(machines, earliest=args.earliest, labels=labels)
+    composed = compose_transformations(
+        [load_transformation(path) for path in paths],
+        labels=[path.name for path in paths],
+        earliest=args.earliest,
+    )
     print(
-        f"composed {len(fused.states)} states / {len(fused.rules)} rules",
+        f"composed {composed.num_states} states / "
+        f"{composed.num_rules} rules",
         file=sys.stderr,
     )
     if args.save:
-        Path(args.save).write_text(serialize_dumps(fused) + "\n")
+        composed.save(args.save)
         print(f"saved to {args.save}", file=sys.stderr)
     else:
-        print(serialize_dumps(fused))
+        print(json.dumps(composed.to_bundle(), indent=2, ensure_ascii=False))
     return 0
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    transformation = load_transformation(Path(args.transform))
+    transformation = load_transformation(args.transform)
     if args.as_xslt:
         print(to_xslt(transformation.transducer))
     else:

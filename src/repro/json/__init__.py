@@ -11,10 +11,10 @@ the same learned DTOPs.  This package is the JSON sibling of
 * :mod:`repro.json.encode` — the schema-less ranked encoding (cons-list
   containers, key-labeled members, abstracted scalar values with a
   side table for rehydration);
-* :mod:`repro.json.pipeline` — :class:`JsonTransformation` (apply /
-  apply_batch / apply_stream, engine + backend selection), the RPNI
-  learner entry point, and the ``repro/json-transformation@1`` bundle
-  served by the registry.
+* :mod:`repro.json.pipeline` — :func:`json_codec`, the
+  :class:`~repro.codec.Codec` that a :class:`~repro.codec.Transformation`
+  serves JSON with, the RPNI learner entry point, and the
+  ``repro/json-transformation@1`` bundle format.
 """
 
 from repro.json.jsonio import (
@@ -28,11 +28,8 @@ from repro.json.encode import JsonEncoder, json_alphabet, member_label
 from repro.json.pipeline import (
     JSON_BUNDLE_FORMAT,
     JsonTransformation,
-    json_transformation_from_bundle,
-    json_transformation_to_bundle,
+    json_codec,
     learn_json_transformation,
-    load_json_transformation,
-    save_json_transformation,
 )
 
 __all__ = [
@@ -46,9 +43,6 @@ __all__ = [
     "member_label",
     "JSON_BUNDLE_FORMAT",
     "JsonTransformation",
-    "json_transformation_from_bundle",
-    "json_transformation_to_bundle",
+    "json_codec",
     "learn_json_transformation",
-    "load_json_transformation",
-    "save_json_transformation",
 ]

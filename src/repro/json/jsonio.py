@@ -441,12 +441,8 @@ def iter_json_documents(source, chunk_bytes: Optional[int] = None):
     path, file object, iterable of fragments); memory is bounded by the
     largest single line.
     """
-    from repro.serve.stream import DEFAULT_CHUNK_BYTES, _iter_chunks
+    from repro.serve.stream import DEFAULT_CHUNK_BYTES, iter_parsed
 
-    parser = JsonLinesParser()
-    for chunk in _iter_chunks(source, chunk_bytes or DEFAULT_CHUNK_BYTES):
-        parser.feed(chunk)
-        for document in parser.ready():
-            yield document
-    for document in parser.close():
-        yield document
+    return iter_parsed(
+        JsonLinesParser(), source, chunk_bytes or DEFAULT_CHUNK_BYTES
+    )

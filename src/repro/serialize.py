@@ -15,9 +15,10 @@ inside prefix trees, never in transducers).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Any, Dict, List, Tuple
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.automata.dtta import DTTA
 from repro.learning.sample import Sample
 from repro.trees.alphabet import RankedAlphabet
@@ -30,6 +31,8 @@ FORMAT_TREE = "repro/tree@1"
 FORMAT_DTTA = "repro/dtta@1"
 FORMAT_DTOP = "repro/dtop@1"
 FORMAT_SAMPLE = "repro/sample@1"
+#: Served pipeline artifact: a JSON list of member model refs fused at load.
+FORMAT_PIPELINE = "repro/pipeline@1"
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +253,38 @@ def from_data(data: Any) -> Any:
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object")
     fmt = data.get("format")
-    if fmt == FORMAT_TREE:
-        return tree_from_data(data["tree"])
-    if fmt == FORMAT_DTTA:
-        return dtta_from_data(data)
-    if fmt == FORMAT_DTOP:
-        return dtop_from_data(data)
-    if fmt == FORMAT_SAMPLE:
-        return sample_from_data(data)
-    raise ParseError(f"unknown format {fmt!r}")
+    reader = _READERS.get(fmt)
+    if reader is None:
+        raise ParseError(f"unknown format {fmt!r}")
+    with shape_errors(fmt):
+        return reader(data)
+
+
+_READERS = {
+    FORMAT_TREE: lambda data: tree_from_data(data["tree"]),
+    FORMAT_DTTA: dtta_from_data,
+    FORMAT_DTOP: dtop_from_data,
+    FORMAT_SAMPLE: sample_from_data,
+}
+
+
+@contextmanager
+def shape_errors(fmt: Any):
+    """Report a wrong-typed or missing field as a ParseError naming ``fmt``.
+
+    Readers index into the parsed data directly; on a malformed document
+    that raises ``KeyError``/``TypeError``/``AttributeError`` rather
+    than a library error.
+    """
+    try:
+        yield
+    except ReproError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError, IndexError) as error:
+        detail = (
+            f"missing field {error}" if isinstance(error, KeyError) else str(error)
+        )
+        raise ParseError(f"malformed {fmt} document: {detail}") from None
 
 
 def dump(obj: Any, path: str, indent: int = 2) -> None:

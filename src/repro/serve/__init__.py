@@ -22,9 +22,10 @@ processes fed by a stream":
     (pinned by ``tests/fuzz`` and ``tests/serve``).
 
 Entry points for users: ``api.run_batch(..., parallel=N)``,
-``XMLTransformation.apply_batch(..., jobs=N)`` /
-``apply_stream(...)``, and the CLI ``serve`` / ``apply --jobs N
-[--stream]`` modes.
+:meth:`Transformation.apply_batch(..., jobs=N)
+<repro.codec.Transformation.apply_batch>` / ``apply_stream(...)`` for
+every codec, and the CLI ``serve`` / ``apply --jobs N [--stream]``
+modes.
 """
 
 from repro.serve.service import TransformService

@@ -205,9 +205,7 @@ def parse_xml_stream(
     3
     """
     parser = StreamParser(ignore_attributes=ignore_attributes)
-    for chunk in _iter_chunks(source, chunk_bytes):
-        parser.feed(chunk)
-    documents = parser.close()
+    documents = list(iter_parsed(parser, source, chunk_bytes))
     if not documents:
         raise ParseError("no document found in the stream")
     return documents[0]
@@ -228,19 +226,28 @@ def iter_stream_documents(
     the largest single document, not the stream.
     """
     parser = StreamParser(ignore_attributes=ignore_attributes, forest=True)
-    for chunk in _iter_chunks(source, chunk_bytes):
-        parser.feed(chunk)
-        for document in parser.ready():
-            _check_wrapper(parser, wrapper)
-            yield document
-    final = parser.close()
+    for document in iter_parsed(parser, source, chunk_bytes):
+        _check_wrapper(parser, wrapper)
+        yield document
     # Validate even when the stream held zero documents: a misnamed or
     # childless wrapper must fail loudly, not look like an empty batch.
     if parser.root_label is None:
         raise ParseError("no document found in the stream")
     _check_wrapper(parser, wrapper)
-    for document in final:
-        yield document
+
+
+def iter_parsed(
+    parser, source: StreamSource, chunk_bytes: int = DEFAULT_CHUNK_BYTES
+) -> Iterator:
+    """Feed ``source`` through an incremental ``feed``/``ready``/``close``
+    parser, yielding each document as soon as it completes.
+
+    The one feed loop of every stream reader (XML and JSON lines).
+    """
+    for chunk in _iter_chunks(source, chunk_bytes):
+        parser.feed(chunk)
+        yield from parser.ready()
+    yield from parser.close()
 
 
 def _check_wrapper(parser: StreamParser, wrapper: Optional[str]) -> None:

@@ -5,7 +5,8 @@ into an actual multi-tenant network service:
 
 :mod:`repro.server.registry`
     named, versioned models loaded from a directory of JSON artifacts
-    (raw transducers and XML transformation bundles), with hot reload
+    (raw transducers, XML and JSON bundles, fused pipelines — each one
+    :class:`~repro.codec.Transformation` with its codec), with hot reload
     through the library-wide ``clear_caches`` invalidation contract and
     deferred teardown while requests are in flight.
 

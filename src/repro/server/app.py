@@ -3,8 +3,9 @@
 Protocol — one JSON object per ``\\n``-terminated line, UTF-8:
 
 ``{"op": "transform", "model": "flip@1", "document": "...", "id": 7}``
-    Transform one document (term syntax for transducer models, XML for
-    transformation bundles).  Response:
+    Transform one document in the model's codec syntax (term syntax for
+    raw transducer models, XML or JSON for transformation bundles).
+    Response:
     ``{"id": 7, "ok": true, "model": "flip@1", "document": "..."}`` or
     ``{"id": 7, "ok": false, "error": {"type": "...", "message": "..."}}``.
     Error types are the library's exception class names — a client can
@@ -16,9 +17,10 @@ Protocol — one JSON object per ``\\n``-terminated line, UTF-8:
     outputs ship cheaply where the recursive renderer cannot.
 
 ``{"op": "transform_stream", "model": "m", "content_length": N}``
-    Followed by exactly ``N`` raw bytes: an XML stream whose root
-    element wraps the documents (see :mod:`repro.serve.stream`).
-    Documents are parsed incrementally, fed to the micro-batcher as
+    Followed by exactly ``N`` raw bytes in the codec's stream syntax:
+    an XML stream whose root element wraps the documents (see
+    :mod:`repro.serve.stream`), or JSON lines.  Documents are parsed
+    incrementally, fed to the micro-batcher as
     their end tags arrive, and answered in order — one
     ``{"seq": i, "ok": ..., ...}`` line each — before a final
     ``{"done": true, "count": n, "failures": m}`` line.  The model
@@ -73,6 +75,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from repro.codec import TERM_CODEC
 from repro.engine import artifact_stats, backend_stats
 from repro.errors import (
     OverloadedError,
@@ -81,7 +84,6 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs.trace import NULL_TRACE, TraceContext
-from repro.serve.stream import StreamParser
 from repro.server.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
@@ -90,7 +92,7 @@ from repro.server.batcher import (
 )
 from repro.server.logging import EventLog
 from repro.server.metrics import ServerMetrics
-from repro.server.registry import KIND_JSON, KIND_XML, ModelRegistry
+from repro.server.registry import ModelRegistry
 from repro.server.supervisor import ShardSupervisor
 
 #: Read size for transform_stream bodies.
@@ -452,16 +454,13 @@ class TransformServer:
             entry = self.registry.get(str(model))
             model_label = entry.key
             backend_label = entry.backend
-            if response_format == "packed" and entry.kind in (
-                KIND_XML,
-                KIND_JSON,
-            ):
+            if response_format == "packed" and entry.codec is not TERM_CODEC:
                 raise ServiceError(
                     f"model {entry.key} is a transformation bundle; "
                     f"the packed format serves raw transducer models"
                 )
             with trace.span("decode", model=entry.key):
-                tree = entry.parse_document(str(document))
+                tree = entry.codec.parse(str(document))
             outcome = await self.batcher.submit(entry, tree, trace=trace)
             if isinstance(outcome, Exception):
                 response = {
@@ -485,7 +484,7 @@ class TransformServer:
             else:
                 outcome_label = "ok"
                 with trace.span("encode", format="text"):
-                    rendered = entry.render_output(outcome)
+                    rendered = entry.codec.render(outcome)
                 response = {
                     "id": request_id,
                     "ok": True,
@@ -585,8 +584,8 @@ class TransformServer:
     async def _op_transform_stream(self, request, reader, writer) -> None:
         """Chunked document-stream body → per-document response lines.
 
-        XML models read the body as a forest of XML documents; JSON
-        models read it as JSON lines (one document per line).
+        The body is parsed by the model codec's stream parser: a forest
+        of XML documents, or JSON lines (one document per line).
         """
         request_id = request.get("id")
 
@@ -630,7 +629,7 @@ class TransformServer:
         except RegistryError as error:
             await fail(error, consumed_body=False)
             return
-        if entry.kind not in (KIND_XML, KIND_JSON):
+        if entry.codec.stream_parser is None:
             await fail(
                 ServiceError(
                     f"model {entry.key} is a raw transducer; "
@@ -644,12 +643,7 @@ class TransformServer:
         # Pin the entry: a mid-stream hot reload must not swap machines
         # under the open stream (new requests see the new model).
         entry.acquire()
-        if entry.kind == KIND_JSON:
-            from repro.json.jsonio import JsonLinesParser
-
-            parser = JsonLinesParser()
-        else:
-            parser = StreamParser(ignore_attributes=True, forest=True)
+        parser = entry.codec.stream_parser()
         tasks = []  # per-document batcher futures, in stream order
         count = failures = 0
         try:
@@ -738,7 +732,7 @@ class TransformServer:
         if not isinstance(outcome, Exception):
             try:
                 response["ok"] = True
-                response["document"] = entry.render_output(outcome)
+                response["document"] = entry.codec.render(outcome)
             except RecursionError:
                 outcome = ReproError(
                     "document rendering exceeded the recursion limit"

@@ -1,25 +1,28 @@
 """The model registry: named, versioned transformations loaded from disk.
 
-A registry watches one directory of JSON artifacts.  Four artifact
-kinds are served:
+A registry watches one directory of JSON artifacts.  Every model is a
+:class:`~repro.codec.Transformation`: a machine plus the
+:class:`~repro.codec.Codec` that parses request documents, encodes and
+decodes them, and renders results.  Files load through the shared
+loader :func:`repro.codec.transformation_from_bundle`:
 
 * ``repro/dtop@1`` documents (written by :func:`repro.api.save`) — raw
-  transducers over ranked trees; request documents use the paper's term
-  syntax (``"f(a, g(b))"``) and results render the same way;
-* ``repro/xml-transformation@1`` bundles (written by ``repro learn
-  --save``) — end-to-end XML transformations; request documents are XML
-  and results render as XML;
-* ``repro/json-transformation@1`` bundles (written by
-  :func:`repro.json.pipeline.save_json_transformation`) — end-to-end
-  JSON transformations; request documents are JSON text and results
-  render as canonical single-line JSON;
+  transducers under the term codec: request documents use the paper's
+  term syntax (``"f(a, g(b))"``) and results render the same way;
+* ``repro/xml-transformation@1`` and ``repro/json-transformation@1``
+  bundles (written by :meth:`Transformation.save
+  <repro.codec.Transformation.save>`) — the XML and JSON codecs; XML
+  results render as XML, JSON results as canonical single-line JSON;
 * ``repro/pipeline@1`` pipelines — ``{"format": …, "stages": [ref, …]}``
   where each ref names a sibling ``repro/dtop@1`` model (``NAME`` or
   ``NAME@VERSION``); the stages are fused through
   :func:`~repro.transducers.compose.compose_chain` at load into one
-  single-pass machine (optional ``"earliest": true`` normalizes it).
-  A changed member file retires the pipeline entry on reload exactly
-  like a change to the pipeline file itself.
+  single-pass machine (optional ``"earliest": true`` normalizes it)
+  served under the term codec.  A changed member file retires the
+  pipeline entry on reload exactly like a change to the pipeline file
+  itself.
+
+An entry's ``kind`` is its codec's name: ``dtop``, ``xml`` or ``json``.
 
 Compiled engines persist across processes: every entry carries a
 fingerprinted ``NAME@VERSION.engine`` sidecar
@@ -63,6 +66,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.codec import TERM_CODEC, Transformation, transformation_from_bundle
 from repro.engine import (
     attach_payload,
     engine_for,
@@ -73,35 +77,18 @@ from repro.engine import (
     write_engine_artifact,
 )
 from repro.errors import (
-    BackendError,
     ModelNotFoundError,
     RegistryError,
     ReproError,
     ServiceError,
-    TransducerError,
 )
+from repro.serialize import FORMAT_PIPELINE as PIPELINE_FORMAT
 from repro.serialize import dumps as serialize_dumps
 from repro.serialize import from_data as serialize_from_data
 from repro.serialize import loads as serialize_loads
-from repro.trees.tree import Tree, parse_term
+from repro.trees.tree import Tree
 from repro.transducers.compose import compose_chain
 from repro.transducers.dtop import DTOP
-from repro.xml.unranked import UTree
-from repro.xml.xmlio import parse_xml, serialize_xml
-
-#: Artifact kinds a registry serves.
-KIND_DTOP = "dtop"
-KIND_XML = "xml"
-KIND_JSON = "json"
-
-#: Bundle format written by ``repro learn --save`` (see ``repro.cli``).
-XML_BUNDLE_FORMAT = "repro/xml-transformation@1"
-
-#: Bundle format written by ``save_json_transformation``.
-JSON_BUNDLE_FORMAT = "repro/json-transformation@1"
-
-#: Pipeline artifact: a JSON list of member model refs fused at load.
-PIPELINE_FORMAT = "repro/pipeline@1"
 
 
 def _version_key(version: str) -> Tuple:
@@ -128,13 +115,13 @@ def _parse_model_filename(path: Path) -> Tuple[str, str]:
 
 
 class ModelEntry:
-    """One live model: machine, codecs, and its (lazy) worker service.
+    """One live model: transformation, codec, and its (lazy) worker service.
 
-    The entry knows how to parse a request document, translate a batch,
-    and render an outcome — the batcher and the protocol handlers stay
-    format-agnostic.  ``acquire``/``release`` bracket every use; a
-    retired entry tears down its engine handle and pool as soon as the
-    last holder releases it.
+    ``codec`` parses request documents and renders outcomes, and
+    :meth:`run_batch` translates a batch — the batcher and the protocol
+    handlers stay format-agnostic.  ``acquire``/``release`` bracket
+    every use; a retired entry tears down its engine handle and pool as
+    soon as the last holder releases it.
     """
 
     def __init__(
@@ -142,9 +129,7 @@ class ModelEntry:
         name: str,
         version: str,
         path: Path,
-        kind: str,
-        machine: DTOP,
-        transformation=None,
+        transformation: Transformation,
         jobs: Optional[int] = None,
         fingerprint: Optional[Tuple[int, int]] = None,
         backend: Optional[str] = None,
@@ -157,9 +142,9 @@ class ModelEntry:
         self.name = name
         self.version = version
         self.path = path
-        self.kind = kind
-        self.machine = machine
         self.transformation = transformation
+        self.codec = transformation.codec
+        self.machine = transformation.transducer
         self.jobs = max(1, jobs or 1)
         self.fingerprint = fingerprint
         #: Resolved execution backend name this model serves on.
@@ -185,6 +170,11 @@ class ModelEntry:
     @property
     def key(self) -> str:
         return f"{self.name}@{self.version}"
+
+    @property
+    def kind(self) -> str:
+        """The codec name: ``dtop``, ``xml`` or ``json``."""
+        return self.codec.name
 
     # -- persistent compiled engine -------------------------------------
 
@@ -395,26 +385,6 @@ class ModelEntry:
             )
         return self._service
 
-    def parse_document(self, text: str) -> Union[Tree, UTree]:
-        """Parse one request document in the model's input syntax."""
-        if self.kind == KIND_DTOP:
-            return parse_term(text)
-        if self.kind == KIND_JSON:
-            from repro.json.jsonio import parse_json
-
-            return parse_json(text)
-        return parse_xml(text, ignore_attributes=True)
-
-    def render_output(self, outcome) -> str:
-        """Render one successful outcome in the model's output syntax."""
-        if self.kind == KIND_DTOP:
-            return str(outcome)
-        if self.kind == KIND_JSON:
-            from repro.json.jsonio import serialize_json
-
-            return serialize_json(outcome)
-        return serialize_xml(outcome)
-
     def render_packed(self, outcome: Tree) -> Dict[str, object]:
         """Render a transducer outcome as flat DAG records.
 
@@ -434,27 +404,17 @@ class ModelEntry:
     def run_batch(self, documents: List, trace=None) -> List:
         """Translate a coalesced batch; per-document outcomes.
 
-        Outcomes are output trees or exception instances — one bad
-        document never fails the batch (the engine and
-        ``XMLTransformation.apply_batch`` both report per document).
-        An optional :class:`~repro.obs.trace.TraceContext` collects the
-        batch's execute (and pipeline encode/decode) spans.
+        Outcomes are output documents or exception instances — one bad
+        document never fails the batch
+        (:meth:`~repro.codec.Transformation.apply_batch` reports per
+        document).  An optional :class:`~repro.obs.trace.TraceContext`
+        collects the batch's pipeline encode/execute/decode spans.
         """
         self.requests += len(documents)
-        engine = self.ensure_engine()
-        service = self.service()
-        if self.kind in (KIND_XML, KIND_JSON):
-            return self.transformation.apply_batch(
-                documents, service=service, backend=self.backend, trace=trace
-            )
-        if service is not None:
-            return service.run_batch_outcomes(documents, trace=trace)
-        if trace:
-            with trace.span(
-                "execute", backend=engine.backend, documents=len(documents)
-            ):
-                return engine.run_batch_outcomes(documents)
-        return engine.run_batch_outcomes(documents)
+        self.ensure_engine()
+        return self.transformation.apply_batch(
+            documents, service=self.service(), backend=self.backend, trace=trace
+        )
 
     def profile(self) -> Optional[Dict[str, object]]:
         """The in-process engine's profiler snapshot, or ``None``.
@@ -624,14 +584,9 @@ def _recover_or_fuse(
                 return machine, True
         except Exception:
             pass  # unreadable recovery record: fall through and fuse
-    try:
-        fused = compose_chain(
-            machines,
-            earliest=bool(data.get("earliest", False)),
-            labels=labels,
-        )
-    except TransducerError as error:
-        raise RegistryError(str(error)) from None
+    fused = compose_chain(
+        machines, earliest=bool(data.get("earliest", False)), labels=labels
+    )
     return fused, False
 
 
@@ -651,50 +606,21 @@ def _load_entry(
         data = json.loads(raw_bytes.decode("utf-8"))
     except (OSError, ValueError) as error:
         raise RegistryError(f"cannot read model {path.name}: {error}") from None
-    # Per-model backend pin: an artifact's "backend" key beats the
-    # server-wide default, which beats REPRO_BACKEND, which beats
-    # "tables".  Validated here so a typo (or a backend whose dependency
-    # is missing on this host) fails this one file's load — per-file
-    # isolation on reload — instead of the first request.
-    artifact_backend = data.get("backend") if isinstance(data, dict) else None
-    try:
-        backend = resolve_backend(artifact_backend, default_backend)
-    except BackendError as error:
-        raise RegistryError(
-            f"cannot load model {path.name}: {error}"
-        ) from None
-    format_key = data.get("format") if isinstance(data, dict) else None
+    fields = data if isinstance(data, dict) else {}
     content_chunks = [raw_bytes]
     member_fingerprints: List[Tuple[Path, Tuple[int, int]]] = []
     members: Optional[List[str]] = None
-    transformation = None
-    kind = KIND_DTOP
     engine_fingerprint: Optional[str] = None
     recovered = False
-    if format_key == XML_BUNDLE_FORMAT:
-        from repro.cli import transformation_from_bundle
-
-        try:
-            transformation = transformation_from_bundle(data)
-        except (ReproError, KeyError) as error:
-            raise RegistryError(
-                f"cannot load model {path.name}: {error}"
-            ) from None
-        machine = transformation.transducer
-        kind = KIND_XML
-    elif format_key == JSON_BUNDLE_FORMAT:
-        from repro.json.pipeline import json_transformation_from_bundle
-
-        try:
-            transformation = json_transformation_from_bundle(data)
-        except (ReproError, KeyError) as error:
-            raise RegistryError(
-                f"cannot load model {path.name}: {error}"
-            ) from None
-        machine = transformation.transducer
-        kind = KIND_JSON
-    elif format_key == PIPELINE_FORMAT:
-        try:
+    try:
+        # Per-model backend pin: an artifact's "backend" key beats the
+        # server-wide default, which beats REPRO_BACKEND, which beats
+        # "tables".  Validated here so a typo (or a backend whose
+        # dependency is missing on this host) fails this one file's
+        # load — per-file isolation on reload — instead of the first
+        # request.
+        backend = resolve_backend(fields.get("backend"), default_backend)
+        if fields.get("format") == PIPELINE_FORMAT:
             machines, member_bytes, member_fingerprints, members, labels = (
                 _read_pipeline_members(path, data)
             )
@@ -703,31 +629,18 @@ def _load_entry(
             machine, recovered = _recover_or_fuse(
                 path, data, machines, labels, engine_fingerprint
             )
-        except RegistryError as error:
-            raise RegistryError(
-                f"cannot load model {path.name}: {error}"
-            ) from None
-    else:
-        try:
-            machine = serialize_from_data(data)
-        except ReproError as error:
-            raise RegistryError(
-                f"cannot load model {path.name}: {error}"
-            ) from None
-        if not isinstance(machine, DTOP):
-            raise RegistryError(
-                f"model {path.name} holds a "
-                f"{type(machine).__name__}, not a transducer"
-            )
+            transformation = Transformation(machine, TERM_CODEC)
+        else:
+            transformation = transformation_from_bundle(data)
+    except ReproError as error:
+        raise RegistryError(f"cannot load model {path.name}: {error}") from None
     if engine_fingerprint is None:
         engine_fingerprint = fingerprint_payload(content_chunks, backend)
     entry = ModelEntry(
         name,
         version,
         path,
-        kind,
-        machine,
-        transformation=transformation,
+        transformation,
         jobs=jobs,
         fingerprint=fingerprint,
         backend=backend,

@@ -34,8 +34,8 @@ from repro.trees.tree import Tree
 
 from repro.json.encode import json_alphabet, member_label
 from repro.json.jsonio import JsonValue
-from repro.json.pipeline import JsonTransformation
-from repro.json.encode import JsonEncoder
+from repro.codec import Transformation
+from repro.json.pipeline import json_codec
 
 #: The key universe of the config workloads.
 CONFIG_KEYS = (
@@ -87,12 +87,8 @@ def config_domain() -> DTTA:
     return universal_dtta(config_alphabet())
 
 
-def _as_transformation(transducer: DTOP) -> JsonTransformation:
-    return JsonTransformation(
-        transducer=transducer,
-        encoder=JsonEncoder(),
-        domain=config_domain(),
-    )
+def _as_transformation(transducer: DTOP) -> Transformation:
+    return Transformation(transducer, json_codec(), config_domain())
 
 
 # ----------------------------------------------------------------------
@@ -139,23 +135,23 @@ def redact_transducer() -> DTOP:
     return _copy_machine({("q", "str"): rhs_tree(("str", "v0"))})
 
 
-def identity_transformation() -> JsonTransformation:
+def identity_transformation() -> Transformation:
     return _as_transformation(identity_transducer())
 
 
-def config_rename_transformation() -> JsonTransformation:
+def config_rename_transformation() -> Transformation:
     return _as_transformation(config_rename_transducer())
 
 
-def wrap_transformation(key: str = "data") -> JsonTransformation:
+def wrap_transformation(key: str = "data") -> Transformation:
     return _as_transformation(wrap_transducer(key))
 
 
-def defaults_transformation() -> JsonTransformation:
+def defaults_transformation() -> Transformation:
     return _as_transformation(defaults_transducer())
 
 
-def redact_transformation() -> JsonTransformation:
+def redact_transformation() -> Transformation:
     return _as_transformation(redact_transducer())
 
 

@@ -34,13 +34,13 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro import serialize as _serialize
-from repro.cli import save_transformation
-from repro.xml.pipeline import XMLTransformation, learn_xml_transformation
+from repro.codec import Transformation
+from repro.serialize import FORMAT_PIPELINE
+from repro.xml.pipeline import learn_xml_transformation, xml_codec
 from repro.xml.encode import DTDEncoder
 from repro.xml.schema import schema_dtta
 from repro.xml.unranked import UTree, element, text
 
-from repro.json.pipeline import save_json_transformation
 from repro.workloads import families
 from repro.workloads.flip import flip_transducer, swap_transducer
 from repro.workloads.library import (
@@ -101,7 +101,7 @@ _README_ROWS = (
 )
 
 
-def _addressbook_transformation() -> XMLTransformation:
+def _addressbook_transformation() -> Transformation:
     """Learn the address-book republication (examples/addressbook.py).
 
     Teaching examples vary one text field at a time across both abstract
@@ -174,23 +174,21 @@ def _addressbook_transformation() -> XMLTransformation:
     )
 
 
-def _xmlflip_transformation() -> XMLTransformation:
+def _xmlflip_transformation() -> Transformation:
     input_encoder = DTDEncoder(xmlflip_input_dtd())
-    return XMLTransformation(
-        transducer=xmlflip_transducer(),
-        input_encoder=input_encoder,
-        output_encoder=DTDEncoder(xmlflip_output_dtd()),
-        domain=schema_dtta(input_encoder),
+    return Transformation(
+        xmlflip_transducer(),
+        xml_codec(input_encoder, DTDEncoder(xmlflip_output_dtd())),
+        schema_dtta(input_encoder),
     )
 
 
-def _library_transformation() -> XMLTransformation:
+def _library_transformation() -> Transformation:
     input_encoder = DTDEncoder(library_input_dtd(), fuse=True)
-    return XMLTransformation(
-        transducer=library_transducer(),
-        input_encoder=input_encoder,
-        output_encoder=DTDEncoder(library_output_dtd(), fuse=True),
-        domain=schema_dtta(input_encoder),
+    return Transformation(
+        library_transducer(),
+        xml_codec(input_encoder, DTDEncoder(library_output_dtd(), fuse=True)),
+        schema_dtta(input_encoder),
     )
 
 
@@ -228,7 +226,7 @@ def build_stock_models(directory: Union[str, Path]) -> List[Path]:
         lambda p: p.write_text(
             json.dumps(
                 {
-                    "format": "repro/pipeline@1",
+                    "format": FORMAT_PIPELINE,
                     "stages": ["swap@1", "swap@1"],
                 },
                 indent=2,
@@ -237,30 +235,19 @@ def build_stock_models(directory: Union[str, Path]) -> List[Path]:
         ),
     )
 
-    # XML transformation bundles.
-    emit(
-        "xmlflip@1",
-        lambda p: save_transformation(_xmlflip_transformation(), p),
-    )
-    emit(
-        "library@1",
-        lambda p: save_transformation(_library_transformation(), p),
-    )
-    emit(
-        "addressbook@1",
-        lambda p: save_transformation(_addressbook_transformation(), p),
-    )
-
-    # JSON transformation bundles.
-    json_builders = (
+    # XML and JSON transformation bundles.
+    bundle_builders = (
+        ("xmlflip@1", _xmlflip_transformation),
+        ("library@1", _library_transformation),
+        ("addressbook@1", _addressbook_transformation),
         ("identity-json@1", jsonwl.identity_transformation),
         ("rename-json@1", jsonwl.config_rename_transformation),
         ("wrap-json@1", jsonwl.wrap_transformation),
         ("defaults-json@1", jsonwl.defaults_transformation),
         ("redact-json@1", jsonwl.redact_transformation),
     )
-    for name, factory in json_builders:
-        emit(name, lambda p, factory=factory: save_json_transformation(factory(), p))
+    for name, factory in bundle_builders:
+        emit(name, lambda p, factory=factory: factory().save(p))
 
     readme = directory / "README.md"
     readme.write_text(_readme_text())

@@ -10,9 +10,10 @@ trees.  Two encodings are provided:
   groups items by the regular subexpressions of a DTD so that a DTOP can
   delete, interchange, and copy the groups.
 
-:mod:`repro.xml.pipeline` glues everything into an end-to-end learner for
-XML-to-XML transformations, and :mod:`repro.xml.xslt` renders a learned
-transducer as an XSLT-like template program.
+:mod:`repro.xml.pipeline` glues everything into the XML codec and an
+end-to-end learner for XML-to-XML transformations, and
+:mod:`repro.xml.xslt` renders a learned transducer as an XSLT-like
+template program.
 """
 
 from repro.xml.unranked import UTree, element, text, PCDATA_LABEL
@@ -34,7 +35,7 @@ from repro.xml.dtd import (
 from repro.xml.encode import DTDEncoder
 from repro.xml.fcns import fcns_encode, fcns_decode, fcns_alphabet
 from repro.xml.schema import schema_dtta
-from repro.xml.pipeline import XMLTransformation, learn_xml_transformation
+from repro.xml.pipeline import XMLTransformation, learn_xml_transformation, xml_codec
 from repro.xml.xslt import to_xslt
 
 __all__ = [
@@ -63,5 +64,6 @@ __all__ = [
     "schema_dtta",
     "XMLTransformation",
     "learn_xml_transformation",
+    "xml_codec",
     "to_xslt",
 ]

@@ -21,7 +21,6 @@ import pytest
 from repro import api
 from repro.errors import ReproError, UndefinedTransductionError
 from repro.json.jsonio import parse_json, serialize_json
-from repro.json.pipeline import save_json_transformation
 from repro.server import ServerClient, ServerThread
 from repro.workloads.jsonwl import CONFIG_KEYS, JSON_WORKLOADS
 
@@ -192,13 +191,11 @@ def random_json_document(rng, depth=0):
 def test_served_json_models_match_local_pipelines(tmp_path):
     """Random config documents through every JSON workload: the served
     outcome (output bytes or error type + message) must equal the local
-    ``JsonTransformation`` outcome, per document."""
+    JSON ``Transformation`` outcome, per document."""
     local = {}
     for name, factory, _reference in JSON_WORKLOADS:
         transformation = factory()
-        save_json_transformation(
-            transformation, tmp_path / f"{name}@1.json"
-        )
+        transformation.save(tmp_path / f"{name}@1.json")
         local[name] = transformation
 
     rng = random.Random(0x1E9A)

@@ -2,16 +2,12 @@
 
 import pytest
 
+from repro import api
+from repro.codec import load_transformation, transformation_from_bundle
 from repro.engine import available_backends
-from repro.errors import ReproError
-from repro.json.pipeline import (
-    JSON_BUNDLE_FORMAT,
-    json_transformation_from_bundle,
-    json_transformation_to_bundle,
-    learn_json_transformation,
-    load_json_transformation,
-    save_json_transformation,
-)
+from repro.errors import ParseError, ReproError
+from repro.json.pipeline import JSON_BUNDLE_FORMAT, learn_json_transformation
+from repro.workloads.flip import flip_transducer
 from repro.workloads.jsonwl import (
     JSON_WORKLOADS,
     example_documents,
@@ -62,13 +58,13 @@ def test_bundle_roundtrip(tmp_path):
     _, factory, reference = JSON_WORKLOADS[1]  # rename
     transformation = factory()
     path = tmp_path / "rename.json"
-    save_json_transformation(transformation, path)
-    loaded = load_json_transformation(path)
+    transformation.save(path)
+    loaded = load_transformation(path)
     for document in DOCS:
         assert loaded.apply(document) == reference(document)
-    bundle = json_transformation_to_bundle(transformation)
+    bundle = transformation.to_bundle()
     assert bundle["format"] == JSON_BUNDLE_FORMAT
-    again = json_transformation_from_bundle(bundle)
+    again = transformation_from_bundle(bundle)
     assert again.transducer.rules == transformation.transducer.rules
     for document in DOCS:
         assert again.apply(document) == reference(document)
@@ -78,7 +74,32 @@ def test_load_rejects_foreign_bundles(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "repro/xml-transformation@1"}')
     with pytest.raises(ReproError, match="not a repro/json-transformation@1"):
-        load_json_transformation(path)
+        api.load_json(path)
+    api.save(flip_transducer(), path)
+    with pytest.raises(ReproError, match="not a repro/json-transformation@1"):
+        api.load_json(path)
+
+
+def test_load_json_round_trips(tmp_path):
+    path = tmp_path / "rename.json"
+    api.save_json(JSON_WORKLOADS[1][1](), path)
+    loaded = api.load_json(path)
+    assert loaded.codec.name == "json"
+    for document in DOCS:
+        assert api.run_json(loaded, document) == JSON_WORKLOADS[1][2](document)
+
+
+def test_load_rejects_incomplete_bundles(tmp_path):
+    path = tmp_path / "other.json"
+    path.write_text('{"format": "repro/json-transformation@1"}')
+    with pytest.raises(
+        ParseError,
+        match="malformed repro/json-transformation@1 document: "
+        "missing field 'transducer'",
+    ):
+        transformation_from_bundle({"format": JSON_BUNDLE_FORMAT})
+    with pytest.raises(ReproError, match=f"cannot load {path}"):
+        load_transformation(path)
 
 
 class TestLearning:
@@ -114,7 +135,7 @@ class TestLearning:
         ] + [({}, {})]
         learned = learn_json_transformation(examples)
         path = tmp_path / "learned.json"
-        save_json_transformation(learned, path)
-        loaded = load_json_transformation(path)
+        learned.save(path)
+        loaded = load_transformation(path)
         for document in ({"user": "zoe"}, {"user": "x"}, {}):
             assert loaded.apply(document) == learned.apply(document)

@@ -15,12 +15,7 @@ import pytest
 from repro.engine import available_backends
 from repro.json.jsonio import parse_json, serialize_json
 from repro.server import ServerClient, ServerThread
-from repro.server.registry import (
-    KIND_DTOP,
-    KIND_JSON,
-    KIND_XML,
-    ModelRegistry,
-)
+from repro.server.registry import ModelRegistry
 from repro.workloads import jsonwl
 from repro.workloads.stock import STOCK_MODELS, build_stock_models
 
@@ -81,11 +76,11 @@ def test_every_artifact_loads_in_a_registry():
         keys = set(registry.keys())
         assert set(STOCK_MODELS) <= keys
         kinds = {key: registry.get(key).kind for key in STOCK_MODELS}
-        assert kinds["flip@1"] == KIND_DTOP
-        assert kinds["swap-twice@1"] == KIND_DTOP  # pipelines fuse to raw
-        assert kinds["xmlflip@1"] == KIND_XML
-        assert kinds["addressbook@1"] == KIND_XML
-        assert kinds["rename-json@1"] == KIND_JSON
+        assert kinds["flip@1"] == "dtop"
+        assert kinds["swap-twice@1"] == "dtop"  # pipelines fuse to raw
+        assert kinds["xmlflip@1"] == "xml"
+        assert kinds["addressbook@1"] == "xml"
+        assert kinds["rename-json@1"] == "json"
     finally:
         registry.close()
 
@@ -95,7 +90,7 @@ def test_stock_library_serves_every_model(tmp_path, backend):
     """Warm + serve one probe per model under each registered backend.
 
     JSON responses must be byte-identical to the local
-    ``JsonTransformation`` on the same bundle — the acceptance bar for
+    JSON ``Transformation`` on the same bundle — the acceptance bar for
     the served JSON path.
     """
     directory = tmp_path / "models"

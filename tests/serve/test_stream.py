@@ -21,7 +21,8 @@ from repro.workloads.xmlflip import (
     xmlflip_transducer,
 )
 from repro.xml.encode import DTDEncoder
-from repro.xml.pipeline import XMLTransformation
+from repro.codec import Transformation
+from repro.xml.pipeline import xml_codec
 from repro.xml.schema import schema_dtta
 from repro.xml.unranked import UTree
 from repro.xml.xmlio import parse_xml, serialize_xml
@@ -178,11 +179,10 @@ class TestStreamedServing:
     def _transformation(self):
         input_encoder = DTDEncoder(xmlflip_input_dtd())
         output_encoder = DTDEncoder(xmlflip_output_dtd())
-        return XMLTransformation(
-            transducer=xmlflip_transducer(),
-            input_encoder=input_encoder,
-            output_encoder=output_encoder,
-            domain=schema_dtta(input_encoder),
+        return Transformation(
+            xmlflip_transducer(),
+            xml_codec(input_encoder, output_encoder),
+            schema_dtta(input_encoder),
         )
 
     def test_streamed_equals_materialized_batch(self):

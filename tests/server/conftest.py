@@ -5,7 +5,6 @@ import shutil
 import pytest
 
 from repro import api
-from repro.cli import save_transformation
 from repro.trees.tree import Tree
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import call
@@ -16,6 +15,20 @@ from repro.workloads.xmlflip import (
     xmlflip_output_dtd,
 )
 from repro.xml.pipeline import learn_xml_transformation
+
+
+#: Stock artifacts with one wrong-typed field, and the artifact format a
+#: load failure must name: ``(model, field, value, format)``.
+MALFORMED_ARTIFACTS = [
+    ("xmlflip@1", "flags", [], "repro/xml-transformation@1"),
+    ("xmlflip@1", "input_dtd", 5, "repro/xml-transformation@1"),
+    ("xmlflip@1", "transducer", 5, "repro/xml-transformation@1"),
+    ("rename-json@1", "transducer", 5, "repro/json-transformation@1"),
+    ("rename-json@1", "domain", "x", "repro/json-transformation@1"),
+    ("flip@1", "rules", 5, "repro/dtop@1"),
+    ("flip@1", "rules", {"q1": "root"}, "repro/dtop@1"),
+    ("flip@1", "input_alphabet", 5, "repro/dtop@1"),
+]
 
 
 def identity_dtop(alphabet) -> DTOP:
@@ -44,7 +57,7 @@ def models_source(tmp_path_factory, xmlflip_transformation):
     """One directory holding both model kinds (session-wide master copy)."""
     directory = tmp_path_factory.mktemp("models")
     api.save(flip_transducer(), str(directory / "flip@1.json"))
-    save_transformation(xmlflip_transformation, directory / "xmlflip@1.json")
+    xmlflip_transformation.save(directory / "xmlflip@1.json")
     return directory
 
 

@@ -15,24 +15,26 @@ from repro.errors import (
     UndefinedTransductionError,
 )
 from repro.server.batcher import MicroBatcher
-from repro.server.registry import KIND_DTOP, ModelEntry
+from repro.codec import TERM_CODEC, Transformation
+from repro.server.registry import ModelEntry
 from repro.workloads.flip import flip_input, flip_transducer
 
 
 def flip_entry(**kwargs) -> ModelEntry:
     return ModelEntry(
-        "flip", "1", Path("flip@1.json"), KIND_DTOP, flip_transducer(),
-        **kwargs,
+        "flip", "1", Path("flip@1.json"), raw_model(), **kwargs
     )
+
+
+def raw_model() -> Transformation:
+    return Transformation(flip_transducer(), TERM_CODEC)
 
 
 class BlockingEntry(ModelEntry):
     """An entry whose dispatch blocks until the test releases it."""
 
     def __init__(self):
-        super().__init__(
-            "slow", "1", Path("slow@1.json"), KIND_DTOP, flip_transducer()
-        )
+        super().__init__("slow", "1", Path("slow@1.json"), raw_model())
         self.gate = threading.Event()
         self.batches = []
 
@@ -46,9 +48,7 @@ class FailingEntry(ModelEntry):
     """An entry whose dispatch dies wholesale (infrastructure failure)."""
 
     def __init__(self):
-        super().__init__(
-            "bad", "1", Path("bad@1.json"), KIND_DTOP, flip_transducer()
-        )
+        super().__init__("bad", "1", Path("bad@1.json"), raw_model())
 
     def run_batch(self, documents):
         raise RuntimeError("the pool fell over")

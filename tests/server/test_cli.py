@@ -2,6 +2,7 @@
 ``apply --remote``, and ``repro compose``."""
 
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main, save_transformation
+from repro.cli import main
+from repro.codec import Transformation, load_transformation
+from repro.errors import ReproError
 from repro.server import ServerClient, ServerThread
 from repro.workloads.xmlflip import (
     transform_xmlflip,
@@ -18,10 +21,11 @@ from repro.workloads.xmlflip import (
     xmlflip_output_dtd,
 )
 from repro.xml.encode import DTDEncoder
-from repro.xml.pipeline import XMLTransformation
+from repro.xml.pipeline import xml_codec
 from repro.xml.schema import schema_dtta
 from repro.xml.xmlio import parse_xml, serialize_xml
 
+from tests.fuzz.test_server_differential import random_json_document
 from tests.server.conftest import identity_dtop
 from tests.server.faults import wait_until
 
@@ -160,14 +164,13 @@ class TestComposeCommand:
     @pytest.fixture
     def identity_bundle(self, tmp_path):
         encoder = DTDEncoder(xmlflip_output_dtd(), compact_lists=True)
-        bundle = XMLTransformation(
-            transducer=identity_dtop(encoder.alphabet),
-            input_encoder=encoder,
-            output_encoder=encoder,
-            domain=schema_dtta(encoder),
+        bundle = Transformation(
+            identity_dtop(encoder.alphabet),
+            xml_codec(encoder, encoder),
+            schema_dtta(encoder),
         )
         path = tmp_path / "ident.json"
-        save_transformation(bundle, path)
+        bundle.save(path)
         return path
 
     def test_compose_then_apply_matches_chain(
@@ -208,7 +211,56 @@ class TestComposeCommand:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "output DTD" in captured.err
+        assert "output schema" in captured.err
+
+
+    def test_json_chain_matches_staged_apply(self, tmp_path, capsys):
+        stock = Path(__file__).resolve().parents[2] / "models"
+        chain = [stock / "rename-json@1.json", stock / "redact-json@1.json"]
+        composed = tmp_path / "composed.json"
+        code = main(
+            ["compose", "--chain", *map(str, chain), "--save", str(composed)]
+        )
+        assert code == 0, capsys.readouterr().err
+        fused = load_transformation(composed)
+        rename, redact = map(load_transformation, chain)
+        assert fused.codec.name == "json"
+
+        def outcome(transformation, document):
+            # Fused state names are pairs, so errors compare by type.
+            try:
+                return transformation.apply(document)
+            except ReproError as error:
+                return (type(error).__name__,)
+
+        rng = random.Random(0xC0DE)
+        documents = [random_json_document(rng) for _ in range(60)]
+        carries_values = {
+            bool(rename.codec.input_encoder.encode_with_values(d)[1])
+            for d in documents
+            if not isinstance(outcome(rename, d), tuple)
+        }
+        assert carries_values == {True, False}
+        for document in documents:
+            staged = outcome(rename, document)
+            if not isinstance(staged, tuple):
+                staged = outcome(redact, staged)
+            assert outcome(fused, document) == staged, document
+
+    def test_mixed_codecs_rejected_naming_both(self, models_dir, capsys):
+        stock = Path(__file__).resolve().parents[2] / "models"
+        code = main(
+            [
+                "compose",
+                "--chain",
+                str(models_dir / "xmlflip@1.json"),
+                str(stock / "rename-json@1.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "xmlflip@1.json (xml)" in err
+        assert "rename-json@1.json (json)" in err
 
 
 class TestServerCommand:

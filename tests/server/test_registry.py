@@ -1,29 +1,32 @@
 """ModelRegistry: loading, resolution, hot reload, deferred teardown."""
 
+import json
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.errors import ModelNotFoundError, RegistryError
 from repro.server.registry import (
-    KIND_DTOP,
-    KIND_XML,
     ModelRegistry,
     _parse_model_filename,
     _version_key,
 )
 from repro.workloads.flip import flip_input, flip_transducer
 
-from tests.server.conftest import identity_dtop
+from tests.server.conftest import MALFORMED_ARTIFACTS, identity_dtop
+
+STOCK_MODELS = Path(__file__).resolve().parents[2] / "models"
 
 
 class TestLoading:
     def test_loads_both_model_kinds(self, models_dir):
         with ModelRegistry(models_dir) as registry:
             assert registry.keys() == ["flip@1", "xmlflip@1"]
-            assert registry.get("flip@1").kind == KIND_DTOP
-            assert registry.get("xmlflip@1").kind == KIND_XML
+            assert registry.get("flip@1").kind == "dtop"
+            assert registry.get("xmlflip@1").kind == "xml"
             kinds = {d["model"]: d["kind"] for d in registry.describe()}
             assert kinds == {"flip@1": "dtop", "xmlflip@1": "xml"}
 
@@ -246,3 +249,28 @@ class TestReloadIsolation:
         with pytest.raises(ServiceError):
             entry.service()
         assert entry._service is None
+
+    @pytest.mark.parametrize(
+        "model, field, value, fmt",
+        MALFORMED_ARTIFACTS,
+        ids=[f"{m}-{f}-{type(v).__name__}" for m, f, v, _ in MALFORMED_ARTIFACTS],
+    )
+    def test_malformed_artifact_is_a_per_file_failure(
+        self, models_dir, flip_identity, model, field, value, fmt
+    ):
+        shutil.copy(STOCK_MODELS / "rename-json@1.json", models_dir)
+        shutil.copy(STOCK_MODELS / "flip@1.json", models_dir / "other@1.json")
+        with ModelRegistry(models_dir) as registry:
+            old = registry.get(model)
+            time.sleep(0.01)
+            data = json.loads((models_dir / f"{model}.json").read_text())
+            data[field] = value
+            (models_dir / f"{model}.json").write_text(json.dumps(data))
+            api.save(flip_identity, str(models_dir / "other@1.json"))
+            summary = registry.reload()
+            assert summary["reloaded"] == ["other@1"]
+            assert len(summary["failed"]) == 1
+            failure = summary["failed"][0]
+            assert failure.startswith(f"{model}: cannot load model")
+            assert f"malformed {fmt} document" in failure
+            assert registry.get(model) is old and not old.retired

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import load_transformation, main, save_transformation
+from repro.cli import main
+from repro.codec import load_transformation
 from repro.workloads.xmlflip import (
     INPUT_DTD_TEXT,
     OUTPUT_DTD_TEXT,
@@ -13,6 +15,10 @@ from repro.workloads.xmlflip import (
     xmlflip_examples,
 )
 from repro.xml.xmlio import parse_xml, serialize_xml
+
+from tests.server.conftest import MALFORMED_ARTIFACTS
+
+STOCK_MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 @pytest.fixture
@@ -235,7 +241,7 @@ class TestBundleRoundTrip:
             compact_lists=True,
         )
         path = tmp_path / "bundle.json"
-        save_transformation(transformation, path)
+        transformation.save(path)
         again = load_transformation(path)
         doc = xmlflip_document(2, 3)
         assert again.apply(doc) == transformation.apply(doc)
@@ -244,6 +250,26 @@ class TestBundleRoundTrip:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format": "other"}))
         assert main(["show", "--transform", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "model, field, value, fmt",
+        MALFORMED_ARTIFACTS,
+        ids=[f"{m}-{f}-{type(v).__name__}" for m, f, v, _ in MALFORMED_ARTIFACTS],
+    )
+    def test_malformed_artifact_is_a_clean_error(
+        self, tmp_path, capsys, model, field, value, fmt
+    ):
+        data = json.loads((STOCK_MODELS / f"{model}.json").read_text())
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        document = tmp_path / "doc.xml"
+        document.write_text("<root/>")
+        code = main(["apply", "--transform", str(bad), str(document)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot load {bad}: malformed {fmt}")
+        assert "Traceback" not in err
 
 
 class TestErrors:
