@@ -1,19 +1,18 @@
-"""E18 — pluggable execution backends vs. the tables engine.
+"""E18 — the codegen execution backend vs. the tables engine.
 
-Not a paper experiment: this benchmark races the registered execution
+Not a paper experiment: this benchmark races the two execution
 backends (`repro.engine.backends`) on the serving-shaped workloads the
 engine layer is judged by.  Three claims:
 
-(a) **forest**: on the E13 1000-tree overlapping forest, the best
-    non-default backend beats the ``tables`` engine by ≥ 5× per node
-    under the cold-start serving protocol — caches dropped, then the
-    forest served twenty times, the one-pool-restart-then-steady-traffic
-    shape.  Single cold and warm-batch ratios are recorded alongside
+(a) **forest**: on the E13 1000-tree overlapping forest, ``codegen``
+    beats the ``tables`` engine by ≥ 5× per node under the cold-start
+    serving protocol — caches dropped, then the forest served twenty
+    times, the one-pool-restart-then-steady-traffic shape.  Single cold and warm-batch ratios are recorded alongside
     (never asserted): per-pair cost is floored by hash-consed output
     construction, so the cold sweep alone understates the win.
 (b) **validator**: per-node throughput on the E15 24-state audit
     profile (state-heavy serving traffic) is recorded per backend.
-(c) **parity**: every backend produces byte-identical outcomes to the
+(c) **parity**: codegen produces byte-identical outcomes to the
     tables engine on both workloads, and a worker pool honoring the
     payload's backend returns the same outcomes too.
 
@@ -29,7 +28,7 @@ import os
 import random
 import time
 
-from repro.engine import compile_dtop, get_backend
+from repro.engine import available_backends, compile_dtop, get_backend
 from repro.serve import TransformService
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.tree import Tree, leaf, tree
@@ -50,12 +49,6 @@ SERVE_PASSES = 20
 STATES = 24
 
 ALPHABET = RankedAlphabet({"f": 2, "g": 1, "a": 0, "b": 0})
-
-
-def _backends():
-    from repro.engine import available_backends
-
-    return available_backends()
 
 
 def _flush_results() -> None:
@@ -148,7 +141,7 @@ def _measure_backend(engine, forest):
 def _race(machine, forest):
     """Race every backend on ``forest``; min-of-rounds per protocol."""
     compiled = compile_dtop(machine)
-    engines = {name: get_backend(name)(compiled) for name in _backends()}
+    engines = {name: get_backend(name)(compiled) for name in available_backends()}
     # Anchor: keep every output tree interned for the whole race so no
     # contestant pays intern misses another's cache drop caused.
     anchor = get_backend("tables")(compiled)
@@ -186,42 +179,35 @@ def _race(machine, forest):
     return total_nodes, rows
 
 
-def test_e18_forest_best_backend_beats_tables(benchmark):
+def test_e18_forest_codegen_beats_tables(benchmark):
     forest = _e13_forest(1000)
     machine = _flip()
 
     total_nodes, rows = benchmark.pedantic(
         lambda: _race(machine, forest), rounds=1, iterations=1
     )
-    contenders = {name: row for name, row in rows.items() if name != "tables"}
-    best_name = max(
-        contenders, key=lambda name: contenders[name]["serving_speedup"]
-    )
-    best = contenders[best_name]
+    codegen = rows["codegen"]
     _RESULTS["e13_forest"] = {
         "forest_size": len(forest),
         "total_nodes": total_nodes,
         "rounds": ROUNDS,
         "serve_passes": SERVE_PASSES,
         "backends": rows,
-        "best_backend": best_name,
-        "best_serving_speedup": best["serving_speedup"],
+        "codegen_serving_speedup": codegen["serving_speedup"],
     }
     _flush_results()
-    summary = ", ".join(
-        f"{name} {row['serving_speedup']:.2f}× serving "
-        f"({row['cold_speedup']:.2f}× cold, {row['warm_speedup']:.2f}× warm)"
-        for name, row in sorted(contenders.items())
-    )
     report(
         "E18/forest",
-        "best backend ≥ 5× per node over tables (cold-start serving ×20)",
-        f"1000-tree E13 forest vs tables: {summary}; best {best_name}",
+        "codegen ≥ 5× per node over tables (cold-start serving ×20)",
+        f"1000-tree E13 forest vs tables: codegen "
+        f"{codegen['serving_speedup']:.2f}× serving "
+        f"({codegen['cold_speedup']:.2f}× cold, "
+        f"{codegen['warm_speedup']:.2f}× warm)",
     )
     minimum = float(os.environ.get("BENCH_BACKEND_MIN_SPEEDUP", "5.0"))
-    assert best["serving_speedup"] >= minimum, (
-        f"best backend {best_name!r} only {best['serving_speedup']:.2f}× over "
-        f"tables on the cold-start serving protocol (floor {minimum}×)"
+    assert codegen["serving_speedup"] >= minimum, (
+        f"codegen only {codegen['serving_speedup']:.2f}× over tables on the "
+        f"cold-start serving protocol (floor {minimum}×)"
     )
 
 
@@ -239,16 +225,12 @@ def test_e18_validator_throughput_recorded(benchmark):
         "backends": rows,
     }
     _flush_results()
-    summary = ", ".join(
-        f"{name} {row['serving_speedup']:.2f}×"
-        for name, row in sorted(rows.items())
-        if name != "tables"
-    )
     report(
         "E18/validator",
         "per-node backend throughput on the 24-state audit profile",
-        f"{len(forest)}-doc validator forest vs tables: {summary} "
-        f"(ratios recorded, not asserted)",
+        f"{len(forest)}-doc validator forest vs tables: codegen "
+        f"{rows['codegen']['serving_speedup']:.2f}× "
+        f"(ratio recorded, not asserted)",
     )
 
 
@@ -265,7 +247,7 @@ def test_e18_worker_pools_honor_payload_backend(benchmark):
 
     def pools():
         timings = {}
-        for name in _backends():
+        for name in available_backends():
             start = time.perf_counter()
             with TransformService(
                 machine, jobs=2, chunk_size=32, backend=name

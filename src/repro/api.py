@@ -161,8 +161,8 @@ def run(
     runs over overlapping inputs are incremental through the persistent
     ``(state, node-uid)`` memo.
 
-    ``backend`` selects an execution backend by registry name
-    (``tables`` / ``codegen`` / ``numpy``); ``None`` defers to the
+    ``backend`` selects an execution backend by name
+    (``tables`` / ``codegen``); ``None`` defers to the
     ``REPRO_BACKEND`` environment variable, then the ``tables`` default.
     All backends are byte-identical in outputs and errors.
     """
@@ -428,7 +428,7 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
     Per-transducer run memos are reported by ``DTOP.cache_stats`` and
     per-sample memos by ``Sample.cache_stats()``.  The ``backends``
     entry breaks batches / hits / misses down by execution backend
-    process-wide (``tables`` / ``codegen`` / ``numpy``); the
+    process-wide (``tables`` / ``codegen``); the
     ``engine_artifacts`` entry counts from-scratch compilations against
     persistent payload hits/misses/writes — a warm artifact cache shows
     ``compiles == 0`` after a restart.

@@ -82,6 +82,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 from repro.codec import Transformation, compose_transformations, load_transformation
+from repro.engine.backends import resolve_backend
 from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACE, new_trace, render_trace_dict
 from repro.xml.dtd import parse_dtd
@@ -377,12 +378,17 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     paths = _collect_documents(args, doc_format)
 
     if len(paths) == 1 and not args.batch_dir:
-        # Single-document mode: unchanged contract (raises via main()).
+        # Single-document mode: errors raise via main().  The backend is
+        # resolved before any work, so a typo fails even on one document.
+        backend = resolve_backend(args.backend)
         trace = new_trace() if args.trace else NULL_TRACE
         with trace.span("decode", format=doc_format):
             document = codec.parse(paths[0].read_text())
-        with trace.span("execute"):
-            result = transformation.apply(document)
+        (result,) = transformation.apply_batch(
+            [document], backend=backend, trace=trace
+        )
+        if isinstance(result, Exception):
+            raise result
         with trace.span("encode", format=doc_format):
             output = codec.render(result)
         if trace:
@@ -635,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     apply_cmd.add_argument(
         "--backend",
-        help="execution backend (tables/codegen/numpy/auto; default: "
+        help="execution backend (tables/codegen/auto; default: "
         "$REPRO_BACKEND, then tables)",
     )
     apply_cmd.add_argument(
@@ -680,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        help="execution backend (tables/codegen/numpy/auto; default: "
+        help="execution backend (tables/codegen/auto; default: "
         "$REPRO_BACKEND, then tables)",
     )
     serve.add_argument(
@@ -748,8 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument(
         "--backend",
-        help="server-wide execution backend default (tables/codegen/"
-        "numpy/auto); per-model 'backend' artifact keys override it",
+        help="server-wide execution backend default "
+        "(tables/codegen/auto); per-model 'backend' artifact keys override it",
     )
     server.add_argument(
         "--warm",

@@ -34,12 +34,12 @@ to the model JSON, so servers and workers load tables instead of
 recompiling (``compiles`` / ``payload_hits`` counters tell which path
 ran).
 
-The *execute* stage is pluggable: :mod:`repro.engine.backends` registers
-alternative executors over the same compiled tables — ``tables`` (the
-dict-driven default), ``codegen`` (per-machine generated Python), and
-``numpy`` (array-lowered per-height sweeps) — selected per call via
-``engine_for(machine, backend=...)``, per model via registry artifacts,
-or process-wide via the ``REPRO_BACKEND`` environment variable.
+The *execute* stage has two engines over the same compiled tables,
+named in :mod:`repro.engine.backends`: ``tables`` (the dict-driven
+default) and ``codegen`` (per-machine generated Python), selected per
+call via ``engine_for(machine, backend=...)``, per model via registry
+artifacts, or process-wide via the ``REPRO_BACKEND`` environment
+variable.
 
 compile the sample (once per sample, extended incrementally)
     :mod:`repro.engine.sample_tables` is the learning-side analogue:
@@ -70,8 +70,6 @@ from repro.engine.backends import (
     available_backends,
     backend_stats,
     get_backend,
-    register_backend,
-    registered_backends,
     reset_backend_stats,
     resolve_backend,
 )
@@ -125,8 +123,6 @@ __all__ = [
     "available_backends",
     "backend_stats",
     "get_backend",
-    "register_backend",
-    "registered_backends",
     "reset_backend_stats",
     "resolve_backend",
     "SampleTables",

@@ -1,36 +1,26 @@
-"""Pluggable execution backends behind the engine interface.
+"""The two execution backends behind the engine interface.
 
 A *backend* is a factory turning a :class:`~repro.engine.compile.CompiledDTOP`
 into an executor implementing the engine surface (``run_batch_outcomes``,
 ``run_batch``, ``try_run_batch``, ``run``, ``try_run``, ``eval_state``,
 ``cache_stats``, ``clear_cache``, ``memo_size``) with interpreter-identical
 semantics — byte-identical :class:`~repro.errors.UndefinedTransductionError`
-messages included.  Three ship in-tree:
+messages included.  The table is fixed:
 
 ``tables`` (default)
     :class:`~repro.engine.execute.Engine` — the dict-driven template
-    replayer.  Always available; the reference the others are fuzzed
-    against.
+    replayer; the reference the other is fuzzed against.
 ``codegen``
     :class:`~repro.engine.backends.codegen.CodegenEngine` — per-machine
     generated Python: one specialized function per rule, compiled with
     :func:`compile`, constants and child memos bound as plain names.
-``numpy``
-    :class:`~repro.engine.backends.vectorized.NumpyEngine` — the demand
-    set lowered to parallel arrays, the sweep run as per-height
-    vectorized passes.  Registered only when numpy imports.
 
 Selection precedence, applied by :func:`resolve_backend`: explicit call
-argument > model artifact ``"backend"`` key > ``REPRO_BACKEND`` in the
-environment > :data:`DEFAULT_BACKEND`.  :func:`get_backend` raises
-:class:`~repro.errors.BackendError` for unknown or unavailable names.
-
-The pseudo-name ``auto`` (:data:`AUTO_BACKEND`) resolves to the fastest
-cold-path backend actually present: ``codegen`` when registered and
-available, otherwise :data:`DEFAULT_BACKEND`.  It deliberately never
-selects ``numpy`` — the per-height vectorized sweeps only pay off on
-warm repeated batches (``BENCH_backend.json`` measured 0.68× on cold
-single-pass work).
+argument > model artifact ``"backend"`` key > server default >
+``REPRO_BACKEND`` in the environment > :data:`DEFAULT_BACKEND`.
+:func:`get_backend` raises :class:`~repro.errors.BackendError` for
+unknown names.  The pseudo-name ``auto`` (:data:`AUTO_BACKEND`) is an
+alias of ``codegen``, the faster engine on every E18 row.
 
 Every backend engine reports its per-batch hit/miss counters here
 (:func:`note_batch`), so :func:`backend_stats` shows which backend served
@@ -52,82 +42,54 @@ DEFAULT_BACKEND = "tables"
 #: Environment variable consulted by :func:`resolve_backend`.
 ENV_VAR = "REPRO_BACKEND"
 
-#: Pseudo-name resolved by :func:`resolve_backend` to the fastest
-#: available cold-path backend (``codegen`` > :data:`DEFAULT_BACKEND`;
-#: never ``numpy``).
+#: Pseudo-name :func:`resolve_backend` maps to ``codegen``.
 AUTO_BACKEND = "auto"
 
 BackendFactory = Callable[[object], object]  # CompiledDTOP → engine
 
-
-class _BackendSpec:
-    __slots__ = ("name", "factory", "probe", "doc")
-
-    def __init__(
-        self,
-        name: str,
-        factory: BackendFactory,
-        probe: Optional[Callable[[], bool]],
-        doc: str,
-    ):
-        self.name = name
-        self.factory = factory
-        self.probe = probe
-        self.doc = doc
-
-    def available(self) -> bool:
-        return self.probe is None or self.probe()
-
-
-_REGISTRY: Dict[str, _BackendSpec] = {}
 _STATS_LOCK = threading.Lock()
 _STATS: Dict[str, Dict[str, int]] = {}
 
 
-def register_backend(
-    name: str,
-    factory: BackendFactory,
-    *,
-    available: Optional[Callable[[], bool]] = None,
-    doc: str = "",
-) -> None:
-    """Register ``factory`` under ``name`` (replacing any previous one).
-
-    ``available`` is an optional dependency probe; unavailable backends
-    stay listed by :func:`registered_backends` but are excluded from
-    :func:`available_backends` and refused by :func:`get_backend`.
-    """
-    _REGISTRY[name] = _BackendSpec(name, factory, available, doc)
+# Factories import lazily: execute.py imports this module for
+# resolution, so eager imports would cycle.
 
 
-def registered_backends() -> List[str]:
-    """Every registered backend name, available or not."""
-    return list(_REGISTRY)
+def _tables_factory(compiled):
+    from repro.engine.execute import Engine
+
+    return Engine(compiled)
+
+
+def _codegen_factory(compiled):
+    from repro.engine.backends.codegen import CodegenEngine
+
+    return CodegenEngine(compiled)
+
+
+_BACKENDS: Dict[str, BackendFactory] = {
+    "tables": _tables_factory,
+    "codegen": _codegen_factory,
+}
 
 
 def available_backends() -> List[str]:
-    """The backend names whose dependencies import in this interpreter."""
-    return [name for name, spec in _REGISTRY.items() if spec.available()]
+    """Every backend name, ``tables`` first."""
+    return list(_BACKENDS)
 
 
 def get_backend(name: str) -> BackendFactory:
-    """The engine factory registered under ``name``.
+    """The engine factory named ``name``.
 
-    Raises :class:`~repro.errors.BackendError` for unknown names and for
-    registered backends whose dependency probe fails.
+    Raises :class:`~repro.errors.BackendError` for unknown names.
     """
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        known = ", ".join(sorted(_REGISTRY))
+    factory = _BACKENDS.get(name)
+    if factory is None:
+        known = ", ".join(sorted(_BACKENDS))
         raise BackendError(
             f"unknown execution backend {name!r} (registered: {known})"
         )
-    if not spec.available():
-        raise BackendError(
-            f"execution backend {name!r} is registered but unavailable "
-            f"(missing dependency)"
-        )
-    return spec.factory
+    return factory
 
 
 def resolve_backend(*preferences: Optional[str]) -> str:
@@ -135,26 +97,14 @@ def resolve_backend(*preferences: Optional[str]) -> str:
 
     Callers list their precedence explicitly, e.g.
     ``resolve_backend(call_arg, artifact_backend)``.  The winning name is
-    validated against the registry (availability included) so a typo in
-    ``REPRO_BACKEND`` fails loudly at resolution time, not mid-batch.
+    validated so a typo in ``REPRO_BACKEND`` fails loudly at resolution
+    time, not mid-batch.
     """
-    name = None
-    for preference in preferences:
-        if preference is not None:
-            name = preference
-            break
+    name = next((p for p in preferences if p is not None), None)
     if name is None:
         name = os.environ.get(ENV_VAR) or DEFAULT_BACKEND
     if name == AUTO_BACKEND:
-        # Fastest cold-path backend present.  Never numpy: its
-        # per-height sweeps lose on cold single-pass work (0.68× in
-        # BENCH_backend.json), which is exactly what `auto` callers run.
-        codegen = _REGISTRY.get("codegen")
-        name = (
-            "codegen"
-            if codegen is not None and codegen.available()
-            else DEFAULT_BACKEND
-        )
+        name = "codegen"
     get_backend(name)  # validate; raises BackendError when bad
     return name
 
@@ -182,55 +132,6 @@ def reset_backend_stats() -> None:
         _STATS.clear()
 
 
-# ---------------------------------------------------------------------------
-# Built-in backends (factories import lazily: execute.py imports this
-# module for resolution, so eager imports would cycle).
-# ---------------------------------------------------------------------------
-
-
-def _tables_factory(compiled):
-    from repro.engine.execute import Engine
-
-    return Engine(compiled)
-
-
-def _codegen_factory(compiled):
-    from repro.engine.backends.codegen import CodegenEngine
-
-    return CodegenEngine(compiled)
-
-
-def _numpy_probe() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _numpy_factory(compiled):
-    from repro.engine.backends.vectorized import NumpyEngine
-
-    return NumpyEngine(compiled)
-
-
-register_backend(
-    "tables",
-    _tables_factory,
-    doc="dict-driven template replay (the reference engine)",
-)
-register_backend(
-    "codegen",
-    _codegen_factory,
-    doc="per-machine generated Python, one function per rule",
-)
-register_backend(
-    "numpy",
-    _numpy_factory,
-    available=_numpy_probe,
-    doc="array-lowered demand set, per-height vectorized sweeps",
-)
-
 __all__ = [
     "AUTO_BACKEND",
     "DEFAULT_BACKEND",
@@ -239,8 +140,6 @@ __all__ = [
     "backend_stats",
     "get_backend",
     "note_batch",
-    "register_backend",
-    "registered_backends",
     "reset_backend_stats",
     "resolve_backend",
 ]

@@ -39,9 +39,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import UndefinedTransductionError
 from repro.trees.tree import Tree
+from repro.transducers.rhs import StateName
 
-from repro.engine.backends.base import BackendEngine, PairKey
+from repro.engine.backends import note_batch
 from repro.engine.compile import OP_CALL, OP_CONST, CompiledDTOP
+from repro.engine.execute import Engine, Outcome, PairKey
+from repro.engine.profile import new_profile
 
 #: Nesting depth of the generated ``Tree(…)`` expression beyond which a
 #: rule falls back to template replay (CPython's parser handles a few
@@ -230,12 +233,27 @@ def _is_single_nondeleting(compiled: CompiledDTOP) -> bool:
     return True
 
 
-class CodegenEngine(BackendEngine):
-    """Generated-source executor for one compiled DTOP."""
+class CodegenEngine:
+    """Generated-source executor for one compiled DTOP.
 
+    Unlike :class:`~repro.engine.execute.Engine`, the batch entry point
+    deduplicates roots up front (``set(roots)`` runs at C speed over
+    interned trees) and maps outcomes back through a per-distinct-root
+    answer table — on forests with repeated documents the per-root axiom
+    replay is paid per *distinct* root only.  Outcome semantics are
+    unchanged: per root, the first failing axiom call site in document
+    order wins, exactly as the interpreter and the tables engine report
+    it.
+    """
+
+    #: Backend name; appears in ``cache_stats`` and profiles.
     backend = "codegen"
 
     __slots__ = (
+        "compiled",
+        "_stats",
+        "_profile",
+        "_bare_axiom",
         "_memos",
         "_dispatch",
         "_fn_of",
@@ -245,7 +263,20 @@ class CodegenEngine(BackendEngine):
     )
 
     def __init__(self, compiled: CompiledDTOP):
-        super().__init__(compiled)
+        self.compiled = compiled
+        self._stats: Dict[str, int] = {"hits": 0, "misses": 0, "batches": 0}
+        self._profile = new_profile(len(compiled.rule_templates))
+        # Most machines have an axiom that is one bare state call on the
+        # root; remember its state id so outcome assembly is a plain
+        # memo lookup instead of a template replay per distinct root.
+        template = compiled.axiom_template
+        self._bare_axiom: Optional[int] = (
+            template[0][1]
+            if len(template) == 1
+            and template[0][0] == OP_CALL
+            and template[0][2] == 0
+            else None
+        )
         #: Per state: the persistent ``input tree → output tree`` memo.
         #: Keyed by the interned node itself (identity hash), not uid —
         #: the generated functions read it with a bound ``dict.get``.
@@ -271,40 +302,144 @@ class CodegenEngine(BackendEngine):
             else {}
         )
 
-    # -- batch fast path --------------------------------------------------
+    # -- public entry points ---------------------------------------------
 
-    def run_batch_outcomes(self, trees):
+    def run_batch_outcomes(self, trees: Sequence[Tree]) -> List[Outcome]:
+        """Translate a forest; per-input outcome, never raises."""
         roots = list(trees)
         bare = self._bare_axiom
-        if bare is None or not self._fast:
-            return super().run_batch_outcomes(roots)
-        memo = self._memos[bare]
-        lookup = memo.__getitem__
-        try:
-            # Fully warm batches — the overwhelmingly common serving
-            # case — answer in one C-speed lookup per root.
-            outcomes = list(map(lookup, roots))
-        except KeyError:
-            pass
-        else:
-            self._note(len(roots), 0)
+        if bare is not None and self._fast:
+            memo = self._memos[bare]
+            lookup = memo.__getitem__
+            try:
+                # Fully warm batches — the overwhelmingly common serving
+                # case — answer in one C-speed lookup per root.
+                outcomes = list(map(lookup, roots))
+            except KeyError:
+                pass
+            else:
+                self._note(len(roots), 0)
+                return outcomes
+            failed = self._sweep_fast(roots)
+            if not failed:
+                return list(map(lookup, roots))
+            get_error = failed.get
+            get_value = memo.get
+            outcomes = []
+            for root in roots:
+                error = get_error((bare, root.uid))
+                outcomes.append(get_value(root) if error is None else error)
             return outcomes
-        failed = self._sweep_fast(roots)
+        axiom_calls = self.compiled.axiom_calls
+        distinct = set(roots)
+        failed = self._sweep(
+            [
+                (state_id, root)
+                for root in distinct
+                for state_id, _var in axiom_calls
+            ]
+        )
+        answers: Dict[Tree, Tree] = {}
         if not failed:
-            return list(map(lookup, roots))
-        get_error = failed.get
-        get_value = memo.get
-        outcomes = []
+            if bare is not None:
+                value_of = self._memos[bare].get
+                for root in distinct:
+                    answers[root] = value_of(root)
+            else:
+                for root in distinct:
+                    answers[root] = self._axiom_value(root)
+            return list(map(answers.__getitem__, roots))
+        outcomes: List[Outcome] = []
         for root in roots:
-            error = get_error((bare, root.uid))
-            outcomes.append(get_value(root) if error is None else error)
+            error: Optional[UndefinedTransductionError] = None
+            for state_id, _var in axiom_calls:
+                error = failed.get((state_id, root.uid))
+                if error is not None:
+                    break
+            if error is not None:
+                outcomes.append(error)
+                continue
+            value = answers.get(root)
+            if value is None:
+                value = answers[root] = self._axiom_value(root)
+            outcomes.append(value)
         return outcomes
 
-    # -- backend primitives ----------------------------------------------
+    # The all-or-nothing and single-tree wrappers over
+    # ``run_batch_outcomes`` are the tables engine's, verbatim.
+    run_batch = Engine.run_batch
+    try_run_batch = Engine.try_run_batch
+    run = Engine.run
+    try_run = Engine.try_run
+    profile_snapshot = Engine.profile_snapshot
+    clear_profile = Engine.clear_profile
+
+    def eval_state(self, state: StateName, tree: Tree) -> Tree:
+        """``[[M]]_q(s)`` iteratively — drop-in for :meth:`DTOP.eval_state`."""
+        state_id = self.compiled.state_ids.get(state)
+        if state_id is None:
+            raise UndefinedTransductionError(
+                f"no rule for state {state!r} on symbol {tree.label!r}"
+            )
+        memo = self._memos[state_id]
+        cached = memo.get(tree)
+        if cached is not None:
+            self._stats["hits"] += 1
+            return cached
+        failed = self._sweep([(state_id, tree)])
+        error = failed.get((state_id, tree.uid))
+        if error is not None:
+            raise error
+        return memo[tree]
+
+    # -- sweeps ------------------------------------------------------------
+
+    def _note(self, hits: int, misses: int) -> None:
+        stats = self._stats
+        stats["batches"] += 1
+        stats["hits"] += hits
+        stats["misses"] += misses
+        note_batch(self.backend, hits, misses)
+
+    def _undefined(self, state_id: int, label: object) -> UndefinedTransductionError:
+        return UndefinedTransductionError(
+            f"no rule for state {self.compiled.state_names[state_id]!r} "
+            f"on symbol {label!r}"
+        )
+
+    def _axiom_value(self, root: Tree) -> Tree:
+        """Operand-stack replay of the axiom template over the memos."""
+        memos = self._memos
+        children = root.children
+        operands: List[Tree] = []
+        push = operands.append
+        for instruction in self.compiled.axiom_template:
+            opcode = instruction[0]
+            if opcode == OP_CONST:
+                push(instruction[1])
+            elif opcode == OP_CALL:
+                target = (
+                    children[instruction[2] - 1] if instruction[2] else root
+                )
+                push(memos[instruction[1]].get(target))
+            else:  # OP_MAKE
+                arity = instruction[2]
+                if arity:
+                    made = Tree(instruction[1], tuple(operands[-arity:]))
+                    del operands[-arity:]
+                else:
+                    made = Tree(instruction[1], ())
+                push(made)
+        return operands[-1]
 
     def _sweep(
         self, seeds: Sequence[Tuple[int, Tree]]
     ) -> Dict[PairKey, UndefinedTransductionError]:
+        """Demand and evaluate every pair reachable from the seeds.
+
+        Successes land in the memos; the returned failure map is keyed
+        ``(state_id, uid)`` with interpreter-identical errors.
+        """
         if self._fast:
             return self._sweep_fast([node for _state_id, node in seeds])
         return self._sweep_generic(seeds)
@@ -437,13 +572,26 @@ class CodegenEngine(BackendEngine):
         self._note(hits, len(demanded) - len(failed))
         return failed
 
-    def _pair_value(self, state_id: int, tree: Tree) -> Optional[Tree]:
-        return self._memos[state_id].get(tree)
+    # -- cache management -------------------------------------------------
 
     def memo_size(self) -> int:
+        """Number of memoized pairs (drives the worker memo cap)."""
         return sum(len(memo) for memo in self._memos)
 
-    def _drop_memo(self) -> None:
+    @property
+    def cache_stats(self) -> Dict[str, object]:
+        """Counters plus the serving backend's name."""
+        return {
+            **self._stats,
+            "entries": self.memo_size(),
+            "backend": self.backend,
+        }
+
+    def clear_cache(self) -> None:
+        """Drop the persistent pair memo and zero the counters."""
         # In place: the generated functions hold bound ``dict.get``s.
         for memo in self._memos:
             memo.clear()
+        self._stats["hits"] = 0
+        self._stats["misses"] = 0
+        self._stats["batches"] = 0

@@ -66,7 +66,7 @@ class Engine:
     shared instance with :func:`engine_for`.
     """
 
-    #: Registry name; this engine is the ``tables`` execution backend.
+    #: Backend name; this engine is the ``tables`` execution backend.
     backend = "tables"
 
     __slots__ = ("compiled", "_memo", "_stats", "_profile")

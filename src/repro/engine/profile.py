@@ -1,4 +1,4 @@
-"""Hot-path profiler structures shared by every execution backend.
+"""Hot-path profiler structures shared by both execution backends.
 
 Each engine owns one mutable *profile* dict (:func:`new_profile`) and
 bumps its counters from the sweep's miss path — evaluations, not memo
@@ -7,11 +7,11 @@ dict holds:
 
 ``rule_hits``
     one int per compiled rule index: how many demanded pairs that rule
-    evaluated (tables/codegen: template replays / generated-function
-    calls; numpy: rows swept under that rule).
+    evaluated (tables: template replays; codegen: generated-function
+    calls).
 ``height_pairs`` / ``height_seconds``
     pairs evaluated and wall time spent per subtree-height level of the
-    sweep (tables and numpy, whose sweeps are height-ordered).
+    sweep (tables only; codegen leaves them empty).
 ``sweeps`` / ``sweep_seconds``
     sweep invocations and their total wall time.
 

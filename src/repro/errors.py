@@ -151,9 +151,9 @@ class EncodingError(ReproError):
 
 
 class BackendError(ReproError):
-    """An execution backend name is unknown or unavailable.
+    """An execution backend name is unknown.
 
-    Raised by :func:`repro.engine.backends.get_backend` for names that
-    were never registered, and for registered backends whose optional
-    dependency (e.g. numpy) is missing in this interpreter.
+    Raised by :func:`repro.engine.backends.get_backend` (and so by
+    :func:`~repro.engine.backends.resolve_backend`) for any name other
+    than ``tables``, ``codegen`` or the ``auto`` alias.
     """

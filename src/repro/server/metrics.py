@@ -9,8 +9,8 @@ zero-dependency and cheap enough to sit on every request path:
     (one bisect, three integer adds); ``quantile`` interpolates inside
     the bucket holding the requested order statistic, so p50/p95/p99
     estimates carry a bounded *relative* error of one bucket width —
-    within ±25 % of the exact sample quantile, pinned against numpy by
-    the property tests.  Sum/count/min/max are exact.
+    within ±25 % of the exact sample quantile, pinned against a stdlib
+    reference by the property tests.  Sum/count/min/max are exact.
 
 :class:`ServerMetrics`
     a named registry of counter / gauge / histogram families with
@@ -135,7 +135,7 @@ class Histogram:
         """Estimate the ``q``-quantile (0 ≤ q ≤ 1) of everything recorded.
 
         Uses the fractional order statistic ``q * (count - 1)`` (the
-        same definition as numpy's default interpolation) and places it
+        usual "linear" sample-quantile definition) and places it
         by linear interpolation inside its bucket, clamped to the
         observed min/max.  The edges are pinned exactly: an empty
         histogram answers ``0.0``, a single observation answers itself
@@ -194,7 +194,7 @@ FAMILIES: Dict[str, Tuple[str, str]] = {
     "repro_backend_requests_total": (
         "counter",
         "Transform requests answered, by model and execution backend "
-        "(tables/codegen/numpy)",
+        "(tables/codegen)",
     ),
     "repro_connections_total": ("counter", "TCP connections accepted"),
     "repro_bad_requests_total": (

@@ -615,8 +615,7 @@ def _load_entry(
     try:
         # Per-model backend pin: an artifact's "backend" key beats the
         # server-wide default, which beats REPRO_BACKEND, which beats
-        # "tables".  Validated here so a typo (or a backend whose
-        # dependency is missing on this host) fails this one file's
+        # "tables".  Validated here so a typo fails this one file's
         # load — per-file isolation on reload — instead of the first
         # request.
         backend = resolve_backend(fields.get("backend"), default_backend)

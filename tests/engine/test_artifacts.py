@@ -5,8 +5,8 @@ fingerprint is stable and collision-aware, sidecar writes are atomic
 and best-effort, loads verify the fingerprint and destroy anything
 stale or corrupt, and :func:`attach_payload` installs a loaded engine
 without a single table compilation — the property the server's warm
-boot relies on.  The ``auto`` backend name is pinned here too: it must
-resolve to ``codegen`` when available and never to ``numpy``.
+boot relies on.  The ``auto`` backend name is pinned here too: it is
+an alias of ``codegen``.
 """
 
 import pickle
@@ -25,12 +25,10 @@ from repro.engine import (
     engine_path_for,
     fingerprint_payload,
     load_engine_artifact,
-    registered_backends,
     reset_artifact_stats,
     resolve_backend,
     write_engine_artifact,
 )
-from repro.engine.backends import _REGISTRY
 from repro.serialize import dumps as serialize_dumps
 from repro.serve.shard import pack_engine
 from repro.workloads.families import cycle_relabel
@@ -161,19 +159,5 @@ class TestAttachPayload:
 
 
 class TestAutoBackend:
-    def test_auto_prefers_codegen_when_registered(self):
-        if "codegen" in registered_backends():
-            assert resolve_backend(AUTO_BACKEND) == "codegen"
-        else:
-            assert resolve_backend(AUTO_BACKEND) == DEFAULT_BACKEND
-
-    def test_auto_never_picks_numpy(self):
-        assert resolve_backend(AUTO_BACKEND) != "numpy"
-
-    def test_auto_falls_back_to_tables_without_codegen(self, monkeypatch):
-        saved = dict(_REGISTRY)
-        monkeypatch.setattr(
-            "repro.engine.backends._REGISTRY",
-            {k: v for k, v in saved.items() if k != "codegen"},
-        )
-        assert resolve_backend(AUTO_BACKEND) == DEFAULT_BACKEND
+    def test_auto_is_codegen(self):
+        assert resolve_backend(AUTO_BACKEND) == "codegen"

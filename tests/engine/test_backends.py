@@ -1,13 +1,12 @@
-"""The pluggable execution backends (ISSUE 18).
+"""The two execution backends, ``tables`` and ``codegen``.
 
-Every registered backend must be observationally identical to the
-dict-driven ``tables`` engine and to the recursive interpreter: same
-outputs, byte-identical :class:`UndefinedTransductionError` messages,
-same ``eval_state`` behavior, and no ``RecursionError`` on deep inputs.
-The registry tests pin the selection precedence (call argument > env >
-default) and the failure mode for unknown or unavailable names; the
-concurrency test is a regression for the double-compile race in
-``engine_for``.
+``codegen`` must be observationally identical to the dict-driven
+``tables`` engine and to the recursive interpreter: same outputs,
+byte-identical :class:`UndefinedTransductionError` messages, same
+``eval_state`` behavior, and no ``RecursionError`` on deep inputs.  The
+name-table tests pin the selection precedence (call argument > env >
+default) and the failure mode for unknown names; the concurrency test
+is a regression for the double-compile race in ``engine_for``.
 """
 
 import random
@@ -17,23 +16,26 @@ import pytest
 
 from repro import api
 from repro.engine import (
+    AUTO_BACKEND,
     DEFAULT_BACKEND,
     EngineSet,
     available_backends,
     backend_stats,
     engine_for,
     get_backend,
-    registered_backends,
     reset_backend_stats,
     resolve_backend,
 )
-from repro.engine.backends import ENV_VAR, register_backend, _REGISTRY
+from repro.engine.backends import ENV_VAR, note_batch
+from repro.engine.backends.codegen import CodegenEngine
+from repro.engine.execute import Engine
 from repro.errors import BackendError, UndefinedTransductionError
 from repro.serve import shard
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import rhs_tree
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.generate import monadic_tree, random_tree
+from repro.trees.tree import Tree
 from repro.workloads.families import cycle_relabel, random_total_dtop
 
 ALL_BACKENDS = available_backends()
@@ -59,26 +61,17 @@ def fresh_partial(seed):
 
 class TestRegistry:
     def test_tables_codegen_always_registered(self):
-        assert {"tables", "codegen"} <= set(registered_backends())
-        assert {"tables", "codegen"} <= set(ALL_BACKENDS)
+        assert ALL_BACKENDS == ["tables", "codegen"]
 
     def test_unknown_backend_raises(self):
         with pytest.raises(BackendError, match="unknown execution backend"):
             get_backend("no-such-backend")
-        with pytest.raises(BackendError, match="unknown execution backend"):
-            resolve_backend("no-such-backend")
-
-    def test_unavailable_backend_refused_but_listed(self):
-        register_backend(
-            "broken-test-backend", lambda compiled: None, available=lambda: False
-        )
-        try:
-            assert "broken-test-backend" in registered_backends()
-            assert "broken-test-backend" not in available_backends()
-            with pytest.raises(BackendError, match="unavailable"):
-                get_backend("broken-test-backend")
-        finally:
-            del _REGISTRY["broken-test-backend"]
+        with pytest.raises(
+            BackendError,
+            match=r"^unknown execution backend 'nope' "
+            r"\(registered: codegen, tables\)$",
+        ):
+            resolve_backend("nope")
 
     def test_resolution_precedence(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
@@ -101,6 +94,43 @@ class TestRegistry:
         monkeypatch.setenv(ENV_VAR, "codegen")
         assert engine_for(machine).backend == "codegen"
         assert engine_for(machine, "tables").backend == "tables"
+
+    def test_auto_from_any_source_is_codegen(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        assert resolve_backend(None, AUTO_BACKEND) == "codegen"
+        monkeypatch.setenv(ENV_VAR, AUTO_BACKEND)
+        assert resolve_backend() == "codegen"
+        assert resolve_backend(None, None, AUTO_BACKEND) == "codegen"
+
+    def test_auto_is_a_resolution_alias_not_a_table_entry(self):
+        assert AUTO_BACKEND not in ALL_BACKENDS
+        with pytest.raises(BackendError, match="unknown execution backend"):
+            get_backend(AUTO_BACKEND)
+        machine, _domain = cycle_relabel(2)
+        assert engine_for(machine, AUTO_BACKEND).backend == "codegen"
+
+    def test_empty_env_means_default(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "")
+        assert resolve_backend() == DEFAULT_BACKEND
+
+    @pytest.mark.parametrize(
+        "name, engine_class", [("tables", Engine), ("codegen", CodegenEngine)]
+    )
+    def test_factory_builds_the_named_engine(self, name, engine_class):
+        machine, _domain = cycle_relabel(2)
+        compiled = engine_for(machine, "tables").compiled
+        engine = get_backend(name)(compiled)
+        assert type(engine) is engine_class
+        assert engine.backend == name
+        assert engine.compiled is compiled
+
+    def test_available_backends_is_a_fresh_list(self):
+        names = available_backends()
+        names.append("gpu")
+        names.remove("codegen")
+        assert available_backends() == ["tables", "codegen"]
+        with pytest.raises(BackendError):
+            get_backend("gpu")
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -218,6 +248,134 @@ class TestEquivalence:
         assert engine.run(source) == engine_for(machine, "tables").run(source)
 
 
+FAB = RankedAlphabet({"f": 2, "a": 0, "b": 0})
+
+
+def single_state_partial():
+    """One state calling every child (codegen's walk path); no rule for ``b``."""
+    return DTOP(
+        FAB,
+        FAB,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("f", ("q", 2), ("q", 1))),
+            ("q", "a"): rhs_tree("a"),
+        },
+    )
+
+
+def two_call_axiom():
+    """Axiom ``g(q(x0), p(x0))``: ``q`` lacks ``b``, ``p`` lacks ``a``."""
+    source = RankedAlphabet({"f": 2, "a": 0, "b": 0, "c": 0})
+    output = RankedAlphabet({"f": 2, "a": 0, "b": 0, "c": 0, "g": 2})
+    return DTOP(
+        source,
+        output,
+        rhs_tree(("g", ("q", 0), ("p", 0))),
+        {
+            ("q", "f"): rhs_tree(("f", ("q", 2), ("q", 1))),
+            ("q", "a"): rhs_tree("a"),
+            ("q", "c"): rhs_tree("c"),
+            ("p", "f"): rhs_tree(("f", ("p", 1), ("p", 2))),
+            ("p", "b"): rhs_tree("b"),
+            ("p", "c"): rhs_tree("a"),
+        },
+    )
+
+
+def fab_forest(seed, count=30):
+    """Random ``f/a/b`` trees, each repeated, in shuffled order."""
+    rng = random.Random(seed)
+    distinct = [random_tree(FAB, max_height=4, rng=rng) for _ in range(count)]
+    forest = distinct * 2
+    rng.shuffle(forest)
+    return forest
+
+
+def interpreter_outcomes(machine, sources):
+    outcomes = []
+    for source in sources:
+        try:
+            outcomes.append(machine.apply(source))
+        except UndefinedTransductionError as error:
+            outcomes.append(("undefined", str(error)))
+    return outcomes
+
+
+def comparable(outcomes):
+    return [
+        ("undefined", str(item))
+        if isinstance(item, UndefinedTransductionError)
+        else item
+        for item in outcomes
+    ]
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+class TestBatchOutcomes:
+    """``run_batch_outcomes`` on forests with repeated roots and failures."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_roots_match_one_by_one(self, backend, seed):
+        machine = fresh_partial(seed)
+        rng = random.Random(seed * 13 + 5)
+        distinct = [
+            random_tree(machine.input_alphabet, max_height=5, rng=rng)
+            for _ in range(25)
+        ]
+        forest = distinct * 3
+        rng.shuffle(forest)
+        outcomes = engine_for(machine, backend).run_batch_outcomes(forest)
+        expected = interpreter_outcomes(fresh_partial(seed), forest)
+        assert comparable(outcomes) == expected
+        assert any(isinstance(item, tuple) for item in expected)
+
+    def test_single_state_walk_reports_failures(self, backend):
+        machine = single_state_partial()
+        forest = fab_forest(1)
+        outcomes = engine_for(machine, backend).run_batch_outcomes(forest)
+        expected = interpreter_outcomes(single_state_partial(), forest)
+        assert comparable(outcomes) == expected
+        assert "no rule for state 'q' on symbol 'b'" in {
+            item[1] for item in expected if isinstance(item, tuple)
+        }
+        assert any(not isinstance(item, tuple) for item in expected)
+
+    def test_warm_batch_answers_from_the_memo(self, backend):
+        machine = single_state_partial()
+        forest = [source for source in fab_forest(2) if "b" not in str(source)]
+        assert forest
+        engine = engine_for(machine, backend)
+        cold = engine.run_batch(forest)
+        misses = engine.cache_stats["misses"]
+        hits = engine.cache_stats["hits"]
+        assert engine.run_batch(forest) == cold
+        assert engine.cache_stats["misses"] == misses
+        assert engine.cache_stats["hits"] >= hits + len(forest)
+        assert cold == [single_state_partial().apply(s) for s in forest]
+
+    def test_composite_axiom_reports_first_failing_call(self, backend):
+        machine = two_call_axiom()
+        rng = random.Random(3)
+        c = Tree("c", ())
+        forest = [
+            random_tree(machine.input_alphabet, max_height=3, rng=rng)
+            for _ in range(30)
+        ]
+        forest += [c, Tree("f", (c, c)), Tree("a", ()), Tree("b", ())] * 2
+        outcomes = engine_for(machine, backend).run_batch_outcomes(forest)
+        expected = interpreter_outcomes(two_call_axiom(), forest)
+        assert comparable(outcomes) == expected
+        a = Tree("a", ())
+        assert outcomes[-7] == Tree(
+            "g", (Tree("f", (c, c)), Tree("f", (a, a)))
+        )
+        # Both calls fail on f(a, b); the axiom's left call is reported.
+        with pytest.raises(UndefinedTransductionError) as seen:
+            engine_for(machine, backend).run(Tree("f", (a, Tree("b", ()))))
+        assert str(seen.value) == "no rule for state 'q' on symbol 'b'"
+
+
 class TestEngineSet:
     def test_backends_share_one_compile(self):
         machine, _domain = cycle_relabel(2)
@@ -289,6 +447,21 @@ class TestProcessWideStats:
             assert stats[backend]["hits"] + stats[backend]["misses"] > 0
         assert api.cache_stats()["backends"] == backend_stats()
         api.clear_caches()
+        assert backend_stats() == {}
+
+    def test_note_batch_accumulates_and_snapshots_are_copies(self):
+        reset_backend_stats()
+        note_batch("tables", 3, 1)
+        note_batch("tables", 2, 4)
+        note_batch("codegen", 0, 5)
+        snapshot = backend_stats()
+        assert snapshot == {
+            "tables": {"batches": 2, "hits": 5, "misses": 5},
+            "codegen": {"batches": 1, "hits": 0, "misses": 5},
+        }
+        snapshot["tables"]["hits"] = 99
+        assert backend_stats()["tables"]["hits"] == 5
+        reset_backend_stats()
         assert backend_stats() == {}
 
 

@@ -3,7 +3,7 @@
 The committed artifacts are build outputs guarded by tests instead of
 review: the builder must be deterministic and the checked-in bytes must
 match what it produces today.  Every artifact must load in a registry,
-warm an engine under every registered backend, and serve one document
+warm an engine under both backends, and serve one document
 byte-identically to the local pipeline.
 """
 
@@ -87,7 +87,7 @@ def test_every_artifact_loads_in_a_registry():
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_stock_library_serves_every_model(tmp_path, backend):
-    """Warm + serve one probe per model under each registered backend.
+    """Warm + serve one probe per model under each backend.
 
     JSON responses must be byte-identical to the local
     JSON ``Transformation`` on the same bundle — the acceptance bar for

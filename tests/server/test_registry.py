@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.engine.backends import ENV_VAR
 from repro.errors import ModelNotFoundError, RegistryError
+from repro.server import ServerClient, ServerThread
 from repro.server.registry import (
     ModelRegistry,
     _parse_model_filename,
@@ -19,6 +21,13 @@ from repro.workloads.flip import flip_input, flip_transducer
 from tests.server.conftest import MALFORMED_ARTIFACTS, identity_dtop
 
 STOCK_MODELS = Path(__file__).resolve().parents[2] / "models"
+
+
+def pin_backend(path, backend):
+    """Write a per-model ``"backend"`` key into a saved artifact."""
+    data = json.loads(path.read_text())
+    data["backend"] = backend
+    path.write_text(json.dumps(data))
 
 
 class TestLoading:
@@ -274,3 +283,57 @@ class TestReloadIsolation:
             assert failure.startswith(f"{model}: cannot load model")
             assert f"malformed {fmt} document" in failure
             assert registry.get(model) is old and not old.retired
+
+
+class TestBackendPins:
+    def test_artifact_key_overrides_the_registry_default(self, models_dir):
+        pin_backend(models_dir / "flip@1.json", "codegen")
+        document = flip_input(2, 1)
+        with ServerThread(models_dir, backend="tables") as server:
+            with ServerClient(server.host, server.port) as client:
+                backends = {
+                    row["model"]: row["backend"] for row in client.models()
+                }
+                output = client.transform("flip@1", str(document))
+        assert backends == {"flip@1": "codegen", "xmlflip@1": "tables"}
+        assert output == str(api.run(flip_transducer(), document))
+
+    def test_auto_pin_serves_on_codegen(self, models_dir):
+        pin_backend(models_dir / "flip@1.json", "auto")
+        with ModelRegistry(models_dir, backend="tables") as registry:
+            assert registry.get("flip@1").backend == "codegen"
+            assert registry.get("xmlflip@1").backend == "tables"
+
+    def test_registry_default_outranks_the_environment(
+        self, models_dir, monkeypatch
+    ):
+        monkeypatch.setenv(ENV_VAR, "codegen")
+        with ModelRegistry(models_dir, backend="tables") as registry:
+            assert registry.get("flip@1").backend == "tables"
+        with ModelRegistry(models_dir) as registry:
+            assert registry.get("flip@1").backend == "codegen"
+
+    def test_unknown_pin_fails_a_strict_boot_naming_the_file(self, models_dir):
+        pin_backend(models_dir / "flip@1.json", "numpy")
+        with pytest.raises(RegistryError) as caught:
+            ModelRegistry(models_dir)
+        assert str(caught.value).endswith(
+            "flip@1: cannot load model flip@1.json: unknown execution "
+            "backend 'numpy' (registered: codegen, tables)"
+        )
+
+    def test_unknown_pin_on_reload_is_a_per_file_failure(self, models_dir):
+        with ModelRegistry(models_dir) as registry:
+            old = registry.get("flip@1")
+            time.sleep(0.01)
+            pin_backend(models_dir / "flip@1.json", "numpy")
+            summary = registry.reload()
+            assert summary["failed"] == [
+                "flip@1: cannot load model flip@1.json: unknown execution "
+                "backend 'numpy' (registered: codegen, tables)"
+            ]
+            assert summary["kept"] == ["xmlflip@1"]
+            assert registry.get("flip@1") is old and not old.retired
+            assert str(old.run_batch([flip_input(1, 0)])[0]) == (
+                "root(#, a(#, #))"
+            )

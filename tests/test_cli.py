@@ -5,8 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.codec import load_transformation
+from repro.engine import backend_stats, reset_backend_stats
+from repro.engine.backends import ENV_VAR
+from repro.errors import UndefinedTransductionError
+from repro.workloads.flip import flip_input, flip_transducer
 from repro.workloads.xmlflip import (
     INPUT_DTD_TEXT,
     OUTPUT_DTD_TEXT,
@@ -297,6 +302,72 @@ class TestErrors:
             ]
         )
         assert code == 2
+
+
+class TestSingleDocumentBackend:
+    """One document runs through the named backend, like a batch does."""
+
+    @pytest.fixture
+    def document(self, tmp_path):
+        path = tmp_path / "doc.dtop"
+        path.write_text(str(flip_input(2, 1)))
+        return path
+
+    def apply(self, document, *extra):
+        return main(
+            [
+                "apply",
+                "--transform", str(STOCK_MODELS / "flip@1.json"),
+                str(document),
+                *extra,
+            ]
+        )
+
+    def test_backend_typo_exits_2(self, document, capsys):
+        assert self.apply(document, "--backend", "nope") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown execution backend 'nope' "
+            "(registered: codegen, tables)\n"
+        )
+
+    def test_env_typo_exits_2(self, document, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "nope")
+        assert self.apply(document) == 2
+        assert "unknown execution backend 'nope'" in capsys.readouterr().err
+
+    def test_codegen_runs_the_document(self, document, capsys):
+        reset_backend_stats()
+        assert self.apply(document, "--backend", "codegen") == 0
+        stats = backend_stats()
+        assert stats["codegen"]["batches"] >= 1
+        assert "tables" not in stats
+        expected = api.run(flip_transducer(), flip_input(2, 1))
+        assert capsys.readouterr().out == f"{expected}\n"
+
+    def test_auto_runs_the_document_on_codegen(self, document, capsys):
+        reset_backend_stats()
+        assert self.apply(document, "--backend", "auto") == 0
+        assert set(backend_stats()) == {"codegen"}
+        expected = api.run(flip_transducer(), flip_input(2, 1))
+        assert capsys.readouterr().out == f"{expected}\n"
+
+    def test_flag_outranks_the_environment(self, document, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "codegen")
+        reset_backend_stats()
+        assert self.apply(document, "--backend", "tables") == 0
+        assert set(backend_stats()) == {"tables"}
+        expected = api.run(flip_transducer(), flip_input(2, 1))
+        assert capsys.readouterr().out == f"{expected}\n"
+
+    def test_undefined_document_raises_the_engine_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.dtop"
+        path.write_text("f(a, b)")
+        with pytest.raises(UndefinedTransductionError) as local:
+            api.run(flip_transducer(), "f(a, b)")
+        assert self.apply(path, "--backend", "codegen") == 2
+        assert capsys.readouterr().err == f"error: {local.value}\n"
 
 
 class TestServeAndStream:
