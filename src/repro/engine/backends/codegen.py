@@ -33,6 +33,7 @@ sequence — the first failed call site's error propagates, and undefined
 
 from __future__ import annotations
 
+import threading
 import time
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,7 +44,7 @@ from repro.transducers.rhs import StateName
 
 from repro.engine.backends import note_batch
 from repro.engine.compile import OP_CALL, OP_CONST, CompiledDTOP
-from repro.engine.execute import Engine, Outcome, PairKey
+from repro.engine.execute import Engine, Outcome, PairKey, serialized
 from repro.engine.profile import new_profile
 
 #: Nesting depth of the generated ``Tree(…)`` expression beyond which a
@@ -259,13 +260,17 @@ class CodegenEngine:
         "_fn_of",
         "_rule_of_label",
         "_fast",
+        "_lock",
         "fallback_rules",
     )
 
     def __init__(self, compiled: CompiledDTOP):
         self.compiled = compiled
-        self._stats: Dict[str, int] = {"hits": 0, "misses": 0, "batches": 0}
+        self._stats: Dict[str, int] = {
+            "hits": 0, "misses": 0, "batches": 0, "evictions": 0
+        }
         self._profile = new_profile(len(compiled.rule_templates))
+        self._lock = threading.Lock()
         # Most machines have an axiom that is one bare state call on the
         # root; remember its state id so outcome assembly is a plain
         # memo lookup instead of a template replay per distinct root.
@@ -277,9 +282,10 @@ class CodegenEngine:
             and template[0][2] == 0
             else None
         )
-        #: Per state: the persistent ``input tree → output tree`` memo.
-        #: Keyed by the interned node itself (identity hash), not uid —
-        #: the generated functions read it with a bound ``dict.get``.
+        #: Per state: the ``input tree → output tree`` memo, bounded in
+        #: total by :data:`~repro.engine.execute.MEMO_LIMIT`.  Keyed by
+        #: the interned node itself (identity hash), not uid — the
+        #: generated functions read it with a bound ``dict.get``.
         self._memos: List[Dict[Tree, Tree]] = [
             {} for _ in range(compiled.num_states)
         ]
@@ -304,6 +310,7 @@ class CodegenEngine:
 
     # -- public entry points ---------------------------------------------
 
+    @serialized
     def run_batch_outcomes(self, trees: Sequence[Tree]) -> List[Outcome]:
         """Translate a forest; per-input outcome, never raises."""
         roots = list(trees)
@@ -366,14 +373,20 @@ class CodegenEngine:
         return outcomes
 
     # The all-or-nothing and single-tree wrappers over
-    # ``run_batch_outcomes`` are the tables engine's, verbatim.
+    # ``run_batch_outcomes``, the memo bound and the counters are the
+    # tables engine's, verbatim (over this engine's ``memo_size`` and
+    # ``_drop_memo``).
     run_batch = Engine.run_batch
     try_run_batch = Engine.try_run_batch
     run = Engine.run
     try_run = Engine.try_run
     profile_snapshot = Engine.profile_snapshot
     clear_profile = Engine.clear_profile
+    _bound_memo = Engine._bound_memo
+    cache_stats = Engine.cache_stats
+    clear_cache = Engine.clear_cache
 
+    @serialized
     def eval_state(self, state: StateName, tree: Tree) -> Tree:
         """``[[M]]_q(s)`` iteratively — drop-in for :meth:`DTOP.eval_state`."""
         state_id = self.compiled.state_ids.get(state)
@@ -448,6 +461,7 @@ class CodegenEngine:
         self, seed_nodes: Sequence[Tree]
     ) -> Dict[PairKey, UndefinedTransductionError]:
         """Single-state non-deleting demand: walk every distinct subtree."""
+        self._bound_memo()
         memo = self._memos[0]
         fn_of = self._fn_of.get
         hits = 0
@@ -518,6 +532,7 @@ class CodegenEngine:
     def _sweep_generic(
         self, seeds: Sequence[Tuple[int, Tree]]
     ) -> Dict[PairKey, UndefinedTransductionError]:
+        self._bound_memo()
         memos = self._memos
         dispatch = self._dispatch
         hits = 0
@@ -575,23 +590,10 @@ class CodegenEngine:
     # -- cache management -------------------------------------------------
 
     def memo_size(self) -> int:
-        """Number of memoized pairs (drives the worker memo cap)."""
+        """Number of memoized pairs (what ``MEMO_LIMIT`` bounds)."""
         return sum(len(memo) for memo in self._memos)
 
-    @property
-    def cache_stats(self) -> Dict[str, object]:
-        """Counters plus the serving backend's name."""
-        return {
-            **self._stats,
-            "entries": self.memo_size(),
-            "backend": self.backend,
-        }
-
-    def clear_cache(self) -> None:
-        """Drop the persistent pair memo and zero the counters."""
+    def _drop_memo(self) -> None:
         # In place: the generated functions hold bound ``dict.get``s.
         for memo in self._memos:
             memo.clear()
-        self._stats["hits"] = 0
-        self._stats["misses"] = 0
-        self._stats["batches"] = 0

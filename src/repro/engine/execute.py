@@ -20,9 +20,20 @@ one pass, exploiting the global hash-consing of
    demanded pairs failed yield their recorded error instead of a tree.
 
 No step recurses, so input depth is bounded by memory, not by the
-Python stack.  Results are memoized persistently on ``(state_id, uid)``
-— like :meth:`DTOP.eval_state`, but shared across every entry point of
-the engine (batch runs, single runs, stopped-run off-path translations).
+Python stack.  Results are memoized on ``(state_id, uid)`` — like
+:meth:`DTOP.eval_state`, but shared across every entry point of the
+engine (batch runs, single runs, stopped-run off-path translations).
+
+The memo is bounded by :data:`MEMO_LIMIT` pairs, in every backend and
+every process: at a batch boundary — before a sweep's demand pass, never
+between a sweep and the replay that reads it — a memo past the limit is
+cleared wholesale and ``cache_stats["evictions"]`` counts it.  A clear is
+always sound (uids are never reused and the memo is a pure cache), so a
+stream of distinct documents runs on a flat heap while any working set
+below the limit stays warm.  Each engine serializes its entry points
+on its own lock, so an eviction never lands between one thread's sweep
+and the replay that reads it (the server's batcher already serializes
+dispatches per model, so the lock is uncontended there).
 
 :class:`AutomatonEngine` is the analogous one-sweep membership checker
 for compiled DTTAs: one bottom-up pass computes, per distinct subtree, a
@@ -31,6 +42,7 @@ bitmask of all automaton states that accept it.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -57,25 +69,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 PairKey = Tuple[int, int]  # (state_id, tree uid)
 Outcome = Union[Tree, UndefinedTransductionError]
 
+#: Bound on an engine's memoized ``(state, subtree)`` pairs.  The memo
+#: holds strong references to every subtree it keys and every output it
+#: built, so unbounded distinct traffic would otherwise grow the heap
+#: (and the cost of every full collection) without limit.  Measured
+#: warm working sets sit far below it: at most 622 pairs per served
+#: stock model, 8,214 for the 24-state validator forest of E15/E18.
+MEMO_LIMIT = 1 << 14
+
+
+def serialized(method):
+    """Run an engine entry point under the engine's ``_lock``.
+
+    Sweeps, replays and evictions of one engine then never interleave
+    across threads; the hot loops inside stay lock-free.
+    """
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
 
 class Engine:
     """Iterative batch executor for one compiled DTOP.
 
-    Holds the persistent ``(state_id, uid) → Tree`` memo; failures are
-    never cached (matching the interpreter).  Obtain the per-transducer
-    shared instance with :func:`engine_for`.
+    Holds the ``(state_id, uid) → Tree`` memo, bounded by
+    :data:`MEMO_LIMIT`; failures are never cached (matching the
+    interpreter).  Obtain the per-transducer shared instance with
+    :func:`engine_for`.
     """
 
     #: Backend name; this engine is the ``tables`` execution backend.
     backend = "tables"
 
-    __slots__ = ("compiled", "_memo", "_stats", "_profile")
+    __slots__ = ("compiled", "_memo", "_stats", "_profile", "_lock")
 
     def __init__(self, compiled: CompiledDTOP):
         self.compiled = compiled
         self._memo: Dict[PairKey, Tree] = {}
-        self._stats: Dict[str, int] = {"hits": 0, "misses": 0, "batches": 0}
+        self._stats: Dict[str, int] = {
+            "hits": 0, "misses": 0, "batches": 0, "evictions": 0
+        }
         self._profile = new_profile(len(compiled.rule_templates))
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Core sweep
@@ -90,6 +129,7 @@ class Engine:
         in the returned failure map (carrying the same error the
         interpreter would raise from that pair).
         """
+        self._bound_memo()
         compiled = self.compiled
         memo = self._memo
         stats = self._stats
@@ -231,6 +271,7 @@ class Engine:
     # Public entry points
     # ------------------------------------------------------------------
 
+    @serialized
     def run_batch_outcomes(self, trees: Sequence[Tree]) -> List[Outcome]:
         """Translate a forest; per-input outcome, never raises.
 
@@ -287,6 +328,7 @@ class Engine:
         """``[[M]](s)`` or ``None`` when outside the domain."""
         return self.try_run_batch([tree])[0]
 
+    @serialized
     def eval_state(self, state: StateName, tree: Tree) -> Tree:
         """``[[M]]_q(s)`` iteratively — drop-in for :meth:`DTOP.eval_state`."""
         state_id = self.compiled.state_ids.get(state)
@@ -310,25 +352,40 @@ class Engine:
     # ------------------------------------------------------------------
 
     def memo_size(self) -> int:
-        """Number of memoized pairs (drives the worker memo cap)."""
+        """Number of memoized pairs (what :data:`MEMO_LIMIT` bounds)."""
         return len(self._memo)
+
+    def _drop_memo(self) -> None:
+        self._memo.clear()
+
+    def _bound_memo(self) -> None:
+        """Batch-boundary eviction: clear a memo past :data:`MEMO_LIMIT`.
+
+        Unlike :meth:`clear_cache` the cumulative counters survive (hit
+        ratios are computed from their deltas); ``evictions`` counts the
+        clears.
+        """
+        if self.memo_size() > MEMO_LIMIT:
+            self._drop_memo()
+            self._stats["evictions"] += 1
 
     @property
     def cache_stats(self) -> Dict[str, object]:
         """Counters: ``hits``, ``misses`` (pair evaluations), ``batches``,
-        ``entries``, plus the serving ``backend`` name."""
+        ``evictions`` (memo clears at :data:`MEMO_LIMIT`), ``entries``,
+        plus the serving ``backend`` name."""
         return {
             **self._stats,
-            "entries": len(self._memo),
+            "entries": self.memo_size(),
             "backend": self.backend,
         }
 
+    @serialized
     def clear_cache(self) -> None:
-        """Drop the persistent pair memo and zero the counters."""
-        self._memo.clear()
-        self._stats["hits"] = 0
-        self._stats["misses"] = 0
-        self._stats["batches"] = 0
+        """Drop the pair memo and zero the counters (explicit invalidation)."""
+        self._drop_memo()
+        for counter in self._stats:
+            self._stats[counter] = 0
 
     # ------------------------------------------------------------------
     # Profiling
@@ -445,6 +502,11 @@ class EngineSet:
                     engine = get_backend(name)(self.compiled)
                     self.engines[name] = engine
         return engine
+
+    def __reduce__(self):
+        # Engines are caches (memo, lock, generated code): a pickled or
+        # deep-copied machine rebuilds them lazily from its tables.
+        return (EngineSet, (self.compiled,))
 
     def clear(self) -> None:
         """Drop every backend's memo (artifacts stay compiled)."""

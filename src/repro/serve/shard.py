@@ -343,15 +343,6 @@ def _cost_ranges(
 #: root with this label hard-exits as if it had segfaulted.
 CRASH_LABEL_ENV = "REPRO_SERVE_CRASH_LABEL"
 
-#: Cap on a worker engine's persistent ``(state, uid)`` memo.  The memo
-#: holds strong references to every distinct subtree a worker has ever
-#: translated; a long-lived pool streaming mostly-distinct documents
-#: would otherwise grow without bound.  A wholesale clear is always
-#: sound (uids are never reused, the memo is a pure cache), so once the
-#: cap is crossed after a chunk the worker starts the next chunk cold —
-#: bounding memory at the cost of re-deriving cross-chunk overlap.
-WORKER_MEMO_LIMIT = 1 << 18
-
 _WORKER_ENGINE: Optional[Engine] = None
 
 
@@ -423,8 +414,6 @@ def worker_translate(
         documents=len(trees),
     ):
         raw = _WORKER_ENGINE.run_batch_outcomes(trees)
-    if _WORKER_ENGINE.memo_size() > WORKER_MEMO_LIMIT:
-        _WORKER_ENGINE.clear_cache()
     with trace.span("worker.encode_forest"):
         output_trees = [o for o in raw if isinstance(o, Tree)]
         records, root_indexes = encode_forest(output_trees)

@@ -72,6 +72,7 @@ import random
 import sys
 import threading
 import time
+from collections import deque
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -94,6 +95,7 @@ from repro.server.logging import EventLog
 from repro.server.metrics import ServerMetrics
 from repro.server.registry import ModelRegistry
 from repro.server.supervisor import ShardSupervisor
+from repro.trees.tree import interned_count
 
 #: Read size for transform_stream bodies.
 STREAM_CHUNK_BYTES = 1 << 16
@@ -585,7 +587,11 @@ class TransformServer:
         """Chunked document-stream body → per-document response lines.
 
         The body is parsed by the model codec's stream parser: a forest
-        of XML documents, or JSON lines (one document per line).
+        of XML documents, or JSON lines (one document per line).  At most
+        half of ``max_pending`` documents of one stream are outstanding
+        at once: with the window full, the head-of-line document is
+        answered before the next one is submitted, so a long body waits
+        for the engine instead of shedding its tail as overloads.
         """
         request_id = request.get("id")
 
@@ -644,8 +650,26 @@ class TransformServer:
         # under the open stream (new requests see the new model).
         entry.acquire()
         parser = entry.codec.stream_parser()
-        tasks = []  # per-document batcher futures, in stream order
+        window = max(1, self.batcher.max_pending // 2)
+        tasks = deque()  # per-document batcher futures, in stream order
         count = failures = 0
+
+        async def answer_head() -> None:
+            nonlocal count, failures
+            count, failures = await self._answer_stream_document(
+                writer, request_id, entry, count, failures, tasks.popleft()
+            )
+
+        async def submit(documents) -> None:
+            for document in documents:
+                if len(tasks) >= window:
+                    await answer_head()
+                tasks.append(
+                    asyncio.ensure_future(
+                        self._submit_stream_document(entry, document)
+                    )
+                )
+
         try:
             while remaining > 0:
                 chunk = await reader.read(min(remaining, STREAM_CHUNK_BYTES))
@@ -655,30 +679,14 @@ class TransformServer:
                     )
                 remaining -= len(chunk)
                 parser.feed(chunk)
-                for document in parser.ready():
-                    tasks.append(
-                        asyncio.ensure_future(
-                            self._submit_stream_document(entry, document)
-                        )
-                    )
+                await submit(parser.ready())
                 # Answer completed head-of-line documents while the body
                 # is still arriving: bounded memory, ordered responses.
                 while tasks and tasks[0].done():
-                    count, failures = await self._answer_stream_document(
-                        writer, request_id, entry, count, failures,
-                        tasks.pop(0),
-                    )
-            for document in parser.close():
-                tasks.append(
-                    asyncio.ensure_future(
-                        self._submit_stream_document(entry, document)
-                    )
-                )
-            for task in tasks:
-                count, failures = await self._answer_stream_document(
-                    writer, request_id, entry, count, failures, task
-                )
-            tasks = []
+                    await answer_head()
+            await submit(parser.close())
+            while tasks:
+                await answer_head()
             await self._write(
                 writer,
                 {
@@ -779,6 +787,7 @@ class TransformServer:
         tallies — so one scrape answers both "how is the server doing"
         and "which execution path is doing the work".
         """
+        self._refresh_memory_metrics()
         snapshot = self.metrics.snapshot()
         snapshot["engine_artifacts"] = artifact_stats()
         snapshot["backends"] = backend_stats()
@@ -790,6 +799,24 @@ class TransformServer:
                 "metrics": snapshot,
                 "text": self.metrics.render_prometheus(),
             },
+        )
+
+    def _refresh_memory_metrics(self) -> None:
+        """Mirror engine memo sizes, evictions and intern-table size."""
+        entries = []
+        evictions = []
+        for entry in self.registry.entries():
+            engine = entry.peek_engine()
+            if engine is None:
+                continue
+            stats = engine.cache_stats
+            labels = {"model": entry.key}
+            entries.append((labels, stats["entries"]))
+            evictions.append((labels, stats["evictions"]))
+        self.metrics.set_family("repro_engine_memo_entries", entries)
+        self.metrics.set_family("repro_memo_evictions_total", evictions)
+        self.metrics.set_family(
+            "repro_intern_live", [(None, interned_count())]
         )
 
     async def _op_profile(self, request, _reader, writer) -> None:

@@ -49,6 +49,9 @@ family                                    type       labels
 ``repro_shard_state``                     gauge      ``model``
 ``repro_traces_total``                    counter    ``mode``
 ``repro_trace_overhead_seconds``          histogram  —
+``repro_engine_memo_entries``             gauge      ``model``
+``repro_memo_evictions_total``            counter    ``model``
+``repro_intern_live``                     gauge      —
 ========================================  =========  =======================
 
 ``outcome`` on requests is ``ok`` / ``error`` / ``overload``; overload
@@ -61,7 +64,11 @@ quarantined (the supervisor's state machine).  ``mode`` on traces is
 ``requested`` (client asked via ``"trace": true``) / ``sampled``
 (``--trace-sample-rate`` picked it) / ``watch`` (``--slow-ms`` traces
 everything); the overhead histogram records the post-response cost of
-serializing and logging each trace.
+serializing and logging each trace.  The three memory families are read
+off live state at scrape time (never on the request path): the memoized
+pairs of each model's in-process engine, the memo clears it made at the
+engine's ``MEMO_LIMIT``, and the live distinct trees of the intern
+table.
 """
 
 from __future__ import annotations
@@ -256,6 +263,19 @@ FAMILIES: Dict[str, Tuple[str, str]] = {
         "histogram",
         "Post-response cost of serializing and logging one trace",
     ),
+    "repro_engine_memo_entries": (
+        "gauge",
+        "Memoized (state, subtree) pairs of each model's in-process engine",
+    ),
+    "repro_memo_evictions_total": (
+        "counter",
+        "Wholesale memo clears of each model's in-process engine at its "
+        "pair bound",
+    ),
+    "repro_intern_live": (
+        "gauge",
+        "Live distinct trees in the process-wide intern table",
+    ),
 }
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -328,6 +348,27 @@ class ServerMetrics:
     ) -> None:
         with self._lock:
             self._gauges.setdefault(name, {})[_labelset(labels)] = value
+
+    def set_family(
+        self,
+        name: str,
+        series: Iterable[Tuple[Optional[Dict[str, str]], float]],
+    ) -> None:
+        """Replace a whole counter or gauge family in one step.
+
+        For families mirrored from state read at scrape time: a series
+        whose source is gone (an unloaded model) disappears instead of
+        going stale.  The family's declared type in :data:`FAMILIES`
+        picks counter or gauge.
+        """
+        counter = FAMILIES[name][0] == "counter"
+        table = self._counters if counter else self._gauges
+        family = {_labelset(labels): value for labels, value in series}
+        with self._lock:
+            if family:
+                table[name] = family
+            else:
+                table.pop(name, None)
 
     def observe(
         self,

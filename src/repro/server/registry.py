@@ -416,23 +416,23 @@ class ModelEntry:
             documents, service=self.service(), backend=self.backend, trace=trace
         )
 
-    def profile(self) -> Optional[Dict[str, object]]:
-        """The in-process engine's profiler snapshot, or ``None``.
+    def peek_engine(self):
+        """The already-built in-process engine, or ``None``.
 
-        Peeks at the already-compiled engine — never compiles one (a
-        registered-but-never-exercised model answers ``None``).  For
-        sharded entries (``jobs > 1``) this covers only the parent-side
-        engine; worker-process engines profile in their own processes.
+        Never compiles one (a registered-but-never-exercised model
+        answers ``None``).  For sharded entries (``jobs > 1``) this is
+        only the parent-side engine; worker-process engines profile and
+        memoize in their own processes.
         """
         engines = getattr(self.machine, "_engine", None)
         if engines is None:
             return None
-        from repro.engine.backends import resolve_backend
+        return engines.engines.get(resolve_backend(self.backend))
 
-        engine = engines.engines.get(resolve_backend(self.backend))
-        if engine is None:
-            return None
-        return engine.profile_snapshot()
+    def profile(self) -> Optional[Dict[str, object]]:
+        """The in-process engine's profiler snapshot, or ``None``."""
+        engine = self.peek_engine()
+        return None if engine is None else engine.profile_snapshot()
 
     def describe(self) -> Dict[str, object]:
         info = {

@@ -32,9 +32,11 @@ would corrupt every structurally equal tree in the program at once.
 
 Interning statistics are exposed through :func:`intern_stats` /
 :func:`reset_intern_stats`; :func:`interned_count` reports the number of
-live distinct trees.  The table assumes single-threaded construction (or
-an external lock): it is exactly as thread-safe as a plain dict under the
-CPython GIL.
+live distinct trees.  Construction is thread-safe without a lock: a miss
+publishes its new node with one atomic ``dict.setdefault``, so two threads
+building the same structure at once get one object with one uid (the
+loser's node is discarded), and dead entries are dropped only through
+the atomic dead-reference removal ``WeakValueDictionary`` uses.
 
 The term syntax is the paper's: ``f(a, g(b, c))``; a one-node tree ``f()``
 may be written ``f``.  Labels may be quoted with double quotes so that the
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from _weakref import _remove_dead_weakref
 from typing import Callable, Dict, Hashable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ParseError, TreeError
@@ -64,10 +67,11 @@ _STATS: Dict[str, int] = {"hits": 0, "misses": 0}
 
 
 def _forget(ref: "_InternRef") -> None:
-    # A dead ref may already have been replaced by a re-interned tree;
-    # only drop the entry if it is still ours.
-    if _INTERN.get(ref.key) is ref:
-        del _INTERN[ref.key]
+    # The entry may already have been replaced by a re-interned tree;
+    # drop it only while it is still a dead reference, in one atomic
+    # step (a check-then-delete could remove a live replacement that
+    # another thread inserted in between).
+    _remove_dead_weakref(_INTERN, ref.key)
 
 
 class _InternRef(weakref.ref):
@@ -155,8 +159,21 @@ class Tree:
             "_height",
             1 + max((c._height for c in children), default=0),
         )
+        ref = _InternRef(self, key)
+        # Publish atomically: another thread may have interned this key
+        # since the lookup above, and then its node wins.  A dead entry
+        # left for a pending death callback is dropped and the insert
+        # retried.
+        while True:
+            published = _INTERN.setdefault(key, ref)
+            if published is ref:
+                break
+            cached = published()
+            if cached is not None:
+                _STATS["hits"] += 1
+                return cached
+            _remove_dead_weakref(_INTERN, key)
         _STATS["misses"] += 1
-        _INTERN[key] = _InternRef(self, key)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -6,10 +6,15 @@ byte-identical :class:`UndefinedTransductionError` messages, same
 ``eval_state`` behavior, and no ``RecursionError`` on deep inputs.  The
 name-table tests pin the selection precedence (call argument > env >
 default) and the failure mode for unknown names; the concurrency test
-is a regression for the double-compile race in ``engine_for``.
+is a regression for the double-compile race in ``engine_for``.  The
+memo-bound tests shrink ``MEMO_LIMIT`` and check eviction: bounded
+memos, exact outcomes, cumulative counters, and threads sharing one
+engine while evictions fire.
 """
 
+import pickle
 import random
+import sys
 import threading
 
 import pytest
@@ -26,6 +31,7 @@ from repro.engine import (
     reset_backend_stats,
     resolve_backend,
 )
+from repro.engine import execute
 from repro.engine.backends import ENV_VAR, note_batch
 from repro.engine.backends.codegen import CodegenEngine
 from repro.engine.execute import Engine
@@ -376,6 +382,149 @@ class TestBatchOutcomes:
         assert str(seen.value) == "no rule for state 'q' on symbol 'b'"
 
 
+FGAZ = RankedAlphabet({"f": 2, "g": 1, "a": 0, "z": 0})
+FGA = RankedAlphabet({"f": 2, "g": 1, "a": 0})
+
+
+def one_state_without_z():
+    """Non-deleting, one state (codegen's walk path); no rule for ``z``."""
+    return DTOP(
+        FGAZ,
+        FGAZ,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("f", ("q", 2), ("q", 1))),
+            ("q", "g"): rhs_tree(("g", ("q", 1))),
+            ("q", "a"): rhs_tree("a"),
+        },
+    )
+
+
+def two_states_without_z():
+    """Non-deleting, two states; ``p`` has no rule for ``z``."""
+    return DTOP(
+        FGAZ,
+        FGAZ,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("f", ("p", 2), ("q", 1))),
+            ("p", "f"): rhs_tree(("f", ("q", 1), ("p", 2))),
+            ("q", "g"): rhs_tree(("g", ("p", 1))),
+            ("p", "g"): rhs_tree(("g", ("g", ("q", 1)))),
+            ("q", "a"): rhs_tree("a"),
+            ("p", "a"): rhs_tree(("g", "a")),
+            ("q", "z"): rhs_tree("z"),
+        },
+    )
+
+
+def distinct_rounds(count, seed):
+    """Forests of nine fresh defined trees and one undefined one."""
+    rng = random.Random(seed)
+    for _round in range(count):
+        forest = [random_tree(FGA, max_height=7, rng=rng) for _ in range(9)]
+        undefined = Tree(
+            "f", (random_tree(FGA, max_height=4, rng=rng), Tree("z", ()))
+        )
+        forest.insert(rng.randrange(10), undefined)
+        yield forest
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+class TestMemoBound:
+    """The memo is cleared wholesale past ``MEMO_LIMIT`` at a batch
+    boundary; outcomes and the cumulative counters are unaffected."""
+
+    LIMIT = 32
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(execute, "MEMO_LIMIT", self.LIMIT)
+
+    @pytest.mark.parametrize(
+        "make", [two_states_without_z, one_state_without_z]
+    )
+    def test_distinct_forests_stay_bounded_and_exact(self, backend, make):
+        engine = engine_for(make(), backend)
+        hits = misses = 0
+        for forest in distinct_rounds(12, seed=17):
+            outcomes = engine.run_batch_outcomes(forest)
+            expected = interpreter_outcomes(make(), forest)
+            assert comparable(outcomes) == expected
+            assert sum(isinstance(item, tuple) for item in expected) == 1
+            # This batch's demand is at most what a cold engine memoizes.
+            alone = get_backend(backend)(engine.compiled)
+            alone.run_batch_outcomes(forest)
+            assert engine.memo_size() <= self.LIMIT + alone.memo_size()
+            stats = engine.cache_stats
+            assert stats["hits"] >= hits and stats["misses"] >= misses
+            hits, misses = stats["hits"], stats["misses"]
+        assert engine.cache_stats["evictions"] >= 6
+        assert misses > 12 * self.LIMIT
+        engine.clear_cache()
+        counters = ("hits", "misses", "batches", "evictions", "entries")
+        assert {key: engine.cache_stats[key] for key in counters} == (
+            dict.fromkeys(counters, 0)
+        )
+
+    def test_eval_state_right_after_an_eviction(self, backend):
+        engine = engine_for(two_states_without_z(), backend)
+        reference = two_states_without_z()
+        engine.run_batch_outcomes(next(distinct_rounds(1, seed=5)))
+        assert engine.memo_size() > self.LIMIT
+        source = random_tree(FGA, max_height=7, rng=random.Random(6))
+        assert engine.eval_state("p", source) == reference.eval_state(
+            "p", source
+        )
+        assert engine.cache_stats["evictions"] == 1
+        assert engine.eval_state("q", source) == reference.eval_state(
+            "q", source
+        )
+
+
+class TestSharedEngineAcrossThreads:
+    """Threads sharing one engine while its bound keeps firing: an
+    eviction must never land between one thread's sweep and its replay."""
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_concurrent_batches_with_evictions_stay_exact(
+        self, backend, monkeypatch
+    ):
+        monkeypatch.setattr(execute, "MEMO_LIMIT", 16)
+        engine = engine_for(two_states_without_z(), backend)
+        rounds = [list(distinct_rounds(6, seed=40 + n)) for n in range(6)]
+        expected = [
+            [interpreter_outcomes(two_states_without_z(), f) for f in mine]
+            for mine in rounds
+        ]
+        seen = [None] * len(rounds)
+        start = threading.Barrier(len(rounds), timeout=10)
+
+        def drive(slot):
+            start.wait()
+            seen[slot] = [
+                comparable(engine.run_batch_outcomes(forest))
+                for forest in rounds[slot]
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=drive, args=(slot,))
+                for slot in range(len(rounds))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == expected
+        assert engine.cache_stats["evictions"] > 0
+
+
 class TestEngineSet:
     def test_backends_share_one_compile(self):
         machine, _domain = cycle_relabel(2)
@@ -384,6 +533,20 @@ class TestEngineSet:
         compileds = {id(engine.compiled) for engine in engines}
         assert len(compileds) == 1
         assert isinstance(machine._engine, EngineSet)
+
+    def test_machine_with_live_engines_pickles(self):
+        machine, _domain = random_total_dtop(num_states=3, seed=2)
+        source = random_tree(
+            machine.input_alphabet, max_height=5, rng=random.Random(2)
+        )
+        expected = {
+            name: engine_for(machine, name).run(source)
+            for name in ALL_BACKENDS
+        }
+        clone = pickle.loads(pickle.dumps(machine))
+        assert clone._engine.engines == {}  # caches rebuild lazily
+        for name in ALL_BACKENDS:
+            assert engine_for(clone, name).run(source) is expected[name]
 
     def test_clear_caches_drops_every_backend(self):
         machine, _domain = cycle_relabel(2)

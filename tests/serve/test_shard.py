@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.engine import engine_for
+from repro.engine import available_backends, engine_for
 from repro.serve.shard import (
     chunk_forest,
     decode_forest,
@@ -153,21 +153,32 @@ class TestChunking:
             assert len(chunk_forest(forest, chunks)) == chunks
 
     def test_worker_memo_capped_between_chunks(self, monkeypatch):
+        from repro.engine import execute
         from repro.serve import shard as shard_module
 
         machine, _ = random_total_dtop(2, seed=5)
-        payload = pack_engine(engine_for(machine).compiled)
-        monkeypatch.setattr(shard_module, "WORKER_MEMO_LIMIT", 8)
-        shard_module.init_worker(payload)
+        compiled = engine_for(machine).compiled
+        monkeypatch.setattr(execute, "MEMO_LIMIT", 8)
         rng = random.Random(1)
-        forest = [
-            random_tree(machine.input_alphabet, max_height=6, rng=rng)
-            for _ in range(20)
+        chunks = [
+            [
+                random_tree(machine.input_alphabet, max_height=6, rng=rng)
+                for _ in range(20)
+            ]
+            for _ in range(2)
         ]
-        shard_module.worker_translate(encode_forest(forest))
-        # The cap fired after the chunk: the next chunk starts cold
-        # instead of holding every subtree ever translated.
-        assert len(shard_module._WORKER_ENGINE._memo) == 0
+        for backend in available_backends():
+            shard_module.init_worker(pack_engine(compiled, backend))
+            worker = shard_module._WORKER_ENGINE
+            for chunk in chunks:
+                shard_module.worker_translate(encode_forest(chunk))
+            # The engine's own bound cleared the memo before the second
+            # chunk's sweep: the worker holds that chunk's pairs only,
+            # not every subtree it ever translated.
+            alone = unpack_engine(pack_engine(compiled, backend))
+            alone.run_batch_outcomes(chunks[1])
+            assert worker.cache_stats["evictions"] == 1
+            assert worker.memo_size() == alone.memo_size()
 
     def test_cost_balancing_splits_heavy_prefix(self):
         heavy = [monadic_tree(["a"] * 50, end=f"e{i}") for i in range(4)]

@@ -328,6 +328,24 @@ class TestExposition:
             (("model", "m@1"),)
         ] == pytest.approx(4.321)
 
+    def test_set_family_replaces_series_and_keeps_declared_types(self):
+        metrics = ServerMetrics()
+        first = [({"model": "a@1"}, 7), ({"model": "b@1"}, 3)]
+        metrics.set_family("repro_engine_memo_entries", first)
+        metrics.set_family("repro_memo_evictions_total", first)
+        # A model gone from the next scrape leaves no stale series.
+        metrics.set_family("repro_engine_memo_entries", first[:1])
+        metrics.set_family("repro_memo_evictions_total", [])
+        text = metrics.render_prometheus()
+        samples = validate_exposition(text)
+        assert samples["repro_engine_memo_entries"] == {
+            (("model", "a@1"),): 7
+        }
+        assert "repro_memo_evictions_total" not in text
+        assert "# TYPE repro_engine_memo_entries gauge" in text
+        metrics.set_family("repro_memo_evictions_total", first)
+        assert metrics.counter_total("repro_memo_evictions_total") == 10
+
     def test_label_values_escape(self):
         metrics = ServerMetrics()
         awkward = 'quo"te\\slash\nnewline'

@@ -10,7 +10,13 @@ no queue, so it must never be recorded in ``repro_queue_wait_seconds``
 """
 
 import asyncio
+import json
+import shutil
+import socket
 import threading
+from pathlib import Path
+
+import pytest
 
 from tests.server.faults import wait_until
 from repro.errors import OverloadedError
@@ -19,6 +25,8 @@ from repro.server.batcher import MicroBatcher
 from repro.workloads.flip import flip_input
 
 from tests.server.test_batcher import BlockingEntry
+
+STOCK_MODELS = Path(__file__).resolve().parents[2] / "models"
 
 
 class TestBatcherOverloadAccounting:
@@ -187,3 +195,78 @@ class TestWireLevelOverload:
                 metrics.histogram("repro_queue_wait_seconds", labels).count
                 == len(served)
             )
+
+
+def json_lines_body(count: int) -> bytes:
+    """``count`` distinct value-free config documents, one per line:
+    document ``n`` spells ``n`` in binary as a list of booleans."""
+    lines = []
+    for n in range(count):
+        bits = ", ".join(
+            "true" if (n >> bit) & 1 else "false" for bit in range(12)
+        )
+        lines.append(f'{{"user": {{"data": [{bits}]}}, "port": null}}\n')
+    return "".join(lines).encode()
+
+
+def stream_over_socket(handle, model: str, body: bytes):
+    """Send one ``transform_stream`` request; every response line."""
+    with socket.create_connection((handle.host, handle.port)) as raw:
+        wire = raw.makefile("rwb")
+        header = {
+            "op": "transform_stream",
+            "id": 1,
+            "model": model,
+            "content_length": len(body),
+        }
+        wire.write(json.dumps(header).encode() + b"\n" + body)
+        wire.flush()
+        responses = []
+        while True:
+            response = json.loads(wire.readline())
+            responses.append(response)
+            if response.get("done"):
+                return responses
+
+
+class TestStreamAdmission:
+    """A stream body longer than ``max_pending`` waits for the engine
+    instead of shedding its tail as overloads."""
+
+    @pytest.fixture
+    def json_models(self, tmp_path):
+        directory = tmp_path / "models"
+        directory.mkdir()
+        shutil.copy(STOCK_MODELS / "rename-json@1.json", directory)
+        return directory
+
+    def test_long_body_answers_every_document_in_order(self, json_models):
+        total = 4000
+        with ServerThread(json_models) as handle:
+            metrics = handle.server.metrics
+            before = metrics.counter_total("repro_overloads_total")
+            responses = stream_over_socket(
+                handle, "rename-json", json_lines_body(total)
+            )
+            after = metrics.counter_total("repro_overloads_total")
+        *documents, done = responses
+        assert [response["seq"] for response in documents] == list(
+            range(total)
+        )
+        assert all(response["ok"] for response in documents)
+        assert '"username"' in documents[-1]["document"]
+        assert done["ok"] and done["count"] == total
+        assert done["failures"] == 0
+        assert after == before
+
+    def test_small_admission_bound_serves_a_longer_body(self, json_models):
+        with ServerThread(json_models, max_pending=8) as handle:
+            responses = stream_over_socket(
+                handle, "rename-json", json_lines_body(50)
+            )
+            overloads = handle.server.metrics.counter_total(
+                "repro_overloads_total"
+            )
+        assert overloads == 0
+        assert responses[-1]["count"] == 50
+        assert responses[-1]["failures"] == 0

@@ -3,6 +3,9 @@
 import copy
 import gc
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +76,74 @@ class TestInterning:
     def test_unhashable_label_rejected(self):
         with pytest.raises(TreeError):
             Tree(["not", "hashable"], ())
+
+
+class TestConcurrentInterning:
+    def test_racing_constructions_share_one_uid(self):
+        """Two threads that both miss the lookup of one new structure
+        still get one object: the miss path publishes atomically."""
+        barrier = threading.Barrier(2, timeout=10)
+        calls = threading.local()
+
+        class Rendezvous:
+            """Hashing meets the other thread first, then dawdles, so
+            both lookups miss before either thread can insert."""
+
+            def __hash__(self):
+                if threading.current_thread() in threads:
+                    calls.count = getattr(calls, "count", 0) + 1
+                    if calls.count == 1:
+                        barrier.wait()
+                    elif calls.count == 2:
+                        time.sleep(0.05)
+                return 42
+
+        label = Rendezvous()
+        built = [None, None]
+
+        def build(slot):
+            built[slot] = Tree(label)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert built[0] is built[1]
+        assert built[0].uid == built[1].uid
+
+    def test_threads_building_one_forest_agree(self):
+        """Eight threads, a tiny switch interval, one set of new shapes:
+        every thread must end up with the same objects."""
+        shapes = 300
+        results = [None] * 8
+        start = threading.Barrier(len(results), timeout=10)
+
+        def build(slot):
+            start.wait()
+            results[slot] = [
+                Tree("stress", (leaf(f"n{n}"), leaf(f"m{n % 7}")))
+                for n in range(shapes)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=build, args=(i,))
+                for i in range(len(results))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for built in results[1:]:
+            assert all(a is b for a, b in zip(results[0], built))
+        assert len({tree.uid for tree in results[0]}) == shapes
 
 
 class TestEqualityStability:
