@@ -1,19 +1,12 @@
-"""E19 — pipeline fusion and the persistent compiled-engine cache.
+"""E19 — pipeline fusion.
 
-Not a paper experiment: this benchmark prices the two halves of
-ISSUE 19 on serving-shaped workloads.
-
-(a) **fusion**: a 4-stage relabel/reorder pipeline served staged (one
-    engine per stage, K full passes materializing K-1 intermediate
-    forests) vs. served fused (``compose_chain`` into one DTOP, one
-    pass).  The fused machine must be ≥ 1.5× faster per forest
-    (``$BENCH_FUSION_MIN_SPEEDUP`` overrides the floor), with
-    byte-identical outputs.
-(b) **warm cache**: cold-starting a model registry (a plain model, a
-    many-state validator, and a pipeline artifact) with ``.engine``
-    sidecars present vs. recompiling from scratch.  The warm boot must
-    report **zero** table compilations (`artifact_stats()["compiles"]`);
-    the recompile-vs-warm wall-clock ratio is recorded alongside.
+Not a paper experiment: this benchmark prices fusion on a
+serving-shaped workload.  A 4-stage relabel/reorder pipeline is served
+staged (one engine per stage, K full passes materializing K-1
+intermediate forests) vs. served fused (``compose_chain`` into one
+DTOP, one pass).  The fused machine must be ≥ 1.5× faster per forest
+(``$BENCH_FUSION_MIN_SPEEDUP`` overrides the floor), with
+byte-identical outputs.
 
 Results land in ``BENCH_fusion.json`` (or ``$BENCH_FUSION_JSON``) for
 the bench-smoke artifact.
@@ -21,17 +14,9 @@ the bench-smoke artifact.
 
 import json
 import os
-import shutil
 import time
 
-from repro import api
-from repro.engine import (
-    artifact_stats,
-    compile_dtop,
-    get_backend,
-    reset_artifact_stats,
-)
-from repro.server.registry import ModelRegistry, PIPELINE_FORMAT
+from repro.engine import compile_dtop, get_backend
 from repro.transducers.compose import compose_chain
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import call
@@ -47,8 +32,6 @@ _RESULTS = {}
 ROUNDS = 3
 #: Pipeline depth of the fusion race.
 STAGES = 4
-#: States of the registry validator (makes recompilation non-trivial).
-VALIDATOR_STATES = 40
 
 ALPHABET = RankedAlphabet({"f": 2, "g": 1, "a": 0, "b": 0})
 
@@ -78,20 +61,6 @@ def _relabel() -> DTOP:
         ("q", "b"): Tree("a", ()),
     }
     return DTOP(ALPHABET, ALPHABET, call("q", 0), rules)
-
-
-def _validator() -> DTOP:
-    """A many-state identity validator: compilation worth caching."""
-    n = VALIDATOR_STATES
-    rules = {}
-    for i in range(n):
-        rules[(f"q{i}", "f")] = Tree(
-            "f", (call(f"q{(i + 1) % n}", 1), call(f"q{(i + 3) % n}", 2))
-        )
-        rules[(f"q{i}", "g")] = Tree("g", (call(f"q{(i + 5) % n}", 1),))
-        rules[(f"q{i}", "a")] = Tree("a", ())
-        rules[(f"q{i}", "b")] = Tree("b", ())
-    return DTOP(ALPHABET, ALPHABET, call("q0", 0), rules)
 
 
 def _pipeline_stages():
@@ -179,67 +148,3 @@ def test_e19_fused_pipeline_beats_staged(benchmark):
     assert speedup >= minimum, (
         f"fused pipeline only {speedup:.2f}× over staged (floor {minimum}×)"
     )
-
-
-def test_e19_warm_cache_eliminates_cold_start_compiles(benchmark, tmp_path):
-    models = tmp_path / "models"
-    models.mkdir()
-    api.save(_swap(), str(models / "swap@1.json"))
-    api.save(_relabel(), str(models / "relabel@1.json"))
-    api.save(_validator(), str(models / "validator@1.json"))
-    (models / "chain@1.json").write_text(
-        json.dumps(
-            {
-                "format": PIPELINE_FORMAT,
-                "stages": ["swap@1", "relabel@1", "swap@1", "relabel@1"],
-            }
-        )
-    )
-
-    def boot():
-        reset_artifact_stats()
-        start = time.perf_counter()
-        with ModelRegistry(models) as registry:
-            summary = registry.warm()
-        return time.perf_counter() - start, summary, artifact_stats()
-
-    def drop_sidecars():
-        for sidecar in models.glob("*.engine"):
-            sidecar.unlink()
-
-    def race():
-        recompile_best = warm_best = float("inf")
-        for _ in range(ROUNDS):
-            drop_sidecars()
-            elapsed, _summary, stats = boot()  # compiles + writes sidecars
-            assert stats["compiles"] > 0
-            recompile_best = min(recompile_best, elapsed)
-
-            elapsed, summary, stats = boot()  # sidecars present
-            assert stats["compiles"] == 0, (
-                f"warm boot compiled {stats['compiles']} engines"
-            )
-            assert summary["compiled"] == 0
-            assert summary["from_cache"] == summary["warmed"] == 4
-            warm_best = min(warm_best, elapsed)
-        return recompile_best, warm_best
-
-    recompile_s, warm_s = benchmark.pedantic(race, rounds=1, iterations=1)
-    ratio = recompile_s / max(warm_s, 1e-9)
-    _RESULTS["warm_cache"] = {
-        "models": 4,
-        "validator_states": VALIDATOR_STATES,
-        "rounds": ROUNDS,
-        "recompile_boot_s": recompile_s,
-        "warm_boot_s": warm_s,
-        "boot_speedup": ratio,
-        "warm_compiles": 0,
-    }
-    _flush_results()
-    report(
-        "E19/warm-cache",
-        "second boot loads every engine from sidecars, compiling nothing",
-        f"recompile boot {recompile_s * 1e3:.1f} ms vs warm boot "
-        f"{warm_s * 1e3:.1f} ms ({ratio:.2f}×), warm compiles = 0",
-    )
-    shutil.rmtree(models, ignore_errors=True)

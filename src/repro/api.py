@@ -429,9 +429,7 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
     per-sample memos by ``Sample.cache_stats()``.  The ``backends``
     entry breaks batches / hits / misses down by execution backend
     process-wide (``tables`` / ``codegen``); the
-    ``engine_artifacts`` entry counts from-scratch compilations against
-    persistent payload hits/misses/writes — a warm artifact cache shows
-    ``compiles == 0`` after a restart.
+    ``engine_artifacts`` entry counts table compilations (``compiles``).
     """
     return {
         "intern": intern_stats(),

@@ -760,9 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument(
         "--warm",
         action="store_true",
-        help="precompile or cache-load every model's engine (and "
-        "prestart worker pools) before accepting traffic; with fresh "
-        ".engine sidecars the boot compiles nothing",
+        help="compile every model's engine (and prestart worker pools) "
+        "before accepting traffic",
     )
     server.add_argument(
         "--trace-sample-rate",

@@ -28,11 +28,9 @@ so the compilation never goes stale).  The classic recursive interpreter
 (:meth:`DTOP.apply`, :meth:`DTTA.accepts_from`) remains for origin
 tracking and as the differential-testing reference.
 
-Compilation results persist across processes: :mod:`repro.engine.artifacts`
-stores packed engine payloads as fingerprinted ``.engine`` sidecars next
-to the model JSON, so servers and workers load tables instead of
-recompiling (``compiles`` / ``payload_hits`` counters tell which path
-ran).
+Compilation is cheap enough to repeat in every process: nothing
+compiled is persisted, and :func:`artifact_stats` counts every
+:func:`~repro.engine.compile.compile_dtop` call.
 
 The *execute* stage has two engines over the same compiled tables,
 named in :mod:`repro.engine.backends`: ``tables`` (the dict-driven
@@ -53,17 +51,6 @@ compile the sample (once per sample, extended incrementally)
     :class:`~repro.learning.sample.Sample` remain the reference.
 """
 
-from repro.engine.artifacts import (
-    ARTIFACT_FORMAT,
-    ENGINE_SUFFIX,
-    artifact_stats,
-    attach_payload,
-    engine_path_for,
-    fingerprint_payload,
-    load_engine_artifact,
-    reset_artifact_stats,
-    write_engine_artifact,
-)
 from repro.engine.backends import (
     AUTO_BACKEND,
     DEFAULT_BACKEND,
@@ -76,8 +63,10 @@ from repro.engine.backends import (
 from repro.engine.compile import (
     CompiledDTOP,
     CompiledDTTA,
+    artifact_stats,
     compile_dtop,
     compile_dtta,
+    reset_artifact_stats,
 )
 from repro.engine.execute import (
     AutomatonEngine,
@@ -109,15 +98,8 @@ __all__ = [
     "automaton_engine_for",
     "profile_snapshot",
     "rule_labels",
-    "ARTIFACT_FORMAT",
-    "ENGINE_SUFFIX",
     "artifact_stats",
-    "attach_payload",
-    "engine_path_for",
-    "fingerprint_payload",
-    "load_engine_artifact",
     "reset_artifact_stats",
-    "write_engine_artifact",
     "AUTO_BACKEND",
     "DEFAULT_BACKEND",
     "available_backends",

@@ -25,6 +25,7 @@ evaluation state; the per-batch machinery lives in
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.trees.tree import Label, Tree
@@ -163,15 +164,34 @@ def _compile_template(
     return tuple(program), tuple(calls)
 
 
+_COUNTER_LOCK = threading.Lock()
+_compiles = 0
+
+
+def artifact_stats() -> Dict[str, int]:
+    """Process-wide count of :func:`compile_dtop` calls since the last reset."""
+    with _COUNTER_LOCK:
+        # ``payload_hits`` is always 0; perfbench/serving.py still reads it.
+        return {"compiles": _compiles, "payload_hits": 0}
+
+
+def reset_artifact_stats() -> None:
+    """Zero the process-wide compile counter."""
+    global _compiles
+    with _COUNTER_LOCK:
+        _compiles = 0
+
+
 def compile_dtop(transducer: "DTOP") -> CompiledDTOP:
     """Lower a :class:`~repro.transducers.dtop.DTOP` into flat tables.
 
     Deterministic: ids are assigned in sorted (``repr``) order, so equal
-    machines compile to equal tables.
+    machines compile to equal tables.  Every call counts one compilation
+    in :func:`artifact_stats`.
     """
-    from repro.engine.artifacts import note_compile
-
-    note_compile()
+    global _compiles
+    with _COUNTER_LOCK:
+        _compiles += 1
     compiled = object.__new__(CompiledDTOP)
     compiled.source = transducer
     state_names = sorted(transducer.states, key=repr)

@@ -13,8 +13,8 @@ local in exactly the sense of
 
 Artifacts: :data:`JSON_BUNDLE_FORMAT` (``repro/json-transformation@1``)
 bundles the transducer and the domain automaton; the server registry
-serves them next to the XML bundles with the same hot-reload,
-``.engine`` sidecar, and micro-batching machinery.
+serves them next to the XML bundles with the same hot-reload and
+micro-batching machinery.
 """
 
 from __future__ import annotations

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import signal
 import threading
 import weakref
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Union
 
@@ -71,6 +72,27 @@ def _close_live_services() -> None:
             service.close()
         except Exception:  # pragma: no cover - last-resort cleanup
             pass
+
+
+def _submit_with_worker_signals_blocked(
+    executor: ProcessPoolExecutor, *args
+) -> Future:
+    """``executor.submit(shard.worker_translate, *args)`` with SIGTERM
+    and SIGINT blocked in this thread.
+
+    A submit may fork the pool's workers, and a forked child starts with
+    the forking thread's signal mask.  A signal aimed at a fresh worker
+    (the executor terminating survivors of a broken pool) then stays
+    pending until :func:`~repro.serve.shard.init_worker` has detached
+    the worker from the parent's wakeup pipe and unblocks it, instead of
+    reaching the parent's event loop through that pipe.
+    """
+    blocked = (signal.SIGTERM, signal.SIGINT)
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, blocked)
+    try:
+        return executor.submit(shard.worker_translate, *args)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _pool_context():
@@ -258,16 +280,16 @@ class TransformService:
             trace_id = chunk.trace.trace_id if chunk.trace else None
             encoded = shard.encode_forest(trees)
             try:
-                chunk.future = self._pool().submit(
-                    shard.worker_translate, encoded, trace_id
+                chunk.future = _submit_with_worker_signals_blocked(
+                    self._pool(), encoded, trace_id
                 )
             except BrokenProcessPool:
                 # The pool died under an earlier chunk and nothing has
                 # collected the break yet; dispatch on a fresh one.
                 self._stats["crashes"] += 1
                 self._restart_pool()
-                chunk.future = self._pool().submit(
-                    shard.worker_translate, encoded, trace_id
+                chunk.future = _submit_with_worker_signals_blocked(
+                    self._pool(), encoded, trace_id
                 )
             chunk.executor = self._executor
             chunk.attempts += 1
@@ -317,8 +339,8 @@ class TransformService:
                     chunk.outcomes = [error for _ in chunk.trees]
                     self._stats["errors"] += len(chunk.trees)
                     return
-                chunk.future = self._pool().submit(
-                    shard.worker_translate,
+                chunk.future = _submit_with_worker_signals_blocked(
+                    self._pool(),
                     shard.encode_forest(chunk.trees),
                     chunk.trace.trace_id if chunk.trace else None,
                 )

@@ -41,6 +41,7 @@ a worker crash for the service's recovery path.
 from __future__ import annotations
 
 import os
+import signal
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.backends import DEFAULT_BACKEND, get_backend
@@ -169,13 +170,12 @@ def pack_engine(
     )
 
 
-def unpack_compiled(payload: tuple) -> Tuple[CompiledDTOP, str]:
-    """Rebuild the compiled tables of a :func:`pack_engine` payload.
+def unpack_engine(payload: tuple) -> Engine:
+    """Rebuild a fresh engine from a :func:`pack_engine` payload.
 
-    Returns ``(compiled, backend)`` without instantiating an engine —
-    the artifact-cache layer attaches the tables to a live machine and
-    picks the engine itself.  ``compiled.source`` is ``None``; callers
-    that hold the source transducer may set it.
+    The payload's backend field decides which execution backend the
+    engine is built on (workers honor the parent's choice); the return
+    value implements the full engine surface whichever backend wins.
     """
     if not payload or payload[0] != PAYLOAD_FORMAT:
         raise ServiceError(f"not a {PAYLOAD_FORMAT} payload")
@@ -216,17 +216,6 @@ def unpack_compiled(payload: tuple) -> Tuple[CompiledDTOP, str]:
     compiled.rule_templates = [restore(t) for t in rule_templates]
     compiled.axiom_calls = axiom_calls
     compiled.axiom_template = restore(axiom_template)
-    return compiled, backend
-
-
-def unpack_engine(payload: tuple) -> Engine:
-    """Rebuild a fresh engine from a :func:`pack_engine` payload.
-
-    The payload's backend field decides which execution backend the
-    engine is built on (workers honor the parent's choice); the return
-    value implements the full engine surface whichever backend wins.
-    """
-    compiled, backend = unpack_compiled(payload)
     return get_backend(backend)(compiled)
 
 
@@ -359,8 +348,6 @@ def _reset_inherited_signal_plumbing() -> None:
     workers was told to die.  Clearing the wakeup fd and restoring
     default dispositions keeps worker-directed signals in the worker.
     """
-    import signal
-
     try:
         signal.set_wakeup_fd(-1)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
@@ -373,8 +360,14 @@ def _reset_inherited_signal_plumbing() -> None:
 
 
 def init_worker(payload: tuple) -> None:
-    """Pool initializer: unpack the engine tables once per worker."""
+    """Pool initializer: unpack the engine tables once per worker.
+
+    The parent forks workers with SIGTERM and SIGINT blocked; they are
+    unblocked only once the inherited signal plumbing is reset, so a
+    signal that arrived in between now acts on this worker alone.
+    """
     _reset_inherited_signal_plumbing()
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGTERM, signal.SIGINT))
     global _WORKER_ENGINE
     _WORKER_ENGINE = unpack_engine(payload)
 

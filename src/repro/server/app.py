@@ -33,7 +33,7 @@ Protocol — one JSON object per ``\\n``-terminated line, UTF-8:
     ``"degraded"`` while the supervisor has a shard in quarantine),
     the registry + batcher + per-model service counters, the model
     list, the metrics snapshot (per-model counters and latency
-    quantiles as JSON, engine artifact-cache and per-backend counters
+    quantiles as JSON, engine compile and per-backend counters
     folded in, plus the Prometheus text exposition under ``"text"``),
     the per-model engine profiler snapshot (hot rules, per-height
     sweep timings), a registry rescan, and graceful stop.
@@ -782,10 +782,10 @@ class TransformServer:
     async def _op_metrics(self, request, _reader, writer) -> None:
         """The metrics snapshot (JSON) plus the Prometheus exposition.
 
-        The snapshot folds in the process-wide engine counters — the
-        artifact cache (compiles avoided) and the per-backend batch/hit
-        tallies — so one scrape answers both "how is the server doing"
-        and "which execution path is doing the work".
+        The snapshot folds in the process-wide engine counters — table
+        compilations and the per-backend batch/hit tallies — so one
+        scrape answers both "how is the server doing" and "which
+        execution path is doing the work".
         """
         self._refresh_memory_metrics()
         snapshot = self.metrics.snapshot()
@@ -956,10 +956,9 @@ def serve_forever(
     shutdown — to stderr.  ``backend`` (CLI ``--backend``) sets the
     server-wide execution backend default; per-model ``"backend"``
     artifact keys still win.  ``warm=True`` (CLI ``--warm``)
-    precompiles or cache-loads every model's engine — and prestarts the
-    sharded pools — *before* the socket opens, so the first request
-    never pays compilation; with fresh ``.engine`` sidecars the boot
-    compiles nothing (the banner reports the split).
+    compiles every model's engine — and prestarts the sharded pools —
+    *before* the socket opens, so the first request never pays
+    compilation (the banner reports how many engines it built).
 
     ``trace_sample_rate`` (CLI ``--trace-sample-rate``) traces that
     fraction of transform requests unsolicited, emitting each as a
@@ -970,11 +969,8 @@ def serve_forever(
     """
     registry = ModelRegistry(models_dir, jobs=jobs, backend=backend)
     if warm:
-        warmed = registry.warm()
         print(
-            f"repro server warmed {warmed['warmed']} engines "
-            f"({warmed['from_cache']} from artifact cache, "
-            f"{warmed['compiled']} compiled)",
+            f"repro server warmed {registry.warm()} engines",
             file=sys.stderr,
             flush=True,
         )

@@ -24,12 +24,10 @@ loader :func:`repro.codec.transformation_from_bundle`:
 
 An entry's ``kind`` is its codec's name: ``dtop``, ``xml`` or ``json``.
 
-Compiled engines persist across processes: every entry carries a
-fingerprinted ``NAME@VERSION.engine`` sidecar
-(:mod:`repro.engine.artifacts`) that is adopted at load when fresh and
-written after the first compilation otherwise, so a restarted server
-compiles nothing (``repro server --warm`` makes that happen before the
-socket opens).
+Every boot builds its engines from the model JSON alone: an entry
+compiles on its first batch, or before the socket opens under
+``repro server --warm``.  Nothing compiled is written to or read from
+the models directory.
 
 Naming: ``NAME@VERSION.json`` registers the model under ``NAME@VERSION``;
 ``NAME.json`` is shorthand for version ``1``.  :meth:`ModelRegistry.get`
@@ -67,15 +65,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.codec import TERM_CODEC, Transformation, transformation_from_bundle
-from repro.engine import (
-    attach_payload,
-    engine_for,
-    engine_path_for,
-    fingerprint_payload,
-    load_engine_artifact,
-    resolve_backend,
-    write_engine_artifact,
-)
+from repro.engine import engine_for, resolve_backend
 from repro.errors import (
     ModelNotFoundError,
     RegistryError,
@@ -83,9 +73,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.serialize import FORMAT_PIPELINE as PIPELINE_FORMAT
-from repro.serialize import dumps as serialize_dumps
 from repro.serialize import from_data as serialize_from_data
-from repro.serialize import loads as serialize_loads
 from repro.trees.tree import Tree
 from repro.transducers.compose import compose_chain
 from repro.transducers.dtop import DTOP
@@ -133,7 +121,6 @@ class ModelEntry:
         jobs: Optional[int] = None,
         fingerprint: Optional[Tuple[int, int]] = None,
         backend: Optional[str] = None,
-        engine_fingerprint: Optional[str] = None,
         member_fingerprints: Optional[
             List[Tuple[Path, Tuple[int, int]]]
         ] = None,
@@ -149,9 +136,6 @@ class ModelEntry:
         self.fingerprint = fingerprint
         #: Resolved execution backend name this model serves on.
         self.backend = backend if backend is not None else resolve_backend()
-        #: Content fingerprint binding the ``.engine`` sidecar to this
-        #: model's bytes + backend; ``None`` disables persistence.
-        self.engine_fingerprint = engine_fingerprint
         #: For pipelines: the member files (and their stat fingerprints)
         #: the fused machine was built from — reload freshness includes
         #: them.
@@ -164,8 +148,6 @@ class ModelEntry:
         self._retired = False
         self._closed = False
         self._quarantined = False
-        self._engine_cached = False
-        self._engine_saved = False
 
     @property
     def key(self) -> str:
@@ -176,100 +158,20 @@ class ModelEntry:
         """The codec name: ``dtop``, ``xml`` or ``json``."""
         return self.codec.name
 
-    # -- persistent compiled engine -------------------------------------
-
-    @property
-    def engine_cache_path(self) -> Path:
-        """The ``NAME@VERSION.engine`` sidecar next to the model JSON."""
-        return engine_path_for(self.path)
-
-    @property
-    def engine_cached(self) -> bool:
-        """Whether this entry's engine came from the artifact cache."""
-        return self._engine_cached
-
-    def bind_engine_cache(self) -> bool:
-        """Adopt the on-disk compiled payload when it is fresh.
-
-        Called once at load time: a sidecar whose fingerprint matches
-        the model bytes + backend is attached as the machine's compiled
-        engine, so neither the first request nor ``warm()`` compiles
-        anything.  A missing/stale sidecar is a plain miss — the entry
-        compiles lazily and :meth:`ensure_engine` rewrites the sidecar.
-
-        Pipelines never come here — their recovery (machine *and*
-        payload) runs before the entry exists, in ``_recover_or_fuse``;
-        the loader calls :meth:`adopt_recovered_engine` instead.
-        """
-        if self.engine_fingerprint is None or self.members is not None:
-            return False
-        payload = load_engine_artifact(
-            self.engine_cache_path, self.engine_fingerprint
-        )
-        if payload is None:
-            return False
-        try:
-            attach_payload(self.machine, payload)
-        except Exception:
-            # A payload that unpickled but does not decode (e.g. written
-            # by a future payload layout) degrades to compilation.
-            return False
-        self._engine_cached = True
-        self._engine_saved = True  # disk already holds this record
-        return True
-
-    def adopt_recovered_engine(self) -> None:
-        """Record that the loader recovered machine + engine from disk.
-
-        Pipelines recover *before* the entry is constructed (the fused
-        machine itself lives in the sidecar), so the loader marks the
-        entry afterwards instead of going through
-        :meth:`bind_engine_cache`.
-        """
-        self._engine_cached = True
-        self._engine_saved = True
-
     def ensure_engine(self):
-        """The entry's in-process engine; persists the sidecar once.
+        """The entry's in-process engine, compiled on first use."""
+        return engine_for(self.machine, self.backend)
 
-        Compiles on first use unless :meth:`bind_engine_cache` already
-        attached the payload; after the tables exist (either way) the
-        ``.engine`` sidecar is written exactly once per entry lifetime —
-        atomically, best-effort (a read-only models directory just keeps
-        recompiling on future boots).
-        """
-        engine = engine_for(self.machine, self.backend)
-        if not self._engine_saved and self.engine_fingerprint is not None:
-            from repro.serve.shard import pack_engine
+    def warm(self) -> None:
+        """Build this entry's engine before it serves traffic.
 
-            payload = pack_engine(
-                self.machine._engine.compiled, self.backend
-            )
-            if self.members is not None:
-                # Pipeline sidecars also persist the fused machine, so
-                # the next boot skips the product construction too.
-                payload = (serialize_dumps(self.machine), payload)
-            write_engine_artifact(
-                self.engine_cache_path, self.engine_fingerprint, payload
-            )
-            # One attempt per entry: a failed write (counted in
-            # artifact_stats) must not re-run on every batch.
-            self._engine_saved = True
-        return engine
-
-    def warm(self) -> bool:
-        """Precompile/load this entry before it serves traffic.
-
-        Ensures the in-process engine (from the artifact cache when
-        possible) and prestarts + warms the sharded worker pool for
-        ``jobs > 1`` entries.  Returns whether the engine came from the
-        artifact cache rather than a fresh compilation.
+        Compiles the in-process engine and prestarts + warms the
+        sharded worker pool for ``jobs > 1`` entries.
         """
         self.ensure_engine()
         service = self.service()
         if service is not None:
             service.warm()
-        return self._engine_cached
 
     def members_fresh(self) -> bool:
         """Whether every member file still matches its load-time stat.
@@ -444,7 +346,6 @@ class ModelEntry:
             "states": len(self.machine.states),
             "rules": len(self.machine.rules),
             "requests": self.requests,
-            "engine_cached": self._engine_cached,
         }
         if self.members is not None:
             info["members"] = list(self.members)
@@ -488,17 +389,15 @@ def _read_pipeline_members(
     path: Path, data: dict
 ) -> Tuple[
     List[DTOP],
-    List[bytes],
     List[Tuple[Path, Tuple[int, int]]],
     List[str],
     List[str],
 ]:
     """Read (not fuse) a ``repro/pipeline@1`` artifact's member stages.
 
-    Returns ``(member machines, member raw bytes, member stat
-    fingerprints, member refs, member labels)`` — the bytes feed the
-    engine fingerprint, the stat fingerprints feed reload freshness,
-    the labels name stages in fusion errors.
+    Returns ``(member machines, member stat fingerprints, member refs,
+    member labels)`` — the stat fingerprints feed reload freshness, the
+    labels name stages in fusion errors.
     """
     stages = data.get("stages")
     if (
@@ -511,7 +410,6 @@ def _read_pipeline_members(
             f"'stages' list of model refs (NAME or NAME@VERSION)"
         )
     machines: List[DTOP] = []
-    member_bytes: List[bytes] = []
     member_fingerprints: List[Tuple[Path, Tuple[int, int]]] = []
     labels: List[str] = []
     for ref in stages:
@@ -522,8 +420,7 @@ def _read_pipeline_members(
             )
         try:
             member_stat = member_path.stat()
-            raw = member_path.read_bytes()
-            member_data = json.loads(raw.decode("utf-8"))
+            member_data = json.loads(member_path.read_bytes().decode("utf-8"))
         except (OSError, ValueError) as error:
             raise RegistryError(
                 f"cannot read pipeline member {member_path.name}: {error}"
@@ -550,44 +447,11 @@ def _read_pipeline_members(
                 f"{type(machine).__name__}, not a transducer"
             )
         machines.append(machine)
-        member_bytes.append(raw)
         member_fingerprints.append(
             (member_path, (member_stat.st_mtime_ns, member_stat.st_size))
         )
         labels.append(member_path.name)
-    return machines, member_bytes, member_fingerprints, list(stages), labels
-
-
-def _recover_or_fuse(
-    path: Path,
-    data: dict,
-    machines: List[DTOP],
-    labels: List[str],
-    engine_fingerprint: str,
-) -> Tuple[DTOP, bool]:
-    """The fused machine of a pipeline; sidecar-recovered when fresh.
-
-    A pipeline's ``.engine`` sidecar stores ``(fused-machine JSON,
-    engine payload)``: recovering both skips the product construction,
-    the earliest normalization (which itself compiles an intermediate
-    machine), *and* the final compilation — a warm boot does zero
-    fusion work per pipeline.  Returns ``(machine, recovered)``; on a
-    miss the members are fused from scratch.
-    """
-    record = load_engine_artifact(engine_path_for(path), engine_fingerprint)
-    if isinstance(record, tuple) and len(record) == 2:
-        fused_json, payload = record
-        try:
-            machine = serialize_loads(fused_json)
-            if isinstance(machine, DTOP):
-                attach_payload(machine, payload)
-                return machine, True
-        except Exception:
-            pass  # unreadable recovery record: fall through and fuse
-    fused = compose_chain(
-        machines, earliest=bool(data.get("earliest", False)), labels=labels
-    )
-    return fused, False
+    return machines, member_fingerprints, list(stages), labels
 
 
 def _load_entry(
@@ -599,19 +463,14 @@ def _load_entry(
     # One read, one JSON parse; the loaders below work on the parsed
     # data (a large bundle must not be read and parsed twice per reload,
     # and a single read narrows the window for catching a mid-write
-    # file whose fingerprint no longer matches its content).  The raw
-    # bytes also feed the engine-artifact content fingerprint.
+    # file whose fingerprint no longer matches its content).
     try:
-        raw_bytes = path.read_bytes()
-        data = json.loads(raw_bytes.decode("utf-8"))
+        data = json.loads(path.read_bytes().decode("utf-8"))
     except (OSError, ValueError) as error:
         raise RegistryError(f"cannot read model {path.name}: {error}") from None
     fields = data if isinstance(data, dict) else {}
-    content_chunks = [raw_bytes]
     member_fingerprints: List[Tuple[Path, Tuple[int, int]]] = []
     members: Optional[List[str]] = None
-    engine_fingerprint: Optional[str] = None
-    recovered = False
     try:
         # Per-model backend pin: an artifact's "backend" key beats the
         # server-wide default, which beats REPRO_BACKEND, which beats
@@ -620,22 +479,20 @@ def _load_entry(
         # request.
         backend = resolve_backend(fields.get("backend"), default_backend)
         if fields.get("format") == PIPELINE_FORMAT:
-            machines, member_bytes, member_fingerprints, members, labels = (
+            machines, member_fingerprints, members, labels = (
                 _read_pipeline_members(path, data)
             )
-            content_chunks.extend(member_bytes)
-            engine_fingerprint = fingerprint_payload(content_chunks, backend)
-            machine, recovered = _recover_or_fuse(
-                path, data, machines, labels, engine_fingerprint
+            machine = compose_chain(
+                machines,
+                earliest=bool(data.get("earliest", False)),
+                labels=labels,
             )
             transformation = Transformation(machine, TERM_CODEC)
         else:
             transformation = transformation_from_bundle(data)
     except ReproError as error:
         raise RegistryError(f"cannot load model {path.name}: {error}") from None
-    if engine_fingerprint is None:
-        engine_fingerprint = fingerprint_payload(content_chunks, backend)
-    entry = ModelEntry(
+    return ModelEntry(
         name,
         version,
         path,
@@ -643,15 +500,9 @@ def _load_entry(
         jobs=jobs,
         fingerprint=fingerprint,
         backend=backend,
-        engine_fingerprint=engine_fingerprint,
         member_fingerprints=member_fingerprints,
         members=members,
     )
-    if members is None:
-        entry.bind_engine_cache()
-    elif recovered:
-        entry.adopt_recovered_engine()
-    return entry
 
 
 class ModelRegistry:
@@ -770,27 +621,19 @@ class ModelRegistry:
             old.retire()
         return summary
 
-    def warm(self) -> Dict[str, int]:
-        """Precompile or cache-load every entry before serving traffic.
+    def warm(self) -> int:
+        """Build every entry's engine before serving traffic.
 
         Drives :meth:`ModelEntry.warm` over the whole table (engines
-        attached, sidecars written, sharded pools prestarted) and
-        reports ``{"warmed", "from_cache", "compiled"}`` — against a
-        fresh sidecar set, ``compiled == 0``.
+        compiled, sharded pools prestarted); returns how many entries
+        it warmed.
         """
         if self._closed:
             raise RegistryError("registry is closed")
-        warmed = 0
-        from_cache = 0
-        for key in self.keys():
-            if self._entries[key].warm():
-                from_cache += 1
-            warmed += 1
-        return {
-            "warmed": warmed,
-            "from_cache": from_cache,
-            "compiled": warmed - from_cache,
-        }
+        keys = self.keys()
+        for key in keys:
+            self._entries[key].warm()
+        return len(keys)
 
     # -- resolution -----------------------------------------------------
 

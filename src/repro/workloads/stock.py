@@ -272,8 +272,7 @@ def _readme_text() -> str:
         "",
         "XML models take documents as XML text; JSON models take one",
         "JSON document per request (or one per line on the streaming",
-        "endpoint).  `.engine` sidecar caches appear next to artifacts",
-        "after a warm start and are ignored by git.",
+        "endpoint).",
         "",
     ]
     return "\n".join(lines)

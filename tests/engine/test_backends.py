@@ -139,6 +139,11 @@ class TestRegistry:
             get_backend("gpu")
 
 
+class TestAutoBackend:
+    def test_auto_is_codegen(self):
+        assert resolve_backend(AUTO_BACKEND) == "codegen"
+
+
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(4))

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.engine import compile_dtop, compile_dtta, engine_for
+from repro.engine import (
+    artifact_stats,
+    compile_dtop,
+    compile_dtta,
+    engine_for,
+    reset_artifact_stats,
+)
 from repro.engine.compile import OP_CALL, OP_CONST, OP_MAKE
 from repro.errors import UndefinedTransductionError
 from repro.trees.alphabet import RankedAlphabet
@@ -143,6 +149,33 @@ class TestEngineCaching:
         clone = machine.rename({"q": "p"})
         assert clone._engine is None
         assert str(engine_for(clone).run(parse_term("f(a, b)"))) == "f(b, a)"
+
+    def test_compile_counter_counts_compilations(self):
+        machine, _domain = cycle_relabel(3)
+        machine.clear_caches()
+        reset_artifact_stats()
+        engine_for(machine)
+        assert artifact_stats()["compiles"] == 1
+        engine_for(machine)  # cached EngineSet
+        assert artifact_stats()["compiles"] == 1
+
+    def test_switching_backends_never_recompiles(self):
+        machine = flip()
+        reset_artifact_stats()
+        tables = engine_for(machine, "tables")
+        codegen = engine_for(machine, "codegen")
+        assert tables is not codegen
+        assert artifact_stats() == {"compiles": 1, "payload_hits": 0}
+        document = parse_term("f(g(a), b)")
+        assert str(tables.run(document)) == str(codegen.run(document))
+
+    def test_reset_artifact_stats_zeroes_the_counter(self):
+        engine_for(flip())
+        assert artifact_stats()["compiles"] >= 1
+        reset_artifact_stats()
+        assert artifact_stats() == {"compiles": 0, "payload_hits": 0}
+        compile_dtop(flip())
+        assert artifact_stats()["compiles"] == 1
 
 
 class TestEngineSemantics:

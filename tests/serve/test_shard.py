@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from repro.engine import available_backends, engine_for
+from repro.engine import (
+    artifact_stats,
+    available_backends,
+    engine_for,
+    reset_artifact_stats,
+)
 from repro.serve.shard import (
     chunk_forest,
     decode_forest,
@@ -89,6 +94,20 @@ class TestEnginePayload:
                     scan(item)
 
         scan(payload)
+
+    def test_unpacked_engine_compiles_nothing(self):
+        machine, _ = random_total_dtop(3, seed=5)
+        payload = pack_engine(engine_for(machine).compiled)
+        forest = [
+            random_tree(machine.input_alphabet, max_height=5, rng=random.Random(6))
+            for _ in range(20)
+        ]
+        reset_artifact_stats()
+        shipped = unpack_engine(pickle.loads(pickle.dumps(payload)))
+        got = shipped.run_batch_outcomes(forest)
+        assert artifact_stats() == {"compiles": 0, "payload_hits": 0}
+        want = [machine.apply(document) for document in forest]
+        assert [str(outcome) for outcome in got] == [str(tree) for tree in want]
 
     def test_unpack_rejects_foreign_payloads(self):
         from repro.errors import ServiceError

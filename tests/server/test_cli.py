@@ -369,3 +369,46 @@ class TestServerCommand:
                 process.communicate()
         assert process.returncode == 0
         assert "repro server stopped" in stderr.decode()
+
+    def test_warm_banner_precedes_the_listening_line(self, models_dir):
+        """`repro server --warm` builds every engine before it binds:
+        the warm banner is the first stderr line, it counts the
+        entries, and the models directory gains no file."""
+        before = sorted(path.name for path in models_dir.iterdir())
+        src_dir = Path(repro.__file__).parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src_dir) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "server",
+                "--models", str(models_dir),
+                "--port", "0",
+                "--max-wait-ms", "1",
+                "--warm",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            warmed = process.stderr.readline().decode()
+            assert warmed.strip() == "repro server warmed 2 engines", warmed
+            banner = process.stderr.readline().decode()
+            assert "listening on" in banner, banner
+            port = int(banner.split("listening on ")[1].split()[0].split(":")[1])
+            with ServerClient("127.0.0.1", port) as client:
+                counters = client.stats()["engine_artifacts"]
+                assert counters["compiles"] >= 2
+                flipped = client.transform("flip", "root(a(#, #), #)")
+                assert flipped == "root(#, a(#, #))"
+                assert client.stats()["engine_artifacts"] == counters
+            process.send_signal(signal.SIGTERM)
+            process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert sorted(path.name for path in models_dir.iterdir()) == before

@@ -1,6 +1,10 @@
-"""ModelRegistry: loading, resolution, hot reload, deferred teardown."""
+"""ModelRegistry: loading, resolution, hot reload, deferred teardown,
+``repro/pipeline@1`` artifacts, and warm boots that read and write
+nothing but the model JSON."""
 
 import json
+import os
+import pickle
 import shutil
 import time
 from pathlib import Path
@@ -8,15 +12,19 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.engine import artifact_stats, reset_artifact_stats
 from repro.engine.backends import ENV_VAR
 from repro.errors import ModelNotFoundError, RegistryError
 from repro.server import ServerClient, ServerThread
 from repro.server.registry import (
+    PIPELINE_FORMAT,
     ModelRegistry,
     _parse_model_filename,
     _version_key,
 )
-from repro.workloads.flip import flip_input, flip_transducer
+from repro.trees.alphabet import RankedAlphabet
+from repro.transducers.compose import compose_chain
+from repro.workloads.flip import FLIP_ALPHABET, flip_input, flip_transducer
 
 from tests.server.conftest import MALFORMED_ARTIFACTS, identity_dtop
 
@@ -28,6 +36,30 @@ def pin_backend(path, backend):
     data = json.loads(path.read_text())
     data["backend"] = backend
     path.write_text(json.dumps(data))
+
+
+def write_pipeline(directory, name, stages, **extra):
+    data = {"format": PIPELINE_FORMAT, "stages": stages}
+    data.update(extra)
+    (directory / f"{name}.json").write_text(json.dumps(data))
+
+
+def directory_state(directory):
+    """Every file under ``directory`` with its bytes and mtime."""
+    return {
+        path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(directory.iterdir())
+    }
+
+
+class PlantedEngine:
+    """Unpickling this object creates the directory ``marker``."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.marker,))
 
 
 class TestLoading:
@@ -337,3 +369,236 @@ class TestBackendPins:
             assert str(old.run_batch([flip_input(1, 0)])[0]) == (
                 "root(#, a(#, #))"
             )
+
+
+class TestPipelineArtifacts:
+    def test_pipeline_loads_serves_and_describes(self, models_dir):
+        write_pipeline(models_dir, "double@1", ["flip@1", "flip@1"])
+        with ModelRegistry(models_dir) as registry:
+            entry = registry.get("double@1")
+            assert entry.members == ["flip@1", "flip@1"]
+            info = {d["model"]: d for d in registry.describe()}
+            assert info["double@1"]["members"] == ["flip@1", "flip@1"]
+            document = api.parse_tree("root(#, #)")
+            assert str(entry.run_batch([document])[0]) == "root(#, #)"
+
+    def test_member_edit_retires_the_pipeline(self, models_dir):
+        api.save(
+            identity_dtop(FLIP_ALPHABET), str(models_dir / "stage@1.json")
+        )
+        write_pipeline(models_dir, "chain@1", ["stage@1"])
+        with ModelRegistry(models_dir) as registry:
+            document = flip_input(1, 1)
+            served = registry.get("chain@1").run_batch([document])[0]
+            assert str(served) == str(document)  # identity stage
+
+            time.sleep(0.01)
+            api.save(flip_transducer(), str(models_dir / "stage@1.json"))
+            summary = registry.reload()
+            assert "chain@1" in summary["reloaded"]
+            assert "stage@1" in summary["reloaded"]
+
+            expected = str(api.run(flip_transducer(), document))
+            served = registry.get("chain@1").run_batch([document])[0]
+            assert str(served) == expected
+
+    def test_incompatible_link_names_the_pair(self, tmp_path):
+        api.save(
+            identity_dtop(RankedAlphabet({"f": 2, "a": 0})),
+            str(tmp_path / "left@1.json"),
+        )
+        api.save(
+            identity_dtop(RankedAlphabet({"f": 1, "a": 0})),
+            str(tmp_path / "right@1.json"),
+        )
+        write_pipeline(tmp_path, "bad@1", ["left@1", "right@1"])
+        with pytest.raises(RegistryError) as caught:
+            ModelRegistry(tmp_path)
+        message = str(caught.value)
+        assert "left@1.json" in message and "right@1.json" in message
+
+    def test_nested_pipeline_rejected(self, models_dir):
+        write_pipeline(models_dir, "inner@1", ["flip@1"])
+        write_pipeline(models_dir, "outer@1", ["inner@1"])
+        with pytest.raises(RegistryError) as caught:
+            ModelRegistry(models_dir)
+        assert "nesting" in str(caught.value)
+
+    def test_self_reference_rejected(self, models_dir):
+        write_pipeline(models_dir, "self@1", ["self@1"])
+        with pytest.raises(RegistryError) as caught:
+            ModelRegistry(models_dir)
+        assert "itself" in str(caught.value)
+
+    def test_empty_stage_list_rejected(self, models_dir):
+        write_pipeline(models_dir, "none@1", [])
+        with pytest.raises(RegistryError) as caught:
+            ModelRegistry(models_dir)
+        assert "stages" in str(caught.value)
+
+
+class TestWarmBoot:
+    def test_planted_engine_pickle_is_never_loaded(self, models_dir, tmp_path):
+        marker = tmp_path / "unpickled"
+        planted = models_dir / "flip@1.engine"
+        planted.write_bytes(pickle.dumps(PlantedEngine(marker)))
+        before = (planted.read_bytes(), planted.stat().st_mtime_ns)
+        with ModelRegistry(models_dir) as registry:
+            registry.warm()
+            document = flip_input(1, 1)
+            served = registry.get("flip@1").run_batch([document])[0]
+            assert str(served) == str(flip_transducer().apply(document))
+        assert not marker.exists()
+        assert (planted.read_bytes(), planted.stat().st_mtime_ns) == before
+
+    def test_warm_compiles_every_entry_and_writes_nothing(self, models_dir):
+        write_pipeline(models_dir, "double@1", ["flip@1", "flip@1"])
+        before = directory_state(models_dir)
+        reset_artifact_stats()
+        with ModelRegistry(models_dir) as registry:
+            assert registry.warm() == 3
+            compiles = artifact_stats()["compiles"]
+            assert compiles >= 3
+            document = api.parse_tree("root(#, #)")
+            entry = registry.get("double@1")
+            assert str(entry.run_batch([document])[0]) == "root(#, #)"
+            # Serving a warmed entry compiles nothing more.
+            assert artifact_stats()["compiles"] == compiles
+        assert directory_state(models_dir) == before
+
+    def test_warm_server_compiles_before_the_socket_opens(self, models_dir):
+        reset_artifact_stats()
+        with ServerThread(models_dir, warm=True) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                compiles = client.stats()["engine_artifacts"]["compiles"]
+                assert compiles >= 2
+                got = client.transform("flip", "root(a(#, #), #)")
+                assert got == "root(#, a(#, #))"
+                counters = client.stats()["engine_artifacts"]
+                assert counters == {"compiles": compiles, "payload_hits": 0}
+
+    def test_second_boot_compiles_every_entry_again(self, models_dir):
+        document = flip_input(1, 1)
+        counts, outputs = [], []
+        for _boot in range(2):
+            reset_artifact_stats()
+            with ModelRegistry(models_dir) as registry:
+                assert registry.warm() == 2
+                counts.append(artifact_stats()["compiles"])
+                entry = registry.get("flip@1")
+                outputs.append(str(entry.run_batch([document])[0]))
+        assert counts[0] == counts[1] >= 2
+        assert outputs == [str(flip_transducer().apply(document))] * 2
+
+    def test_second_boot_fuses_the_pipeline_again(self, models_dir):
+        write_pipeline(
+            models_dir, "double@1", ["flip@1", "flip@1"], earliest=True
+        )
+        document = flip_input(2, 1)
+        fused = compose_chain([flip_transducer()] * 2, earliest=True)
+        staged = str(fused.apply(document))
+        counts, outputs = [], []
+        for _boot in range(2):
+            reset_artifact_stats()
+            with ModelRegistry(models_dir) as registry:
+                registry.warm()
+                counts.append(artifact_stats()["compiles"])
+                entry = registry.get("double@1")
+                outputs.append(str(entry.run_batch([document])[0]))
+        assert counts[0] == counts[1] >= 3
+        assert outputs == [staged] * 2
+
+    def test_edited_model_recompiles_only_its_entry(
+        self, models_dir, flip_identity
+    ):
+        with ModelRegistry(models_dir) as registry:
+            registry.warm()
+            untouched = registry.get("xmlflip@1")
+            time.sleep(0.01)  # ensure a distinct mtime_ns
+            api.save(flip_identity, str(models_dir / "flip@1.json"))
+            reset_artifact_stats()
+            assert registry.reload()["reloaded"] == ["flip@1"]
+            assert registry.warm() == 2
+            assert artifact_stats()["compiles"] == 1  # flip@1 only
+            assert registry.get("xmlflip@1") is untouched
+            document = flip_input(2, 0)
+            served = registry.get("flip@1").run_batch([document])[0]
+            assert str(served) == str(document)
+
+    def test_warm_twice_compiles_nothing_more(self, models_dir):
+        with ModelRegistry(models_dir) as registry:
+            registry.warm()
+            reset_artifact_stats()
+            assert registry.warm() == 2
+            assert artifact_stats()["compiles"] == 0
+
+    def test_lazy_boot_compiles_on_the_first_batch(self, models_dir):
+        reset_artifact_stats()
+        with ModelRegistry(models_dir) as registry:
+            assert artifact_stats()["compiles"] == 0
+            entry = registry.get("flip@1")
+            assert entry.peek_engine() is None
+            entry.run_batch([flip_input(1, 1)])
+            assert artifact_stats()["compiles"] == 1
+            assert entry.peek_engine() is not None
+            assert registry.get("xmlflip@1").peek_engine() is None
+
+    def test_warm_over_a_read_only_directory(self, models_dir):
+        write_pipeline(models_dir, "double@1", ["flip@1", "flip@1"])
+        before = directory_state(models_dir)
+        modes = {path: path.stat().st_mode for path in models_dir.iterdir()}
+        directory_mode = models_dir.stat().st_mode
+        for path in modes:
+            path.chmod(0o444)
+        models_dir.chmod(0o555)
+        try:
+            with ModelRegistry(models_dir) as registry:
+                assert registry.warm() == 3
+                document = flip_input(1, 1)
+                served = registry.get("flip@1").run_batch([document])[0]
+                assert str(served) == str(flip_transducer().apply(document))
+        finally:
+            models_dir.chmod(directory_mode)
+            for path, mode in modes.items():
+                path.chmod(mode)
+        assert directory_state(models_dir) == before
+        assert not list(models_dir.glob("*.engine"))
+
+    def test_stray_engine_file_is_not_a_model(self, models_dir):
+        stray = models_dir / "ghost@1.engine"
+        stray.write_bytes(b"\x80\x04not a pickle")
+        before = stray.read_bytes()
+        with ModelRegistry(models_dir) as registry:
+            assert registry.keys() == ["flip@1", "xmlflip@1"]
+            summary = registry.reload()
+            assert summary["failed"] == [] and summary["loaded"] == []
+            with pytest.raises(ModelNotFoundError):
+                registry.get("ghost")
+        assert stray.read_bytes() == before
+
+    def test_warm_prestarts_sharded_pools(self, models_dir):
+        with ModelRegistry(models_dir, jobs=2) as registry:
+            assert registry.warm() == 2
+            for key in ("flip@1", "xmlflip@1"):
+                service = registry.get(key).peek_service()
+                assert service is not None and service.jobs == 2
+                assert service._executor is not None
+            document = flip_input(1, 1)
+            served = registry.get("flip@1").run_batch([document])[0]
+            assert str(served) == str(flip_transducer().apply(document))
+
+    def test_warm_on_a_closed_registry_raises(self, models_dir):
+        registry = ModelRegistry(models_dir)
+        registry.close()
+        with pytest.raises(RegistryError, match="closed"):
+            registry.warm()
+
+    def test_lazy_server_compiles_on_the_first_request(self, models_dir):
+        reset_artifact_stats()
+        with ServerThread(models_dir) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                assert client.stats()["engine_artifacts"]["compiles"] == 0
+                got = client.transform("flip", "root(a(#, #), #)")
+                assert got == "root(#, a(#, #))"
+                counters = client.stats()["engine_artifacts"]
+                assert counters == {"compiles": 1, "payload_hits": 0}

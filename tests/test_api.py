@@ -122,6 +122,14 @@ class TestCacheManagement:
         assert "compiles" in stats["engine_artifacts"]
         assert "payload_hits" in stats["engine_artifacts"]
 
+    def test_cache_stats_counts_compiles(self):
+        machine = api.learn(FLIP_EXAMPLES)
+        before = api.cache_stats()["engine_artifacts"]
+        assert before["payload_hits"] == 0
+        api.run_batch(machine, ["f(f(a, b), a)", "b"])
+        after = api.cache_stats()["engine_artifacts"]
+        assert after == {"compiles": before["compiles"] + 1, "payload_hits": 0}
+
     def test_clear_caches_runs(self):
         Tree("f", (Tree("a", ()), Tree("a", ())))
         api.clear_caches()
