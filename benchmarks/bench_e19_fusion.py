@@ -16,7 +16,7 @@ import json
 import os
 import time
 
-from repro.engine import compile_dtop, get_backend
+from repro.engine import Engine, compile_dtop
 from repro.transducers.compose import compose_chain
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import call
@@ -94,10 +94,8 @@ def test_e19_fused_pipeline_beats_staged(benchmark):
     forest = _forest()
 
     def race():
-        staged_engines = [
-            get_backend("tables")(compile_dtop(stage)) for stage in stages
-        ]
-        fused_engine = get_backend("tables")(compile_dtop(fused))
+        staged_engines = [Engine(compile_dtop(stage)) for stage in stages]
+        fused_engine = Engine(compile_dtop(fused))
 
         def staged_pass():
             current = forest

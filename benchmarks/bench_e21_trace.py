@@ -191,7 +191,6 @@ def test_e21_profiler_reports_the_hot_rules_of_a_stock_pipeline(
         "model": "swap-twice@1",
         "documents": len(texts),
         "serve_s": elapsed,
-        "backend": snapshot["backend"],
         "sweeps": snapshot["sweeps"],
         "rules_evaluated": snapshot["rules_evaluated"],
         "top_rules": top,
@@ -200,8 +199,7 @@ def test_e21_profiler_reports_the_hot_rules_of_a_stock_pipeline(
     report(
         "E21/profiler",
         "the profile verb answers per-rule hit counts for a stock pipeline",
-        f"swap-twice@1 ({snapshot['backend']}): "
-        f"{snapshot['rules_evaluated']} evaluations over "
+        f"swap-twice@1: {snapshot['rules_evaluated']} evaluations over "
         f"{snapshot['sweeps']} sweeps; hottest rule "
         f"{top[0]['label']!r} with {top[0]['hits']} hits",
     )

@@ -47,11 +47,9 @@ from repro.automata.build import local_dtta_from_trees
 from repro.automata.dtta import DTTA
 from repro.engine import (
     artifact_stats,
-    backend_stats,
     clear_sample_table_caches,
     engine_for,
     reset_artifact_stats,
-    reset_backend_stats,
     sample_tables_stats,
 )
 from repro.errors import ReproError, UndefinedTransductionError
@@ -146,11 +144,7 @@ def learn(
     return rpni_dtop(sample, domain)
 
 
-def run(
-    transducer: TransducerLike,
-    tree: TreeLike,
-    backend: Optional[str] = None,
-) -> Tree:
+def run(transducer: TransducerLike, tree: TreeLike) -> Tree:
     """Apply a transducer to an input tree: ``[[M]](s)``.
 
     Raises :class:`~repro.errors.UndefinedTransductionError` when the
@@ -160,20 +154,14 @@ def run(
     the shared tree DAG — arbitrarily deep inputs are fine, and repeated
     runs over overlapping inputs are incremental through the persistent
     ``(state, node-uid)`` memo.
-
-    ``backend`` selects an execution backend by name
-    (``tables`` / ``codegen``); ``None`` defers to the
-    ``REPRO_BACKEND`` environment variable, then the ``tables`` default.
-    All backends are byte-identical in outputs and errors.
     """
-    return engine_for(_as_dtop(transducer), backend).run(parse_tree(tree))
+    return engine_for(_as_dtop(transducer)).run(parse_tree(tree))
 
 
 def _batch_outcomes(
     transducer: TransducerLike,
     trees: Iterable[TreeLike],
     parallel: Optional[int],
-    backend: Optional[str] = None,
 ) -> list:
     """Per-input outcomes, serial or through a sharded worker pool."""
     machine = _as_dtop(transducer)
@@ -181,16 +169,15 @@ def _batch_outcomes(
     if parallel is not None and parallel > 1:
         from repro.serve import TransformService
 
-        with TransformService(machine, jobs=parallel, backend=backend) as service:
+        with TransformService(machine, jobs=parallel) as service:
             return list(service.map(forest))
-    return engine_for(machine, backend).run_batch_outcomes(forest)
+    return engine_for(machine).run_batch_outcomes(forest)
 
 
 def run_batch(
     transducer: TransducerLike,
     trees: Iterable[TreeLike],
     parallel: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> list:
     """Apply a transducer to a whole forest in one bottom-up sweep.
 
@@ -213,7 +200,7 @@ def run_batch(
     >>> [str(t) for t in run_batch(learned, ["f(a, b)", "f(b, b)"])]
     ['g(b)', 'g(b)']
     """
-    outcomes = _batch_outcomes(transducer, trees, parallel, backend)
+    outcomes = _batch_outcomes(transducer, trees, parallel)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -224,7 +211,6 @@ def try_run_batch(
     transducer: TransducerLike,
     trees: Iterable[TreeLike],
     parallel: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> list:
     """Like :func:`run_batch`, but undefined inputs yield ``None``.
 
@@ -235,7 +221,7 @@ def try_run_batch(
     and silently reporting them as undefined would misclassify them.
     """
     results = []
-    for outcome in _batch_outcomes(transducer, trees, parallel, backend):
+    for outcome in _batch_outcomes(transducer, trees, parallel):
         if isinstance(outcome, UndefinedTransductionError):
             results.append(None)
         elif isinstance(outcome, Exception):
@@ -315,7 +301,7 @@ def serve_forever(
     concurrent requests into micro-batches, and shards each model across
     ``jobs`` worker processes.  Extra ``knobs`` — ``max_batch``,
     ``max_wait_ms``, ``max_pending``, ``stats``, ``metrics``,
-    ``log_json``, ``backend`` — are forwarded to
+    ``log_json``, ``warm`` — are forwarded to
     :func:`repro.server.app.serve_forever`.  Blocks; returns the exit
     code.
     """
@@ -426,16 +412,14 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
     bucket hits).
 
     Per-transducer run memos are reported by ``DTOP.cache_stats`` and
-    per-sample memos by ``Sample.cache_stats()``.  The ``backends``
-    entry breaks batches / hits / misses down by execution backend
-    process-wide (``tables`` / ``codegen``); the
+    per-sample memos by ``Sample.cache_stats()``; the engine's memo
+    counters by ``engine_for(machine).cache_stats``.  The
     ``engine_artifacts`` entry counts table compilations (``compiles``).
     """
     return {
         "intern": intern_stats(),
         "lcp": lcp_cache_stats(),
         "sample_tables": sample_tables_stats(),
-        "backends": backend_stats(),
         "engine_artifacts": artifact_stats(),
     }
 
@@ -450,5 +434,4 @@ def clear_caches() -> None:
     reset_intern_stats()
     clear_sample_table_caches()
     clear_learning_memos()
-    reset_backend_stats()
     reset_artifact_stats()

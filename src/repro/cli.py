@@ -82,7 +82,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 from repro.codec import Transformation, compose_transformations, load_transformation
-from repro.engine.backends import resolve_backend
 from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACE, new_trace, render_trace_dict
 from repro.xml.dtd import parse_dtd
@@ -371,22 +370,17 @@ def _cmd_apply(args: argparse.Namespace) -> int:
             output=args.output,
             chunk_docs=args.chunk_docs,
             stats=False,
-            backend=args.backend,
             doc_format=doc_format,
         )
     codec = transformation.codec
     paths = _collect_documents(args, doc_format)
 
     if len(paths) == 1 and not args.batch_dir:
-        # Single-document mode: errors raise via main().  The backend is
-        # resolved before any work, so a typo fails even on one document.
-        backend = resolve_backend(args.backend)
+        # Single-document mode: errors raise via main().
         trace = new_trace() if args.trace else NULL_TRACE
         with trace.span("decode", format=doc_format):
             document = codec.parse(paths[0].read_text())
-        (result,) = transformation.apply_batch(
-            [document], backend=backend, trace=trace
-        )
+        (result,) = transformation.apply_batch([document], trace=trace)
         if isinstance(result, Exception):
             raise result
         with trace.span("encode", format=doc_format):
@@ -422,7 +416,6 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         transformation.apply_batch(
             [d for d in documents if d is not None],
             jobs=args.jobs,
-            backend=args.backend,
             trace=trace,
         )
     )
@@ -450,7 +443,6 @@ def _serve_stream(
     output: Optional[str],
     chunk_docs: int,
     stats: bool,
-    backend: Optional[str] = None,
     doc_format: str = "xml",
 ) -> int:
     """Shared engine of ``serve`` and ``apply --stream``.
@@ -469,7 +461,7 @@ def _serve_stream(
     )
     start = time.perf_counter()
     outcomes = transformation.apply_stream(
-        documents, jobs=jobs, chunk_docs=chunk_docs, backend=backend
+        documents, jobs=jobs, chunk_docs=chunk_docs
     )
     count, failures = _report(
         _stream_results(outcomes, codec.render), out_dir, doc_format
@@ -495,7 +487,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         output=args.output,
         chunk_docs=args.chunk_docs,
         stats=args.stats,
-        backend=args.backend,
         doc_format=_resolve_format(args, transformation),
     )
 
@@ -514,7 +505,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
         stats=args.stats,
         metrics=args.metrics,
         log_json=args.log_json,
-        backend=args.backend,
         warm=args.warm,
         trace_sample_rate=args.trace_sample_rate,
         slow_ms=args.slow_ms,
@@ -640,11 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(NAME or NAME@VERSION)",
     )
     apply_cmd.add_argument(
-        "--backend",
-        help="execution backend (tables/codegen/auto; default: "
-        "$REPRO_BACKEND, then tables)",
-    )
-    apply_cmd.add_argument(
         "--format",
         choices=("auto", "xml", "json"),
         default="auto",
@@ -683,11 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--stats", action="store_true", help="print throughput statistics"
-    )
-    serve.add_argument(
-        "--backend",
-        help="execution backend (tables/codegen/auto; default: "
-        "$REPRO_BACKEND, then tables)",
     )
     serve.add_argument(
         "--format",
@@ -751,11 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream structured one-line JSON events (reloads, shard "
         "crashes/restarts/quarantines) to stderr",
-    )
-    server.add_argument(
-        "--backend",
-        help="server-wide execution backend default "
-        "(tables/codegen/auto); per-model 'backend' artifact keys override it",
     )
     server.add_argument(
         "--warm",

@@ -141,7 +141,6 @@ class Transformation:
         documents: Iterable,
         jobs: Optional[int] = None,
         service=None,
-        backend: Optional[str] = None,
         trace=None,
     ) -> List:
         """Transform a batch of documents; per-document outcomes.
@@ -161,10 +160,8 @@ class Transformation:
         created for this call; pass a live ``service`` (built over
         ``self.transducer``) instead to amortize the pool across many
         batches — the streaming path of :meth:`apply_stream` does.
-        Outcomes are identical either way.  ``backend`` names the
-        execution backend for the engine path (and for pools created by
-        this call); a live ``service`` carries its own.  A ``trace``
-        collects the encode/execute/decode spans.
+        Outcomes are identical either way.  A ``trace`` collects the
+        encode/execute/decode spans.
         """
         if trace is None:
             trace = NULL_TRACE
@@ -196,17 +193,13 @@ class Transformation:
         elif jobs is not None and jobs > 1:
             from repro.serve import TransformService
 
-            with TransformService(
-                self.transducer, jobs=jobs, backend=backend
-            ) as pool:
+            with TransformService(self.transducer, jobs=jobs) as pool:
                 raw_outcomes = pool.run_batch_outcomes(
                     engine_inputs, trace=trace
                 )
         else:
-            engine = engine_for(self.transducer, backend)
-            with trace.span(
-                "execute", backend=engine.backend, documents=len(engine_inputs)
-            ):
+            engine = engine_for(self.transducer)
+            with trace.span("execute", documents=len(engine_inputs)):
                 raw_outcomes = engine.run_batch_outcomes(engine_inputs)
         outcomes = iter(raw_outcomes)
         results: List = []
@@ -246,7 +239,6 @@ class Transformation:
         documents: Iterable,
         jobs: Optional[int] = None,
         chunk_docs: int = 64,
-        backend: Optional[str] = None,
     ):
         """Transform a document stream incrementally; yields outcomes.
 
@@ -263,21 +255,15 @@ class Transformation:
             if jobs is not None and jobs > 1:
                 from repro.serve import TransformService
 
-                service = TransformService(
-                    self.transducer, jobs=jobs, backend=backend
-                )
+                service = TransformService(self.transducer, jobs=jobs)
             window: List = []
             for document in documents:
                 window.append(document)
                 if len(window) >= chunk_docs:
-                    yield from self.apply_batch(
-                        window, service=service, backend=backend
-                    )
+                    yield from self.apply_batch(window, service=service)
                     window = []
             if window:
-                yield from self.apply_batch(
-                    window, service=service, backend=backend
-                )
+                yield from self.apply_batch(window, service=service)
         finally:
             if service is not None:
                 service.close()

@@ -32,12 +32,8 @@ Compilation is cheap enough to repeat in every process: nothing
 compiled is persisted, and :func:`artifact_stats` counts every
 :func:`~repro.engine.compile.compile_dtop` call.
 
-The *execute* stage has two engines over the same compiled tables,
-named in :mod:`repro.engine.backends`: ``tables`` (the dict-driven
-default) and ``codegen`` (per-machine generated Python), selected per
-call via ``engine_for(machine, backend=...)``, per model via registry
-artifacts, or process-wide via the ``REPRO_BACKEND`` environment
-variable.
+The *execute* stage has one engine, :class:`~repro.engine.execute.Engine`;
+nothing selects another.
 
 compile the sample (once per sample, extended incrementally)
     :mod:`repro.engine.sample_tables` is the learning-side analogue:
@@ -51,15 +47,6 @@ compile the sample (once per sample, extended incrementally)
     :class:`~repro.learning.sample.Sample` remain the reference.
 """
 
-from repro.engine.backends import (
-    AUTO_BACKEND,
-    DEFAULT_BACKEND,
-    available_backends,
-    backend_stats,
-    get_backend,
-    reset_backend_stats,
-    resolve_backend,
-)
 from repro.engine.compile import (
     CompiledDTOP,
     CompiledDTTA,
@@ -71,7 +58,6 @@ from repro.engine.compile import (
 from repro.engine.execute import (
     AutomatonEngine,
     Engine,
-    EngineSet,
     automaton_engine_for,
     engine_for,
 )
@@ -92,7 +78,6 @@ __all__ = [
     "compile_dtop",
     "compile_dtta",
     "Engine",
-    "EngineSet",
     "AutomatonEngine",
     "engine_for",
     "automaton_engine_for",
@@ -100,13 +85,6 @@ __all__ = [
     "rule_labels",
     "artifact_stats",
     "reset_artifact_stats",
-    "AUTO_BACKEND",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "backend_stats",
-    "get_backend",
-    "reset_backend_stats",
-    "resolve_backend",
     "SampleTables",
     "MergeIndex",
     "tables_for",

@@ -60,7 +60,6 @@ class CompiledDTOP:
         "symbol_names",
         "num_states",
         "num_symbols",
-        "symbol_arity",
         "rule_of",
         "rule_calls",
         "rule_templates",
@@ -77,9 +76,6 @@ class CompiledDTOP:
     symbol_names: List[Label]
     num_states: int
     num_symbols: int
-    #: Per symbol id: its rank in the input alphabet (backends use this
-    #: to recognize non-deleting machines without the source object).
-    symbol_arity: List[int]
     #: Flat dispatch: ``rule_of[state_id * num_symbols + symbol_id]`` is a
     #: rule index, or -1 when the transducer is undefined there.
     rule_of: List[int]
@@ -204,9 +200,6 @@ def compile_dtop(transducer: "DTOP") -> CompiledDTOP:
     compiled.symbol_ids = symbol_ids
     compiled.num_states = len(state_names)
     compiled.num_symbols = len(symbol_names)
-    compiled.symbol_arity = [
-        transducer.input_alphabet.rank(symbol) for symbol in symbol_names
-    ]
 
     rule_of = [-1] * (len(state_names) * len(symbol_names))
     rule_calls: List[Tuple[CallSite, ...]] = []

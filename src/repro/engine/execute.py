@@ -24,10 +24,10 @@ Python stack.  Results are memoized on ``(state_id, uid)`` — like
 :meth:`DTOP.eval_state`, but shared across every entry point of the
 engine (batch runs, single runs, stopped-run off-path translations).
 
-The memo is bounded by :data:`MEMO_LIMIT` pairs, in every backend and
-every process: at a batch boundary — before a sweep's demand pass, never
-between a sweep and the replay that reads it — a memo past the limit is
-cleared wholesale and ``cache_stats["evictions"]`` counts it.  A clear is
+The memo is bounded by :data:`MEMO_LIMIT` pairs, in every process: at
+a batch boundary — before a sweep's demand pass, never between a sweep
+and the replay that reads it — a memo past the limit is cleared
+wholesale and ``cache_stats["evictions"]`` counts it.  A clear is
 always sound (uids are never reused and the memo is a pure cache), so a
 stream of distinct documents runs on a flat heap while any working set
 below the limit stays warm.  Each engine serializes its entry points
@@ -51,7 +51,6 @@ from repro.errors import UndefinedTransductionError
 from repro.trees.tree import Tree
 from repro.transducers.rhs import StateName
 
-from repro.engine.backends import get_backend, note_batch, resolve_backend
 from repro.engine.profile import clear_profile, new_profile, profile_snapshot
 from repro.engine.compile import (
     OP_CALL,
@@ -74,7 +73,7 @@ Outcome = Union[Tree, UndefinedTransductionError]
 #: built, so unbounded distinct traffic would otherwise grow the heap
 #: (and the cost of every full collection) without limit.  Measured
 #: warm working sets sit far below it: at most 622 pairs per served
-#: stock model, 8,214 for the 24-state validator forest of E15/E18.
+#: stock model, 8,214 for the 24-state validator forest of E15.
 MEMO_LIMIT = 1 << 14
 
 
@@ -101,9 +100,6 @@ class Engine:
     interpreter).  Obtain the per-transducer shared instance with
     :func:`engine_for`.
     """
-
-    #: Backend name; this engine is the ``tables`` execution backend.
-    backend = "tables"
 
     __slots__ = ("compiled", "_memo", "_stats", "_profile", "_lock")
 
@@ -236,7 +232,6 @@ class Engine:
         profile["sweep_seconds"] += now - sweep_began
         stats["hits"] += hits
         stats["misses"] += misses
-        note_batch(self.backend, hits, misses)
         return failed
 
     def _replay(
@@ -355,9 +350,6 @@ class Engine:
         """Number of memoized pairs (what :data:`MEMO_LIMIT` bounds)."""
         return len(self._memo)
 
-    def _drop_memo(self) -> None:
-        self._memo.clear()
-
     def _bound_memo(self) -> None:
         """Batch-boundary eviction: clear a memo past :data:`MEMO_LIMIT`.
 
@@ -365,25 +357,20 @@ class Engine:
         ratios are computed from their deltas); ``evictions`` counts the
         clears.
         """
-        if self.memo_size() > MEMO_LIMIT:
-            self._drop_memo()
+        if len(self._memo) > MEMO_LIMIT:
+            self._memo.clear()
             self._stats["evictions"] += 1
 
     @property
-    def cache_stats(self) -> Dict[str, object]:
+    def cache_stats(self) -> Dict[str, int]:
         """Counters: ``hits``, ``misses`` (pair evaluations), ``batches``,
-        ``evictions`` (memo clears at :data:`MEMO_LIMIT`), ``entries``,
-        plus the serving ``backend`` name."""
-        return {
-            **self._stats,
-            "entries": self.memo_size(),
-            "backend": self.backend,
-        }
+        ``evictions`` (memo clears at :data:`MEMO_LIMIT`) and ``entries``."""
+        return {**self._stats, "entries": len(self._memo)}
 
     @serialized
     def clear_cache(self) -> None:
         """Drop the pair memo and zero the counters (explicit invalidation)."""
-        self._drop_memo()
+        self._memo.clear()
         for counter in self._stats:
             self._stats[counter] = 0
 
@@ -397,11 +384,16 @@ class Engine:
         See :func:`repro.engine.profile.profile_snapshot` for the shape;
         counters accumulate across batches until :meth:`clear_profile`.
         """
-        return profile_snapshot(self.compiled, self.backend, self._profile)
+        return profile_snapshot(self.compiled, self._profile)
 
     def clear_profile(self) -> None:
         """Zero the profiler (the memo and cache stats are untouched)."""
         clear_profile(self._profile)
+
+    def __reduce__(self):
+        # The memo, counters and lock are caches: a pickled or
+        # deep-copied machine rebuilds its engine from the tables alone.
+        return (Engine, (self.compiled,))
 
 
 class AutomatonEngine:
@@ -479,64 +471,28 @@ class AutomatonEngine:
         self._masks.clear()
 
 
-class EngineSet:
-    """Per-transducer cache: one compilation, one engine per backend.
-
-    Stored on the (immutable) transducer's ``_engine`` slot so every
-    consumer — ``api.run``, stopped runs, the learner's oracle — shares
-    one compiled table and, per backend, one memo.
-    """
-
-    __slots__ = ("compiled", "engines")
-
-    def __init__(self, compiled: CompiledDTOP):
-        self.compiled = compiled
-        self.engines: Dict[str, object] = {}
-
-    def engine(self, name: str):
-        engine = self.engines.get(name)
-        if engine is None:
-            with _COMPILE_LOCK:
-                engine = self.engines.get(name)
-                if engine is None:
-                    engine = get_backend(name)(self.compiled)
-                    self.engines[name] = engine
-        return engine
-
-    def __reduce__(self):
-        # Engines are caches (memo, lock, generated code): a pickled or
-        # deep-copied machine rebuilds them lazily from its tables.
-        return (EngineSet, (self.compiled,))
-
-    def clear(self) -> None:
-        """Drop every backend's memo (artifacts stay compiled)."""
-        for engine in list(self.engines.values()):
-            engine.clear_cache()
-
-
-#: Guards first-use compilation and backend instantiation: without it,
-#: two threads hitting a fresh machine both compile and the loser's memo
-#: is silently discarded (wasted work, split caches).
+#: Guards first-use compilation: without it, two threads hitting a
+#: fresh machine both compile and the loser's memo is silently
+#: discarded (wasted work, split caches).
 _COMPILE_LOCK = threading.Lock()
 
 
-def engine_for(transducer: "DTOP", backend: Optional[str] = None) -> Engine:
-    """The shared engine of a transducer for the resolved backend.
+def engine_for(transducer: "DTOP") -> Engine:
+    """The shared engine of a transducer.
 
-    ``backend`` overrides the ``REPRO_BACKEND`` environment variable,
-    which overrides the ``tables`` default.  The machine is compiled on
-    first use (once, under a lock) and each backend's engine is built
-    lazily from the shared tables, so switching backends never recompiles
-    and every caller naming the same backend shares one memo.
+    The machine is compiled on first use (once, under a lock) and the
+    engine is stored on the transducer's ``_engine`` slot, so every
+    consumer — ``api.run``, stopped runs, the learner's oracle — shares
+    one compiled table and one memo.
     """
-    engines = transducer._engine
-    if engines is None:
+    engine = transducer._engine
+    if engine is None:
         with _COMPILE_LOCK:
-            engines = transducer._engine
-            if engines is None:
-                engines = EngineSet(compile_dtop(transducer))
-                transducer._engine = engines
-    return engines.engine(resolve_backend(backend))
+            engine = transducer._engine
+            if engine is None:
+                engine = Engine(compile_dtop(transducer))
+                transducer._engine = engine
+    return engine
 
 
 def automaton_engine_for(automaton: "DTTA") -> AutomatonEngine:

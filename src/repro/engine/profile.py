@@ -1,4 +1,4 @@
-"""Hot-path profiler structures shared by both execution backends.
+"""Hot-path profiler structures of the DTOP engine.
 
 Each engine owns one mutable *profile* dict (:func:`new_profile`) and
 bumps its counters from the sweep's miss path — evaluations, not memo
@@ -7,11 +7,10 @@ dict holds:
 
 ``rule_hits``
     one int per compiled rule index: how many demanded pairs that rule
-    evaluated (tables: template replays; codegen: generated-function
-    calls).
+    evaluated (template replays).
 ``height_pairs`` / ``height_seconds``
     pairs evaluated and wall time spent per subtree-height level of the
-    sweep (tables only; codegen leaves them empty).
+    sweep.
 ``sweeps`` / ``sweep_seconds``
     sweep invocations and their total wall time.
 
@@ -61,11 +60,11 @@ def rule_labels(compiled) -> List[str]:
     return labels
 
 
-def profile_snapshot(compiled, backend: str, profile: Dict[str, Any]) -> Dict[str, Any]:
+def profile_snapshot(compiled, profile: Dict[str, Any]) -> Dict[str, Any]:
     """The JSON-ready snapshot of one engine's profile.
 
     ``rules`` lists only rules that fired, hottest first; ``heights``
-    is empty on backends that do not time height levels (codegen).
+    lists every sweep height level, lowest first.
     """
     labels = rule_labels(compiled)
     rules = [
@@ -85,7 +84,6 @@ def profile_snapshot(compiled, backend: str, profile: Dict[str, Any]) -> Dict[st
         for height in sorted(set(height_pairs) | set(height_seconds))
     ]
     return {
-        "backend": backend,
         "sweeps": profile["sweeps"],
         "sweep_seconds": round(profile["sweep_seconds"], 9),
         "rules_evaluated": sum(profile["rule_hits"]),

@@ -149,11 +149,3 @@ class AmbiguousContentModelError(DTDError):
 class EncodingError(ReproError):
     """A ranked tree is not a valid DTD-encoding, or encoding failed."""
 
-
-class BackendError(ReproError):
-    """An execution backend name is unknown.
-
-    Raised by :func:`repro.engine.backends.get_backend` (and so by
-    :func:`~repro.engine.backends.resolve_backend`) for any name other
-    than ``tables``, ``codegen`` or the ``auto`` alias.
-    """

@@ -138,10 +138,6 @@ class TransformService:
     ``max_pending``
         chunks allowed in flight before :meth:`submit` blocks
         (default ``2 × jobs``).
-    ``backend``
-        execution backend name for the serial path and every worker
-        (``None`` defers to ``REPRO_BACKEND`` / the ``tables`` default);
-        resolved at first dispatch and shipped in the worker payload.
     """
 
     def __init__(
@@ -150,12 +146,10 @@ class TransformService:
         jobs: Optional[int] = None,
         chunk_size: int = 32,
         max_pending: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         if chunk_size < 1:
             raise ServiceError("chunk_size must be at least 1")
         self._transducer = transducer
-        self._backend = backend
         self.jobs = max(1, jobs or 1)
         self.chunk_size = chunk_size
         self.max_pending = max_pending if max_pending else 2 * self.jobs
@@ -189,12 +183,12 @@ class TransformService:
     def _ensure_fresh(self) -> None:
         """(Re)pack tables and (re)start the pool when the machine's
         engine handle changed — the ``clear_caches`` invalidation path."""
-        engine = engine_for(self._transducer, self._backend)
+        engine = engine_for(self._transducer)
         if engine is self._source_engine:
             return
         self._source_engine = engine
         if self._parallel:
-            self._payload = shard.pack_engine(engine.compiled, engine.backend)
+            self._payload = shard.pack_engine(engine.compiled)
             self._stats["repacks"] += 1
             with self._pool_lock:
                 if self._executor is not None:
@@ -295,12 +289,7 @@ class TransformService:
             chunk.attempts += 1
             self._unresolved.append(chunk)
         elif chunk.trace:
-            with chunk.trace.span(
-                "execute",
-                backend=self._source_engine.backend,
-                documents=len(trees),
-                jobs=1,
-            ):
+            with chunk.trace.span("execute", documents=len(trees), jobs=1):
                 chunk.outcomes = list(
                     self._source_engine.run_batch_outcomes(trees)
                 )

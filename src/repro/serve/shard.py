@@ -44,16 +44,18 @@ import os
 import signal
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.backends import DEFAULT_BACKEND, get_backend
 from repro.engine.compile import OP_CONST, CompiledDTOP
 from repro.engine.execute import Engine
 from repro.errors import ServiceError, UndefinedTransductionError
 from repro.obs.trace import NULL_TRACE, TraceContext
-from repro.trees.tree import Label, Tree
+from repro.trees.tree import Tree
 
 #: Version tag of the engine payload; bump when the layout changes.
-#: ``@2`` added the execution backend name and the symbol arity table.
-PAYLOAD_FORMAT = "repro/engine-payload@2"
+#: :func:`unpack_engine` refuses every other version.
+PAYLOAD_FORMAT = "repro/engine-payload@3"
+
+#: Fields of a :data:`PAYLOAD_FORMAT` tuple, the format tag included.
+PAYLOAD_FIELDS = 9
 
 #: One encoded node: ``(label, child_index, …)`` — children point at
 #: earlier records of the same table (postorder invariant).
@@ -122,16 +124,13 @@ def decode_forest(encoded: EncodedForest) -> List[Tree]:
 # ---------------------------------------------------------------------------
 
 
-def pack_engine(
-    compiled: CompiledDTOP, backend: str = DEFAULT_BACKEND
-) -> tuple:
+def pack_engine(compiled: CompiledDTOP) -> tuple:
     """Reduce compiled DTOP tables to a plain picklable payload.
 
     The payload contains no :class:`Tree`, no source transducer, and no
     caches — ``OP_CONST`` operands are flat-encoded through the forest
     codec (shared ground subtrees stay shared).  It is serialized once
-    per worker by the pool initializer.  ``backend`` names the execution
-    backend every worker honoring this payload must instantiate.
+    per worker by the pool initializer.
     """
     const_trees: List[Tree] = []
     for template in list(compiled.rule_templates) + [compiled.axiom_template]:
@@ -157,10 +156,8 @@ def pack_engine(
     axiom_template = strip(compiled.axiom_template)
     return (
         PAYLOAD_FORMAT,
-        backend,
         tuple(compiled.state_names),
         tuple(compiled.symbol_names),
-        tuple(compiled.symbol_arity),
         tuple(compiled.rule_of),
         tuple(compiled.rule_calls),
         rule_templates,
@@ -173,18 +170,20 @@ def pack_engine(
 def unpack_engine(payload: tuple) -> Engine:
     """Rebuild a fresh engine from a :func:`pack_engine` payload.
 
-    The payload's backend field decides which execution backend the
-    engine is built on (workers honor the parent's choice); the return
-    value implements the full engine surface whichever backend wins.
+    Raises :class:`~repro.errors.ServiceError` for anything but a
+    :data:`PAYLOAD_FORMAT` tuple of :data:`PAYLOAD_FIELDS` fields,
+    older payload versions included.
     """
-    if not payload or payload[0] != PAYLOAD_FORMAT:
+    if (
+        not isinstance(payload, tuple)
+        or len(payload) != PAYLOAD_FIELDS
+        or payload[0] != PAYLOAD_FORMAT
+    ):
         raise ServiceError(f"not a {PAYLOAD_FORMAT} payload")
     (
         _format,
-        backend,
         state_names,
         symbol_names,
-        symbol_arity,
         rule_of,
         rule_calls,
         rule_templates,
@@ -210,13 +209,12 @@ def unpack_engine(payload: tuple) -> Engine:
     compiled.symbol_ids = {name: i for i, name in enumerate(symbol_names)}
     compiled.num_states = len(state_names)
     compiled.num_symbols = len(symbol_names)
-    compiled.symbol_arity = list(symbol_arity)
     compiled.rule_of = list(rule_of)
     compiled.rule_calls = list(rule_calls)
     compiled.rule_templates = [restore(t) for t in rule_templates]
     compiled.axiom_calls = axiom_calls
     compiled.axiom_template = restore(axiom_template)
-    return get_backend(backend)(compiled)
+    return Engine(compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +399,7 @@ def worker_translate(
     crash_label = os.environ.get(CRASH_LABEL_ENV)
     if crash_label is not None and any(t.label == crash_label for t in trees):
         os._exit(3)
-    with trace.span(
-        "worker.execute",
-        backend=_WORKER_ENGINE.backend,
-        documents=len(trees),
-    ):
+    with trace.span("worker.execute", documents=len(trees)):
         raw = _WORKER_ENGINE.run_batch_outcomes(trees)
     with trace.span("worker.encode_forest"):
         output_trees = [o for o in raw if isinstance(o, Tree)]

@@ -33,8 +33,8 @@ Protocol — one JSON object per ``\\n``-terminated line, UTF-8:
     ``"degraded"`` while the supervisor has a shard in quarantine),
     the registry + batcher + per-model service counters, the model
     list, the metrics snapshot (per-model counters and latency
-    quantiles as JSON, engine compile and per-backend counters
-    folded in, plus the Prometheus text exposition under ``"text"``),
+    quantiles as JSON, engine compile counters folded in, plus the
+    Prometheus text exposition under ``"text"``),
     the per-model engine profiler snapshot (hot rules, per-height
     sweep timings), a registry rescan, and graceful stop.
 
@@ -77,7 +77,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.codec import TERM_CODEC
-from repro.engine import artifact_stats, backend_stats
+from repro.engine import artifact_stats
 from repro.errors import (
     OverloadedError,
     RegistryError,
@@ -265,7 +265,6 @@ class TransformServer:
             "registry": self.registry.stats,
             "batcher": self.batcher.stats,
             "models": self.registry.describe(),
-            "backends": backend_stats(),
             "engine_artifacts": artifact_stats(),
         }
         if self.supervisor is not None:
@@ -381,16 +380,10 @@ class TransformServer:
         model_label: str,
         outcome: str,
         started_at: float,
-        backend: Optional[str] = None,
     ) -> None:
         """The completion hook: request latency + outcome counter."""
         labels = {"model": model_label, "outcome": outcome}
         self.metrics.inc("repro_requests_total", labels)
-        if backend is not None:
-            self.metrics.inc(
-                "repro_backend_requests_total",
-                {"model": model_label, "backend": backend},
-            )
         self.metrics.observe(
             "repro_request_seconds",
             {"model": model_label},
@@ -451,11 +444,9 @@ class TransformServer:
         # must not be client-controlled.
         model_label = "<unresolved>"
         outcome_label = "error"
-        backend_label = None
         try:
             entry = self.registry.get(str(model))
             model_label = entry.key
-            backend_label = entry.backend
             if response_format == "packed" and entry.codec is not TERM_CODEC:
                 raise ServiceError(
                     f"model {entry.key} is a transformation bundle; "
@@ -526,9 +517,7 @@ class TransformServer:
             # the root closed) *before* the response is written, so it
             # never contains the write span of its own response.
             response["trace"] = trace.to_dict()
-        self._note_outcome(
-            model_label, outcome_label, started_at, backend_label
-        )
+        self._note_outcome(model_label, outcome_label, started_at)
         if trace:
             write_started = time.monotonic()
             await self._write(writer, response)
@@ -729,7 +718,7 @@ class TransformServer:
             label = "error"
         else:
             label = "ok"
-        self._note_outcome(entry.key, label, started_at, entry.backend)
+        self._note_outcome(entry.key, label, started_at)
         return outcome
 
     async def _answer_stream_document(
@@ -782,15 +771,13 @@ class TransformServer:
     async def _op_metrics(self, request, _reader, writer) -> None:
         """The metrics snapshot (JSON) plus the Prometheus exposition.
 
-        The snapshot folds in the process-wide engine counters — table
-        compilations and the per-backend batch/hit tallies — so one
-        scrape answers both "how is the server doing" and "which
-        execution path is doing the work".
+        The snapshot folds in the process-wide table-compilation
+        counter; per-model engine memo counters ride the families that
+        :meth:`_refresh_memory_metrics` mirrors at scrape time.
         """
         self._refresh_memory_metrics()
         snapshot = self.metrics.snapshot()
         snapshot["engine_artifacts"] = artifact_stats()
-        snapshot["backends"] = backend_stats()
         await self._write(
             writer,
             {
@@ -802,19 +789,25 @@ class TransformServer:
         )
 
     def _refresh_memory_metrics(self) -> None:
-        """Mirror engine memo sizes, evictions and intern-table size."""
-        entries = []
-        evictions = []
+        """Mirror engine memo sizes, hits, misses, evictions and the
+        intern-table size."""
+        mirrored = {
+            "repro_engine_memo_entries": "entries",
+            "repro_engine_memo_hits_total": "hits",
+            "repro_engine_memo_misses_total": "misses",
+            "repro_memo_evictions_total": "evictions",
+        }
+        series = {family: [] for family in mirrored}
         for entry in self.registry.entries():
             engine = entry.peek_engine()
             if engine is None:
                 continue
             stats = engine.cache_stats
             labels = {"model": entry.key}
-            entries.append((labels, stats["entries"]))
-            evictions.append((labels, stats["evictions"]))
-        self.metrics.set_family("repro_engine_memo_entries", entries)
-        self.metrics.set_family("repro_memo_evictions_total", evictions)
+            for family, counter in mirrored.items():
+                series[family].append((labels, stats[counter]))
+        for family, values in series.items():
+            self.metrics.set_family(family, values)
         self.metrics.set_family(
             "repro_intern_live", [(None, interned_count())]
         )
@@ -934,7 +927,6 @@ def serve_forever(
     stats: bool = False,
     metrics: bool = False,
     log_json: bool = False,
-    backend: Optional[str] = None,
     warm: bool = False,
     trace_sample_rate: float = 0.0,
     slow_ms: Optional[float] = None,
@@ -953,12 +945,10 @@ def serve_forever(
     (``ServerClient.metrics()`` / ``metrics_text()``).  ``log_json=True``
     (CLI ``--log-json``) streams structured one-line JSON events —
     startup, reload outcomes, shard crashes/restarts/quarantines,
-    shutdown — to stderr.  ``backend`` (CLI ``--backend``) sets the
-    server-wide execution backend default; per-model ``"backend"``
-    artifact keys still win.  ``warm=True`` (CLI ``--warm``)
-    compiles every model's engine — and prestarts the sharded pools —
-    *before* the socket opens, so the first request never pays
-    compilation (the banner reports how many engines it built).
+    shutdown — to stderr.  ``warm=True`` (CLI ``--warm``) compiles
+    every model's engine — and prestarts the sharded pools — *before*
+    the socket opens, so the first request never pays compilation (the
+    banner reports how many engines it built).
 
     ``trace_sample_rate`` (CLI ``--trace-sample-rate``) traces that
     fraction of transform requests unsolicited, emitting each as a
@@ -967,7 +957,7 @@ def serve_forever(
     any whose end-to-end latency reaches the threshold.  Both event
     kinds reach stderr only under ``log_json=True``.
     """
-    registry = ModelRegistry(models_dir, jobs=jobs, backend=backend)
+    registry = ModelRegistry(models_dir, jobs=jobs)
     if warm:
         print(
             f"repro server warmed {registry.warm()} engines",
@@ -1044,7 +1034,6 @@ class ServerThread:
     def __init__(self, models_dir: Union[str, Path], **server_kwargs):
         self._models_dir = models_dir
         self._jobs = server_kwargs.pop("jobs", None)
-        self._backend = server_kwargs.pop("backend", None)
         self._warm = server_kwargs.pop("warm", False)
         self._server_kwargs = server_kwargs
         self._ready = threading.Event()
@@ -1065,9 +1054,7 @@ class ServerThread:
 
     def _run(self) -> None:
         try:
-            registry = ModelRegistry(
-                self._models_dir, jobs=self._jobs, backend=self._backend
-            )
+            registry = ModelRegistry(self._models_dir, jobs=self._jobs)
         except BaseException as error:  # surface on __enter__
             self._failure = error
             self._ready.set()

@@ -255,10 +255,10 @@ class ServerClient:
     def profile(self, model: Optional[str] = None) -> Dict[str, Dict]:
         """Engine profiler snapshots, keyed by model.
 
-        Each snapshot carries the serving backend, sweep counts and
-        seconds, per-rule hit counts (hottest first) and per-height
-        timings.  Models whose engines never built are omitted; pass
-        ``model`` to ask about one specifically.
+        Each snapshot carries sweep counts and seconds, per-rule hit
+        counts (hottest first) and per-height timings.  Models whose
+        engines never built are omitted; pass ``model`` to ask about one
+        specifically.
         """
         payload: Dict = {"op": "profile"}
         if model is not None:

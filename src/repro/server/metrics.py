@@ -33,7 +33,6 @@ The metric taxonomy the server emits (see ``docs/ARCHITECTURE.md``):
 family                                    type       labels
 ========================================  =========  =======================
 ``repro_requests_total``                  counter    ``model``, ``outcome``
-``repro_backend_requests_total``          counter    ``model``, ``backend``
 ``repro_connections_total``               counter    —
 ``repro_bad_requests_total``              counter    —
 ``repro_overloads_total``                 counter    ``model``
@@ -50,6 +49,8 @@ family                                    type       labels
 ``repro_traces_total``                    counter    ``mode``
 ``repro_trace_overhead_seconds``          histogram  —
 ``repro_engine_memo_entries``             gauge      ``model``
+``repro_engine_memo_hits_total``          counter    ``model``
+``repro_engine_memo_misses_total``        counter    ``model``
 ``repro_memo_evictions_total``            counter    ``model``
 ``repro_intern_live``                     gauge      —
 ========================================  =========  =======================
@@ -64,11 +65,13 @@ quarantined (the supervisor's state machine).  ``mode`` on traces is
 ``requested`` (client asked via ``"trace": true``) / ``sampled``
 (``--trace-sample-rate`` picked it) / ``watch`` (``--slow-ms`` traces
 everything); the overhead histogram records the post-response cost of
-serializing and logging each trace.  The three memory families are read
-off live state at scrape time (never on the request path): the memoized
-pairs of each model's in-process engine, the memo clears it made at the
-engine's ``MEMO_LIMIT``, and the live distinct trees of the intern
-table.
+serializing and logging each trace.  The five engine-memo and intern
+families are read off live state at scrape time (never on the request
+path): the memoized pairs of each model's in-process engine, its memo
+hits and misses (pairs answered from the memo vs. evaluated, so
+``hits / (hits + misses)`` is the model's memo hit ratio), the memo
+clears it made at the engine's ``MEMO_LIMIT``, and the live distinct
+trees of the intern table.
 """
 
 from __future__ import annotations
@@ -198,11 +201,6 @@ FAMILIES: Dict[str, Tuple[str, str]] = {
         "Transform requests answered, by model and outcome "
         "(ok/error/overload)",
     ),
-    "repro_backend_requests_total": (
-        "counter",
-        "Transform requests answered, by model and execution backend "
-        "(tables/codegen)",
-    ),
     "repro_connections_total": ("counter", "TCP connections accepted"),
     "repro_bad_requests_total": (
         "counter",
@@ -266,6 +264,15 @@ FAMILIES: Dict[str, Tuple[str, str]] = {
     "repro_engine_memo_entries": (
         "gauge",
         "Memoized (state, subtree) pairs of each model's in-process engine",
+    ),
+    "repro_engine_memo_hits_total": (
+        "counter",
+        "(state, subtree) pairs each model's in-process engine answered "
+        "from its memo",
+    ),
+    "repro_engine_memo_misses_total": (
+        "counter",
+        "(state, subtree) pairs each model's in-process engine evaluated",
     ),
     "repro_memo_evictions_total": (
         "counter",

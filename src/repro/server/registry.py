@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.codec import TERM_CODEC, Transformation, transformation_from_bundle
-from repro.engine import engine_for, resolve_backend
+from repro.engine import engine_for
 from repro.errors import (
     ModelNotFoundError,
     RegistryError,
@@ -120,7 +120,6 @@ class ModelEntry:
         transformation: Transformation,
         jobs: Optional[int] = None,
         fingerprint: Optional[Tuple[int, int]] = None,
-        backend: Optional[str] = None,
         member_fingerprints: Optional[
             List[Tuple[Path, Tuple[int, int]]]
         ] = None,
@@ -134,8 +133,6 @@ class ModelEntry:
         self.machine = transformation.transducer
         self.jobs = max(1, jobs or 1)
         self.fingerprint = fingerprint
-        #: Resolved execution backend name this model serves on.
-        self.backend = backend if backend is not None else resolve_backend()
         #: For pipelines: the member files (and their stat fingerprints)
         #: the fused machine was built from — reload freshness includes
         #: them.
@@ -160,7 +157,7 @@ class ModelEntry:
 
     def ensure_engine(self):
         """The entry's in-process engine, compiled on first use."""
-        return engine_for(self.machine, self.backend)
+        return engine_for(self.machine)
 
     def warm(self) -> None:
         """Build this entry's engine before it serves traffic.
@@ -282,9 +279,7 @@ class ModelEntry:
         if self._service is None:
             from repro.serve import TransformService
 
-            self._service = TransformService(
-                self.machine, jobs=self.jobs, backend=self.backend
-            )
+            self._service = TransformService(self.machine, jobs=self.jobs)
         return self._service
 
     def render_packed(self, outcome: Tree) -> Dict[str, object]:
@@ -315,7 +310,7 @@ class ModelEntry:
         self.requests += len(documents)
         self.ensure_engine()
         return self.transformation.apply_batch(
-            documents, service=self.service(), backend=self.backend, trace=trace
+            documents, service=self.service(), trace=trace
         )
 
     def peek_engine(self):
@@ -326,10 +321,7 @@ class ModelEntry:
         only the parent-side engine; worker-process engines profile and
         memoize in their own processes.
         """
-        engines = getattr(self.machine, "_engine", None)
-        if engines is None:
-            return None
-        return engines.engines.get(resolve_backend(self.backend))
+        return self.machine._engine
 
     def profile(self) -> Optional[Dict[str, object]]:
         """The in-process engine's profiler snapshot, or ``None``."""
@@ -342,7 +334,6 @@ class ModelEntry:
             "kind": self.kind,
             "path": str(self.path),
             "jobs": self.jobs,
-            "backend": self.backend,
             "states": len(self.machine.states),
             "rules": len(self.machine.rules),
             "requests": self.requests,
@@ -454,9 +445,7 @@ def _read_pipeline_members(
     return machines, member_fingerprints, list(stages), labels
 
 
-def _load_entry(
-    path: Path, jobs: Optional[int], default_backend: Optional[str] = None
-) -> ModelEntry:
+def _load_entry(path: Path, jobs: Optional[int]) -> ModelEntry:
     name, version = _parse_model_filename(path)
     stat = path.stat()
     fingerprint = (stat.st_mtime_ns, stat.st_size)
@@ -468,17 +457,10 @@ def _load_entry(
         data = json.loads(path.read_bytes().decode("utf-8"))
     except (OSError, ValueError) as error:
         raise RegistryError(f"cannot read model {path.name}: {error}") from None
-    fields = data if isinstance(data, dict) else {}
     member_fingerprints: List[Tuple[Path, Tuple[int, int]]] = []
     members: Optional[List[str]] = None
     try:
-        # Per-model backend pin: an artifact's "backend" key beats the
-        # server-wide default, which beats REPRO_BACKEND, which beats
-        # "tables".  Validated here so a typo fails this one file's
-        # load — per-file isolation on reload — instead of the first
-        # request.
-        backend = resolve_backend(fields.get("backend"), default_backend)
-        if fields.get("format") == PIPELINE_FORMAT:
+        if isinstance(data, dict) and data.get("format") == PIPELINE_FORMAT:
             machines, member_fingerprints, members, labels = (
                 _read_pipeline_members(path, data)
             )
@@ -499,7 +481,6 @@ def _load_entry(
         transformation,
         jobs=jobs,
         fingerprint=fingerprint,
-        backend=backend,
         member_fingerprints=member_fingerprints,
         members=members,
     )
@@ -512,12 +493,9 @@ class ModelRegistry:
         self,
         models_dir: Union[str, Path],
         jobs: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         self.models_dir = Path(models_dir)
         self.jobs = jobs
-        #: Server-wide default backend; per-model artifacts override it.
-        self.backend = backend
         self._entries: Dict[str, ModelEntry] = {}
         self._stats = {
             "loads": 0,
@@ -595,7 +573,7 @@ class ModelRegistry:
                 summary["kept"].append(key)
                 continue
             try:
-                seen[key] = _load_entry(path, self.jobs, self.backend)
+                seen[key] = _load_entry(path, self.jobs)
             except RegistryError as error:
                 summary["failed"].append(f"{key}: {error}")
                 if old is not None:

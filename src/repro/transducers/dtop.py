@@ -207,10 +207,9 @@ class DTOP:
 
         Only needed to release memory (long-lived transducers applied to
         many unrelated inputs) — never for correctness.  Also drops the
-        compiled engine set *entirely* (tables and every other execution
-        backend's artifacts and memos): every engine handle derived from
-        this machine — including per-shard engines held by a live
-        :class:`~repro.serve.service.TransformService` pool, which
+        compiled engine *entirely* (tables and memo): every engine handle
+        derived from this machine — including per-shard engines held by a
+        live :class:`~repro.serve.service.TransformService` pool, which
         compare the handle at each dispatch — is invalidated, so a
         machine whose ``rules`` were mutated behind the documented
         immutability contract can never keep serving stale tables.  The
@@ -220,7 +219,7 @@ class DTOP:
         self._memo_stats["hits"] = 0
         self._memo_stats["misses"] = 0
         if self._engine is not None:
-            self._engine.clear()
+            self._engine.clear_cache()
             self._engine = None
 
     def try_apply(self, node: Tree) -> Optional[Tree]:

@@ -156,18 +156,8 @@ class TestEngineCaching:
         reset_artifact_stats()
         engine_for(machine)
         assert artifact_stats()["compiles"] == 1
-        engine_for(machine)  # cached EngineSet
+        engine_for(machine)  # cached on the machine
         assert artifact_stats()["compiles"] == 1
-
-    def test_switching_backends_never_recompiles(self):
-        machine = flip()
-        reset_artifact_stats()
-        tables = engine_for(machine, "tables")
-        codegen = engine_for(machine, "codegen")
-        assert tables is not codegen
-        assert artifact_stats() == {"compiles": 1, "payload_hits": 0}
-        document = parse_term("f(g(a), b)")
-        assert str(tables.run(document)) == str(codegen.run(document))
 
     def test_reset_artifact_stats_zeroes_the_counter(self):
         engine_for(flip())

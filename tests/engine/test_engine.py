@@ -1,17 +1,16 @@
-"""The two execution backends, ``tables`` and ``codegen``.
+"""The DTOP engine, :class:`~repro.engine.execute.Engine`.
 
-``codegen`` must be observationally identical to the dict-driven
-``tables`` engine and to the recursive interpreter: same outputs,
-byte-identical :class:`UndefinedTransductionError` messages, same
-``eval_state`` behavior, and no ``RecursionError`` on deep inputs.  The
-name-table tests pin the selection precedence (call argument > env >
-default) and the failure mode for unknown names; the concurrency test
-is a regression for the double-compile race in ``engine_for``.  The
-memo-bound tests shrink ``MEMO_LIMIT`` and check eviction: bounded
+The engine must be observationally identical to the recursive
+interpreter: same outputs, byte-identical
+:class:`UndefinedTransductionError` messages, same ``eval_state``
+behavior, and no ``RecursionError`` on deep inputs.  The concurrency
+test is a regression for the double-compile race in ``engine_for``.
+The memo-bound tests shrink ``MEMO_LIMIT`` and check eviction: bounded
 memos, exact outcomes, cumulative counters, and threads sharing one
 engine while evictions fire.
 """
 
+import importlib.util
 import pickle
 import random
 import sys
@@ -19,23 +18,10 @@ import threading
 
 import pytest
 
-from repro import api
-from repro.engine import (
-    AUTO_BACKEND,
-    DEFAULT_BACKEND,
-    EngineSet,
-    available_backends,
-    backend_stats,
-    engine_for,
-    get_backend,
-    reset_backend_stats,
-    resolve_backend,
-)
+from repro.engine import engine_for
 from repro.engine import execute
-from repro.engine.backends import ENV_VAR, note_batch
-from repro.engine.backends.codegen import CodegenEngine
 from repro.engine.execute import Engine
-from repro.errors import BackendError, UndefinedTransductionError
+from repro.errors import UndefinedTransductionError
 from repro.serve import shard
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import rhs_tree
@@ -43,8 +29,6 @@ from repro.trees.alphabet import RankedAlphabet
 from repro.trees.generate import monadic_tree, random_tree
 from repro.trees.tree import Tree
 from repro.workloads.families import cycle_relabel, random_total_dtop
-
-ALL_BACKENDS = available_backends()
 
 
 def outcome(run, source):
@@ -65,104 +49,24 @@ def fresh_partial(seed):
     )
 
 
-class TestRegistry:
-    def test_tables_codegen_always_registered(self):
-        assert ALL_BACKENDS == ["tables", "codegen"]
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(BackendError, match="unknown execution backend"):
-            get_backend("no-such-backend")
-        with pytest.raises(
-            BackendError,
-            match=r"^unknown execution backend 'nope' "
-            r"\(registered: codegen, tables\)$",
-        ):
-            resolve_backend("nope")
-
-    def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend() == DEFAULT_BACKEND
-        assert resolve_backend(None, None) == DEFAULT_BACKEND
-        monkeypatch.setenv(ENV_VAR, "codegen")
-        assert resolve_backend() == "codegen"
-        # Any explicit preference outranks the environment.
-        assert resolve_backend("tables") == "tables"
-        assert resolve_backend(None, "tables") == "tables"
-        assert resolve_backend("tables", "codegen") == "tables"
-
-    def test_env_typo_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "tabels")
-        with pytest.raises(BackendError, match="tabels"):
-            resolve_backend()
-
-    def test_engine_for_honors_env(self, monkeypatch):
-        machine, _domain = cycle_relabel(2)
-        monkeypatch.setenv(ENV_VAR, "codegen")
-        assert engine_for(machine).backend == "codegen"
-        assert engine_for(machine, "tables").backend == "tables"
-
-    def test_auto_from_any_source_is_codegen(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend(None, AUTO_BACKEND) == "codegen"
-        monkeypatch.setenv(ENV_VAR, AUTO_BACKEND)
-        assert resolve_backend() == "codegen"
-        assert resolve_backend(None, None, AUTO_BACKEND) == "codegen"
-
-    def test_auto_is_a_resolution_alias_not_a_table_entry(self):
-        assert AUTO_BACKEND not in ALL_BACKENDS
-        with pytest.raises(BackendError, match="unknown execution backend"):
-            get_backend(AUTO_BACKEND)
-        machine, _domain = cycle_relabel(2)
-        assert engine_for(machine, AUTO_BACKEND).backend == "codegen"
-
-    def test_empty_env_means_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "")
-        assert resolve_backend() == DEFAULT_BACKEND
-
-    @pytest.mark.parametrize(
-        "name, engine_class", [("tables", Engine), ("codegen", CodegenEngine)]
-    )
-    def test_factory_builds_the_named_engine(self, name, engine_class):
-        machine, _domain = cycle_relabel(2)
-        compiled = engine_for(machine, "tables").compiled
-        engine = get_backend(name)(compiled)
-        assert type(engine) is engine_class
-        assert engine.backend == name
-        assert engine.compiled is compiled
-
-    def test_available_backends_is_a_fresh_list(self):
-        names = available_backends()
-        names.append("gpu")
-        names.remove("codegen")
-        assert available_backends() == ["tables", "codegen"]
-        with pytest.raises(BackendError):
-            get_backend("gpu")
-
-
-class TestAutoBackend:
-    def test_auto_is_codegen(self):
-        assert resolve_backend(AUTO_BACKEND) == "codegen"
-
-
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    def test_total_machine_matches_tables(self, backend, seed):
+    def test_total_machine_matches_interpreter(self, seed):
         machine, _domain = random_total_dtop(num_states=4, seed=seed)
         rng = random.Random(seed * 101 + 7)
         sources = [
             random_tree(machine.input_alphabet, max_height=7, rng=rng)
             for _ in range(40)
         ]
-        engine = engine_for(machine, backend)
-        reference = engine_for(machine, "tables")
-        assert engine.run_batch(sources) == reference.run_batch(sources)
+        assert engine_for(machine).run_batch(sources) == [
+            machine.apply(source) for source in sources
+        ]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_partial_machine_same_outputs_same_errors(self, backend, seed):
+    def test_partial_machine_same_outputs_same_errors(self, seed):
         partial = fresh_partial(seed)
         reference = fresh_partial(seed)
-        engine = engine_for(partial, backend)
+        engine = engine_for(partial)
         rng = random.Random(seed * 7 + 3)
         sources = [
             random_tree(partial.input_alphabet, max_height=6, rng=rng)
@@ -181,7 +85,7 @@ class TestEquivalence:
                 fresh_partial(seed).apply, source
             )
 
-    def test_try_run_batch_matches_interpreter(self, backend):
+    def test_try_run_batch_matches_interpreter(self):
         partial = fresh_partial(2)
         reference = fresh_partial(2)
         rng = random.Random(11)
@@ -189,14 +93,14 @@ class TestEquivalence:
             random_tree(partial.input_alphabet, max_height=6, rng=rng)
             for _ in range(50)
         ]
-        assert engine_for(partial, backend).try_run_batch(sources) == [
+        assert engine_for(partial).try_run_batch(sources) == [
             reference.try_apply(source) for source in sources
         ]
 
-    def test_eval_state_matches_tables(self, backend):
+    def test_eval_state_matches_interpreter(self):
         machine, _domain = random_total_dtop(num_states=3, seed=5)
-        engine = engine_for(machine, backend)
-        reference = engine_for(machine, "tables")
+        engine = engine_for(machine)
+        reference, _domain = random_total_dtop(num_states=3, seed=5)
         rng = random.Random(5)
         source = random_tree(machine.input_alphabet, max_height=5, rng=rng)
         for state in machine.states:
@@ -209,14 +113,14 @@ class TestEquivalence:
             reference.eval_state("ghost", source)
         assert str(seen.value) == str(expected.value)
 
-    def test_depth_100k_no_recursion_error(self, backend):
+    def test_depth_100k_no_recursion_error(self):
         machine, _domain = cycle_relabel(3)
         deep = monadic_tree(["a"] * 100_000)
-        output = engine_for(machine, backend).run(deep)
+        output = engine_for(machine).run(deep)
         assert output.height == 100_001
         assert output.label == "c0"
 
-    def test_deep_failure_propagates_iteratively(self, backend):
+    def test_deep_failure_propagates_iteratively(self):
         alphabet = RankedAlphabet({"a": 1, "e": 0})
         machine = DTOP(
             alphabet,
@@ -225,7 +129,7 @@ class TestEquivalence:
             {("q", "a"): rhs_tree(("a", ("q", 1)))},
         )
         deep = monadic_tree(["a"] * 100_000)
-        engine = engine_for(machine, backend)
+        engine = engine_for(machine)
         assert engine.try_run(deep) is None
         with pytest.raises(
             UndefinedTransductionError,
@@ -233,37 +137,34 @@ class TestEquivalence:
         ):
             engine.run(deep)
 
-    def test_cache_stats_and_clear(self, backend):
+    def test_cache_stats_and_clear(self):
         machine, _domain = cycle_relabel(2)
-        engine = engine_for(machine, backend)
+        engine = engine_for(machine)
         engine.run(monadic_tree(["a"] * 10))
         stats = engine.cache_stats
-        assert stats["backend"] == backend
         assert stats["entries"] > 0
         assert stats["misses"] > 0
         engine.clear_cache()
         assert engine.cache_stats["entries"] == 0
         assert engine.memo_size() == 0
         # Still correct after a cache drop.
-        assert engine.run(monadic_tree(["a"] * 4)) == engine_for(
-            machine, "tables"
-        ).run(monadic_tree(["a"] * 4))
+        source = monadic_tree(["a"] * 4)
+        assert engine.run(source) == machine.apply(source)
 
-    def test_payload_roundtrip_carries_backend(self, backend):
+    def test_payload_roundtrip_rebuilds_an_engine(self):
         machine, _domain = cycle_relabel(2)
-        compiled = engine_for(machine, "tables").compiled
-        payload = shard.pack_engine(compiled, backend)
-        engine = shard.unpack_engine(payload)
-        assert engine.backend == backend
+        compiled = engine_for(machine).compiled
+        engine = shard.unpack_engine(shard.pack_engine(compiled))
+        assert type(engine) is Engine
         source = monadic_tree(["a"] * 12)
-        assert engine.run(source) == engine_for(machine, "tables").run(source)
+        assert engine.run(source) == machine.apply(source)
 
 
 FAB = RankedAlphabet({"f": 2, "a": 0, "b": 0})
 
 
 def single_state_partial():
-    """One state calling every child (codegen's walk path); no rule for ``b``."""
+    """One state calling every child; no rule for ``b``."""
     return DTOP(
         FAB,
         FAB,
@@ -322,12 +223,11 @@ def comparable(outcomes):
     ]
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestBatchOutcomes:
     """``run_batch_outcomes`` on forests with repeated roots and failures."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_repeated_roots_match_one_by_one(self, backend, seed):
+    def test_repeated_roots_match_one_by_one(self, seed):
         machine = fresh_partial(seed)
         rng = random.Random(seed * 13 + 5)
         distinct = [
@@ -336,15 +236,15 @@ class TestBatchOutcomes:
         ]
         forest = distinct * 3
         rng.shuffle(forest)
-        outcomes = engine_for(machine, backend).run_batch_outcomes(forest)
+        outcomes = engine_for(machine).run_batch_outcomes(forest)
         expected = interpreter_outcomes(fresh_partial(seed), forest)
         assert comparable(outcomes) == expected
         assert any(isinstance(item, tuple) for item in expected)
 
-    def test_single_state_walk_reports_failures(self, backend):
+    def test_single_state_walk_reports_failures(self):
         machine = single_state_partial()
         forest = fab_forest(1)
-        outcomes = engine_for(machine, backend).run_batch_outcomes(forest)
+        outcomes = engine_for(machine).run_batch_outcomes(forest)
         expected = interpreter_outcomes(single_state_partial(), forest)
         assert comparable(outcomes) == expected
         assert "no rule for state 'q' on symbol 'b'" in {
@@ -352,11 +252,11 @@ class TestBatchOutcomes:
         }
         assert any(not isinstance(item, tuple) for item in expected)
 
-    def test_warm_batch_answers_from_the_memo(self, backend):
+    def test_warm_batch_answers_from_the_memo(self):
         machine = single_state_partial()
         forest = [source for source in fab_forest(2) if "b" not in str(source)]
         assert forest
-        engine = engine_for(machine, backend)
+        engine = engine_for(machine)
         cold = engine.run_batch(forest)
         misses = engine.cache_stats["misses"]
         hits = engine.cache_stats["hits"]
@@ -365,7 +265,7 @@ class TestBatchOutcomes:
         assert engine.cache_stats["hits"] >= hits + len(forest)
         assert cold == [single_state_partial().apply(s) for s in forest]
 
-    def test_composite_axiom_reports_first_failing_call(self, backend):
+    def test_composite_axiom_reports_first_failing_call(self):
         machine = two_call_axiom()
         rng = random.Random(3)
         c = Tree("c", ())
@@ -374,7 +274,7 @@ class TestBatchOutcomes:
             for _ in range(30)
         ]
         forest += [c, Tree("f", (c, c)), Tree("a", ()), Tree("b", ())] * 2
-        outcomes = engine_for(machine, backend).run_batch_outcomes(forest)
+        outcomes = engine_for(machine).run_batch_outcomes(forest)
         expected = interpreter_outcomes(two_call_axiom(), forest)
         assert comparable(outcomes) == expected
         a = Tree("a", ())
@@ -383,7 +283,7 @@ class TestBatchOutcomes:
         )
         # Both calls fail on f(a, b); the axiom's left call is reported.
         with pytest.raises(UndefinedTransductionError) as seen:
-            engine_for(machine, backend).run(Tree("f", (a, Tree("b", ()))))
+            engine_for(machine).run(Tree("f", (a, Tree("b", ()))))
         assert str(seen.value) == "no rule for state 'q' on symbol 'b'"
 
 
@@ -392,7 +292,7 @@ FGA = RankedAlphabet({"f": 2, "g": 1, "a": 0})
 
 
 def one_state_without_z():
-    """Non-deleting, one state (codegen's walk path); no rule for ``z``."""
+    """Non-deleting, one state; no rule for ``z``."""
     return DTOP(
         FGAZ,
         FGAZ,
@@ -435,7 +335,6 @@ def distinct_rounds(count, seed):
         yield forest
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
 class TestMemoBound:
     """The memo is cleared wholesale past ``MEMO_LIMIT`` at a batch
     boundary; outcomes and the cumulative counters are unaffected."""
@@ -449,8 +348,8 @@ class TestMemoBound:
     @pytest.mark.parametrize(
         "make", [two_states_without_z, one_state_without_z]
     )
-    def test_distinct_forests_stay_bounded_and_exact(self, backend, make):
-        engine = engine_for(make(), backend)
+    def test_distinct_forests_stay_bounded_and_exact(self, make):
+        engine = engine_for(make())
         hits = misses = 0
         for forest in distinct_rounds(12, seed=17):
             outcomes = engine.run_batch_outcomes(forest)
@@ -458,7 +357,7 @@ class TestMemoBound:
             assert comparable(outcomes) == expected
             assert sum(isinstance(item, tuple) for item in expected) == 1
             # This batch's demand is at most what a cold engine memoizes.
-            alone = get_backend(backend)(engine.compiled)
+            alone = Engine(engine.compiled)
             alone.run_batch_outcomes(forest)
             assert engine.memo_size() <= self.LIMIT + alone.memo_size()
             stats = engine.cache_stats
@@ -472,8 +371,8 @@ class TestMemoBound:
             dict.fromkeys(counters, 0)
         )
 
-    def test_eval_state_right_after_an_eviction(self, backend):
-        engine = engine_for(two_states_without_z(), backend)
+    def test_eval_state_right_after_an_eviction(self):
+        engine = engine_for(two_states_without_z())
         reference = two_states_without_z()
         engine.run_batch_outcomes(next(distinct_rounds(1, seed=5)))
         assert engine.memo_size() > self.LIMIT
@@ -491,12 +390,9 @@ class TestSharedEngineAcrossThreads:
     """Threads sharing one engine while its bound keeps firing: an
     eviction must never land between one thread's sweep and its replay."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_concurrent_batches_with_evictions_stay_exact(
-        self, backend, monkeypatch
-    ):
+    def test_concurrent_batches_with_evictions_stay_exact(self, monkeypatch):
         monkeypatch.setattr(execute, "MEMO_LIMIT", 16)
-        engine = engine_for(two_states_without_z(), backend)
+        engine = engine_for(two_states_without_z())
         rounds = [list(distinct_rounds(6, seed=40 + n)) for n in range(6)]
         expected = [
             [interpreter_outcomes(two_states_without_z(), f) for f in mine]
@@ -530,43 +426,36 @@ class TestSharedEngineAcrossThreads:
         assert engine.cache_stats["evictions"] > 0
 
 
-class TestEngineSet:
-    def test_backends_share_one_compile(self):
+class TestEngineCache:
+    def test_engine_for_shares_one_engine_per_machine(self):
         machine, _domain = cycle_relabel(2)
-        engines = [engine_for(machine, name) for name in ALL_BACKENDS]
-        assert [engine.backend for engine in engines] == ALL_BACKENDS
-        compileds = {id(engine.compiled) for engine in engines}
-        assert len(compileds) == 1
-        assert isinstance(machine._engine, EngineSet)
+        engine = engine_for(machine)
+        assert type(engine) is Engine
+        assert engine_for(machine) is engine
+        assert machine._engine is engine
 
-    def test_machine_with_live_engines_pickles(self):
+    def test_machine_with_a_live_engine_pickles(self):
         machine, _domain = random_total_dtop(num_states=3, seed=2)
         source = random_tree(
             machine.input_alphabet, max_height=5, rng=random.Random(2)
         )
-        expected = {
-            name: engine_for(machine, name).run(source)
-            for name in ALL_BACKENDS
-        }
+        expected = engine_for(machine).run(source)
         clone = pickle.loads(pickle.dumps(machine))
-        assert clone._engine.engines == {}  # caches rebuild lazily
-        for name in ALL_BACKENDS:
-            assert engine_for(clone, name).run(source) is expected[name]
+        assert clone._engine.memo_size() == 0  # the memo is not pickled
+        assert engine_for(clone).run(source) is expected
 
-    def test_clear_caches_drops_every_backend(self):
+    def test_clear_caches_drops_the_engine(self):
         machine, _domain = cycle_relabel(2)
         source = monadic_tree(["a"] * 10)
-        engines = [engine_for(machine, name) for name in ALL_BACKENDS]
-        for engine in engines:
-            engine.run(source)
-            assert engine.memo_size() > 0
+        engine = engine_for(machine)
+        engine.run(source)
+        assert engine.memo_size() > 0
         machine.clear_caches()
-        for engine in engines:
-            assert engine.memo_size() == 0
+        assert engine.memo_size() == 0
+        assert machine._engine is None
+        assert engine_for(machine) is not engine
 
     def test_concurrent_first_use_compiles_once(self, monkeypatch):
-        from repro.engine import execute
-
         machine, _domain = random_total_dtop(num_states=4, seed=3)
         calls = []
         real_compile = execute.compile_dtop
@@ -578,76 +467,249 @@ class TestEngineSet:
         monkeypatch.setattr(execute, "compile_dtop", counting_compile)
         workers = 8
         barrier = threading.Barrier(workers)
+        engines = []
         failures = []
 
-        def hammer(index):
-            backend = ALL_BACKENDS[index % len(ALL_BACKENDS)]
+        def hammer():
             barrier.wait()
             try:
-                engine_for(machine, backend)
+                engines.append(engine_for(machine))
             except Exception as error:  # pragma: no cover - diagnostic
                 failures.append(error)
 
-        threads = [
-            threading.Thread(target=hammer, args=(index,))
-            for index in range(workers)
-        ]
+        threads = [threading.Thread(target=hammer) for _ in range(workers)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert not failures
         assert len(calls) == 1
-        # Every backend engine exists and shares the single compile.
-        assert set(machine._engine.engines) == set(ALL_BACKENDS)
+        # Every thread got the one engine built from the single compile.
+        assert {id(engine) for engine in engines} == {id(machine._engine)}
 
 
-class TestProcessWideStats:
-    def test_note_batch_surfaces_in_api_cache_stats(self):
-        reset_backend_stats()
+FGHABC = RankedAlphabet({"f": 2, "g": 1, "h": 3, "a": 0, "b": 0, "c": 0})
+FGAB = RankedAlphabet({"f": 2, "g": 1, "a": 0, "b": 0})
+UPPER = RankedAlphabet({"F": 2, "G": 1, "A": 0, "B": 0})
+
+
+def copying():
+    """Non-linear rules: one child read twice, by one state and by two."""
+    return DTOP(
+        FGAB,
+        FGHABC,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("h", ("q", 1), ("p", 1), ("q", 2))),
+            ("q", "g"): rhs_tree(("f", ("q", 1), ("q", 1))),
+            ("q", "a"): rhs_tree("a"),
+            ("q", "b"): rhs_tree("b"),
+            ("p", "f"): rhs_tree(("g", ("p", 2))),
+            ("p", "g"): rhs_tree(("g", ("q", 1))),
+            ("p", "a"): rhs_tree("c"),
+            ("p", "b"): rhs_tree("c"),
+        },
+    )
+
+
+def deleting():
+    """Rules that drop a child, so undefined subtrees may go unread."""
+    return DTOP(
+        FGAB,
+        FGAB,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("g", ("q", 2))),
+            ("q", "g"): rhs_tree(("g", ("q", 1))),
+            ("q", "a"): rhs_tree("a"),
+        },
+    )
+
+
+def collapsing():
+    """Bare-call right-hand sides: an input node emits no output node."""
+    return DTOP(
+        FGAB,
+        FGAB,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("p", 1)),
+            ("q", "g"): rhs_tree(("q", 1)),
+            ("q", "a"): rhs_tree("a"),
+            ("q", "b"): rhs_tree("b"),
+            ("p", "f"): rhs_tree(("f", ("q", 2), ("q", 1))),
+            ("p", "g"): rhs_tree(("p", 1)),
+            ("p", "a"): rhs_tree("b"),
+            ("p", "b"): rhs_tree("a"),
+        },
+    )
+
+
+def ground_rules():
+    """Constant right-hand sides that read none of their children."""
+    return DTOP(
+        FGAB,
+        FGHABC,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("h", "c", ("q", 1), "c")),
+            ("q", "g"): rhs_tree(("f", "a", "b")),
+            ("q", "a"): rhs_tree("c"),
+        },
+    )
+
+
+def ground_axiom():
+    """An axiom without a state call: every input maps to one tree."""
+    return DTOP(FGAB, FGAB, rhs_tree(("f", "a", ("g", "b"))), {})
+
+
+def three_call_axiom():
+    """Axiom ``h(q(x0), p(x0), q(x0))`` over two partial states."""
+    return DTOP(
+        FGAB,
+        FGHABC,
+        rhs_tree(("h", ("q", 0), ("p", 0), ("q", 0))),
+        {
+            ("q", "f"): rhs_tree(("f", ("q", 1), ("q", 2))),
+            ("q", "g"): rhs_tree(("g", ("q", 1))),
+            ("q", "a"): rhs_tree("a"),
+            ("q", "b"): rhs_tree("b"),
+            ("p", "f"): rhs_tree(("f", ("p", 2), ("p", 1))),
+            ("p", "a"): rhs_tree("c"),
+            ("p", "b"): rhs_tree("c"),
+        },
+    )
+
+
+def growing():
+    """Outputs deeper than their inputs: each node emits a chain."""
+    return DTOP(
+        FGAB,
+        FGAB,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("g", ("f", ("g", ("q", 1)), ("q", 2)))),
+            ("q", "g"): rhs_tree(("g", ("g", ("q", 1)))),
+            ("q", "a"): rhs_tree(("g", ("g", ("g", "a")))),
+            ("q", "b"): rhs_tree("b"),
+        },
+    )
+
+
+def leaf_only_state():
+    """``p`` has rules on leaves only, so deep first children fail."""
+    return DTOP(
+        FGAB,
+        FGAB,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("f", ("p", 1), ("q", 2))),
+            ("q", "g"): rhs_tree(("g", ("q", 1))),
+            ("q", "a"): rhs_tree("a"),
+            ("q", "b"): rhs_tree("b"),
+            ("p", "a"): rhs_tree("b"),
+            ("p", "b"): rhs_tree("a"),
+        },
+    )
+
+
+def relabel_to_upper():
+    """Output alphabet disjoint from the input alphabet."""
+    return DTOP(
+        FGAB,
+        UPPER,
+        rhs_tree(("q", 0)),
+        {
+            ("q", "f"): rhs_tree(("F", ("q", 1), ("q", 2))),
+            ("q", "g"): rhs_tree(("G", ("q", 1))),
+            ("q", "a"): rhs_tree("A"),
+            ("q", "b"): rhs_tree("B"),
+        },
+    )
+
+
+RULE_SHAPES = [
+    copying,
+    deleting,
+    collapsing,
+    ground_rules,
+    ground_axiom,
+    three_call_axiom,
+    growing,
+    leaf_only_state,
+    relabel_to_upper,
+]
+
+
+def fgab_forest(seed, count=25):
+    """Random ``f/g/a/b`` trees, each repeated, in shuffled order."""
+    rng = random.Random(seed)
+    distinct = [random_tree(FGAB, max_height=5, rng=rng) for _ in range(count)]
+    forest = distinct * 2
+    rng.shuffle(forest)
+    return forest
+
+
+class TestRuleShapes:
+    """Right-hand-side and axiom shapes the random families rarely draw:
+    the engine's batch and per-state answers match the interpreter's."""
+
+    @pytest.mark.parametrize("make", RULE_SHAPES)
+    def test_batch_matches_interpreter(self, make):
+        forest = fgab_forest(len(make.__name__))
+        outcomes = engine_for(make()).run_batch_outcomes(forest)
+        assert comparable(outcomes) == interpreter_outcomes(make(), forest)
+
+    @pytest.mark.parametrize("make", RULE_SHAPES)
+    def test_eval_state_matches_interpreter_on_every_subtree(self, make):
+        machine = make()
+        engine = engine_for(machine)
+        rng = random.Random(len(make.__name__) + 1)
+        sources = [random_tree(FGAB, max_height=5, rng=rng) for _ in range(6)]
+        subtrees = {node for source in sources for _, node in source.subtrees()}
+        # "ghost" has no rules: every machine reports it undefined.
+        for state in sorted(machine.states) + ["ghost"]:
+            for node in sorted(subtrees, key=str):
+                reference = make()
+                assert outcome(
+                    lambda tree: engine.eval_state(state, tree), node
+                ) == outcome(lambda tree: reference.eval_state(state, tree), node)
+
+
+class TestSingleEngine:
+    """``Engine`` is the only engine: nothing names or selects another."""
+
+    def test_engine_carries_no_backend_name(self):
         machine, _domain = cycle_relabel(2)
-        source = monadic_tree(["a"] * 10)
-        for backend in ALL_BACKENDS:
-            api.run(machine, source, backend=backend)
-        stats = backend_stats()
-        for backend in ALL_BACKENDS:
-            assert stats[backend]["batches"] >= 1
-            assert stats[backend]["hits"] + stats[backend]["misses"] > 0
-        assert api.cache_stats()["backends"] == backend_stats()
-        api.clear_caches()
-        assert backend_stats() == {}
-
-    def test_note_batch_accumulates_and_snapshots_are_copies(self):
-        reset_backend_stats()
-        note_batch("tables", 3, 1)
-        note_batch("tables", 2, 4)
-        note_batch("codegen", 0, 5)
-        snapshot = backend_stats()
-        assert snapshot == {
-            "tables": {"batches": 2, "hits": 5, "misses": 5},
-            "codegen": {"batches": 1, "hits": 0, "misses": 5},
+        engine = engine_for(machine)
+        engine.run(monadic_tree(["a"] * 3))
+        assert not hasattr(engine, "backend")
+        assert set(engine.cache_stats) == {
+            "hits", "misses", "batches", "evictions", "entries"
         }
-        snapshot["tables"]["hits"] = 99
-        assert backend_stats()["tables"]["hits"] == 5
-        reset_backend_stats()
-        assert backend_stats() == {}
 
+    def test_compiled_tables_carry_no_arity_table(self):
+        machine, _domain = random_total_dtop(num_states=2, seed=1)
+        assert not hasattr(engine_for(machine).compiled, "symbol_arity")
 
-class TestApiBackendArgument:
-    def test_run_and_batches_accept_backend(self):
+    def test_backends_subpackage_is_gone(self):
+        assert importlib.util.find_spec("repro.engine.backends") is None
+
+    @pytest.mark.parametrize("value", ["codegen", "no-such-engine"])
+    def test_repro_backend_environment_is_ignored(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        machine, _domain = cycle_relabel(3)
+        source = monadic_tree(["a"] * 7)
+        engine = engine_for(machine)
+        assert type(engine) is Engine
+        assert engine.run(source) == cycle_relabel(3)[0].apply(source)
+
+    def test_empty_batches_answer_empty_and_memoize_nothing(self):
         machine, _domain = cycle_relabel(2)
-        source = monadic_tree(["a"] * 8)
-        expected = api.run(machine, source)
-        for backend in ALL_BACKENDS:
-            assert api.run(machine, source, backend=backend) == expected
-            assert api.run_batch(machine, [source], backend=backend) == [
-                expected
-            ]
-            assert api.try_run_batch(machine, [source], backend=backend) == [
-                expected
-            ]
-
-    def test_unknown_backend_raises_before_running(self):
-        machine, _domain = cycle_relabel(2)
-        with pytest.raises(BackendError):
-            api.run(machine, monadic_tree(["a"]), backend="nope")
+        engine = engine_for(machine)
+        assert engine.run_batch([]) == []
+        assert engine.run_batch_outcomes([]) == []
+        assert engine.try_run_batch([]) == []
+        stats = engine.cache_stats
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 0, 0)

@@ -1,41 +1,35 @@
 """The engine hot-path profiler: per-rule hits, per-height timings.
 
 The profiler counts at *evaluation* time — a ``(state, subtree)`` pair
-increments its rule exactly once, when the memo misses — so the three
-backends must agree exactly on every count, memo-warm reruns add
-nothing, and the totals equal the number of distinct pairs the sweep
-instantiated.
+increments its rule exactly once, when the memo misses — so memo-warm
+reruns add nothing, and the totals equal the number of distinct pairs
+the sweep instantiated.
 """
 
-import pytest
-
-from repro.engine import available_backends, engine_for
+from repro.engine import engine_for
 from repro.engine.profile import clear_profile, new_profile, rule_labels
 from repro.workloads.flip import flip_input, flip_transducer
-
-ALL_BACKENDS = available_backends()
 
 FOREST = [flip_input(a, b) for a in range(3) for b in range(3)]
 
 
-def fresh_engine(backend):
+def fresh_engine():
     # A fresh transducer instance per call: engine_for caches per
     # machine identity, so sharing one would share profiles too.
-    return engine_for(flip_transducer(), backend)
+    return engine_for(flip_transducer())
 
 
 class TestSnapshotShape:
     def test_snapshot_of_an_idle_engine_is_all_zero(self):
-        engine = fresh_engine("tables")
+        engine = fresh_engine()
         snapshot = engine.profile_snapshot()
-        assert snapshot["backend"] == "tables"
         assert snapshot["sweeps"] == 0
         assert snapshot["rules_evaluated"] == 0
         assert snapshot["rules"] == []
         assert snapshot["heights"] == []
 
     def test_rules_are_sorted_hottest_first_and_nonzero_only(self):
-        engine = fresh_engine("tables")
+        engine = fresh_engine()
         engine.run_batch(FOREST)
         snapshot = engine.profile_snapshot()
         hits = [entry["hits"] for entry in snapshot["rules"]]
@@ -46,13 +40,13 @@ class TestSnapshotShape:
         assert snapshot["sweep_seconds"] >= 0.0
 
     def test_labels_name_state_and_symbol(self):
-        engine = fresh_engine("tables")
+        engine = fresh_engine()
         engine.run_batch(FOREST)
         for entry in engine.profile_snapshot()["rules"]:
             assert " × " in entry["label"]
 
     def test_heights_cover_the_forest_and_count_every_pair(self):
-        engine = fresh_engine("tables")
+        engine = fresh_engine()
         engine.run_batch(FOREST)
         snapshot = engine.profile_snapshot()
         pair_total = sum(level["pairs"] for level in snapshot["heights"])
@@ -64,7 +58,7 @@ class TestSnapshotShape:
 
 class TestCountingSemantics:
     def test_warm_rerun_adds_no_hits(self):
-        engine = fresh_engine("tables")
+        engine = fresh_engine()
         engine.run_batch(FOREST)
         first = engine.profile_snapshot()
         engine.run_batch(FOREST)
@@ -74,7 +68,7 @@ class TestCountingSemantics:
         assert second["sweeps"] == first["sweeps"] + 1
 
     def test_clear_profile_zeroes_but_keeps_the_memo(self):
-        engine = fresh_engine("tables")
+        engine = fresh_engine()
         outputs = engine.run_batch(FOREST)
         engine.clear_profile()
         snapshot = engine.profile_snapshot()
@@ -85,26 +79,22 @@ class TestCountingSemantics:
         assert engine.run_batch(FOREST) == outputs
         assert engine.profile_snapshot()["rules_evaluated"] == 0
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_every_backend_counts_the_same_evaluations(self, backend):
-        reference = fresh_engine("tables")
-        reference.run_batch(FOREST)
-        expected = reference.profile_snapshot()
-        engine = fresh_engine(backend)
+    def test_counts_equal_the_distinct_pairs_evaluated(self):
+        engine = fresh_engine()
         engine.run_batch(FOREST)
         snapshot = engine.profile_snapshot()
-        assert snapshot["backend"] == backend
-        assert snapshot["rules"] == expected["rules"]
-        if backend != "codegen":
-            # codegen sweeps postorder without height bucketing, so
-            # only the rule counts are promised there.
-            assert [
-                (level["height"], level["pairs"])
-                for level in snapshot["heights"]
-            ] == [
-                (level["height"], level["pairs"])
-                for level in expected["heights"]
-            ]
+        assert snapshot["rules_evaluated"] == engine.cache_stats["misses"]
+        assert snapshot["rules_evaluated"] == engine.memo_size()
+        # A second fresh engine counts exactly the same evaluations.
+        other = fresh_engine()
+        other.run_batch(FOREST)
+        again = other.profile_snapshot()
+        assert again["rules"] == snapshot["rules"]
+        assert [
+            (level["height"], level["pairs"]) for level in again["heights"]
+        ] == [
+            (level["height"], level["pairs"]) for level in snapshot["heights"]
+        ]
 
 
 class TestHelpers:

@@ -26,7 +26,7 @@ import pytest
 
 from repro import api
 from repro.automata.build import local_dtta_from_trees
-from repro.engine import automaton_engine_for, available_backends, engine_for
+from repro.engine import automaton_engine_for, engine_for
 from repro.errors import (
     InconsistentSampleError,
     InsufficientSampleError,
@@ -111,10 +111,9 @@ def test_execution_paths_byte_identical(seed):
     assert parallel == reference
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_every_backend_byte_identical_to_interpreter(seed, backend):
-    """Each registered execution backend vs. interpreter and tables.
+def test_engine_byte_identical_to_interpreter(seed):
+    """The engine vs. the interpreter.
 
     Outputs and ``UndefinedTransductionError`` type + message must be
     byte-identical per input, on total and genuinely partial machines,
@@ -123,13 +122,7 @@ def test_every_backend_byte_identical_to_interpreter(seed, backend):
     machine, _domain = random_machine(seed)
     forest = random_forest(machine, seed)
     reference = [outcome_bytes(o) for o in interpreter_outcomes(machine, forest)]
-    tables = [
-        outcome_bytes(o)
-        for o in engine_for(machine, "tables").run_batch_outcomes(forest)
-    ]
-    assert tables == reference
-
-    engine = engine_for(machine, backend)
+    engine = engine_for(machine)
     cold = [outcome_bytes(o) for o in engine.run_batch_outcomes(forest)]
     assert cold == reference
     warm = [outcome_bytes(o) for o in engine.run_batch_outcomes(forest)]
@@ -144,24 +137,23 @@ def test_every_backend_byte_identical_to_interpreter(seed, backend):
     assert per_tree == reference
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_every_backend_survives_depth_100k(backend):
-    """No backend may recurse: depth-100k chains translate or fail cleanly."""
+def test_engine_survives_depth_100k():
+    """The engine never recurses: a depth-100k chain translates or fails
+    cleanly, and the warm (memoized) answer equals the cold one."""
     machine, _domain = random_machine(0)  # total machine (even seed)
     deep = monadic_tree(
         [sorted(machine.input_alphabet.symbols_of_rank(1))[0]] * 100_000
     )
-    engine = engine_for(machine, backend)
-    tables = engine_for(machine, "tables")
-    try:
-        expected = outcome_bytes(tables.run(deep))
-    except UndefinedTransductionError as error:
-        expected = outcome_bytes(error)
-    try:
-        got = outcome_bytes(engine.run(deep))
-    except UndefinedTransductionError as error:
-        got = outcome_bytes(error)
-    assert got == expected
+    engine = engine_for(machine)
+
+    def run():
+        try:
+            return outcome_bytes(engine.run(deep))
+        except UndefinedTransductionError as error:
+            return outcome_bytes(error)
+
+    cold = run()
+    assert run() == cold
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)

@@ -15,9 +15,8 @@ caveats of :mod:`repro.transducers.compose` spelled out exactly:
   cannot be expressed, Section 7);
 * ``earliest=True`` keeps outputs byte-identical on the fused domain
   but may enlarge the domain further (the machine/inspection split);
-* the fused machine itself is an ordinary DTOP: every execution
-  backend reproduces the interpreter byte-for-byte on it, errors
-  included.
+* the fused machine itself is an ordinary DTOP: the engine
+  reproduces the interpreter byte-for-byte on it, errors included.
 
 The stage generator lives here (``random_chain_stage``) because the
 ``random_total_dtop`` family is not chainable — its output alphabet is
@@ -30,7 +29,7 @@ import random
 import pytest
 
 from repro import api
-from repro.engine import available_backends, engine_for
+from repro.engine import engine_for
 from repro.errors import UndefinedTransductionError
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.generate import random_tree
@@ -177,11 +176,10 @@ def test_earliest_fusion_output_parity(seed):
             assert str(earliest) == str(got)
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fused_machine_byte_identical_across_backends(seed, backend):
-    """The fused machine is an ordinary DTOP: every backend reproduces
-    the interpreter on it byte-for-byte, errors included."""
+def test_fused_machine_engine_byte_identical(seed):
+    """The fused machine is an ordinary DTOP: the engine reproduces the
+    interpreter on it byte-for-byte, errors included."""
     stages = random_chain(seed, length=3, partial=True)
     fused = compose_chain(stages)
     forest = chain_forest(seed, count=15)
@@ -189,7 +187,7 @@ def test_fused_machine_byte_identical_across_backends(seed, backend):
         outcome_bytes(fused_outcome(fused, source)) for source in forest
     ]
     fused.clear_caches()
-    engine = engine_for(fused, backend)
+    engine = engine_for(fused)
     got = [outcome_bytes(o) for o in engine.run_batch_outcomes(forest)]
     assert got == reference
     fused.clear_caches()

@@ -1,10 +1,9 @@
-"""End-to-end JSON transformations: workloads, learning, bundles, backends."""
+"""End-to-end JSON transformations: workloads, learning, bundles, batches."""
 
 import pytest
 
 from repro import api
 from repro.codec import load_transformation, transformation_from_bundle
-from repro.engine import available_backends
 from repro.errors import ParseError, ReproError
 from repro.json.pipeline import JSON_BUNDLE_FORMAT, learn_json_transformation
 from repro.workloads.flip import flip_transducer
@@ -35,12 +34,11 @@ class TestWorkloadsMatchReferences:
         assert streamed == transformation.apply_batch(DOCS)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_batch_agrees_across_backends(backend):
+def test_batch_agrees_with_reference():
     for name, factory, reference in JSON_WORKLOADS:
         transformation = factory()
-        outcomes = transformation.apply_batch(DOCS, backend=backend)
-        assert outcomes == [reference(d) for d in DOCS], (name, backend)
+        outcomes = transformation.apply_batch(DOCS)
+        assert outcomes == [reference(d) for d in DOCS], name
 
 
 def test_out_of_domain_key_is_a_per_document_error():

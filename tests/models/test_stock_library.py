@@ -3,16 +3,19 @@
 The committed artifacts are build outputs guarded by tests instead of
 review: the builder must be deterministic and the checked-in bytes must
 match what it produces today.  Every artifact must load in a registry,
-warm an engine under both backends, and serve one document
-byte-identically to the local pipeline.
+warm an engine, and serve one document
+byte-identically to the local pipeline; on every model the engine
+answers each state on each probe subtree as the interpreter does.
 """
 
+import pickle
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.engine import available_backends
+from repro.engine import engine_for
+from repro.errors import UndefinedTransductionError
 from repro.json.jsonio import parse_json, serialize_json
 from repro.server import ServerClient, ServerThread
 from repro.server.registry import ModelRegistry
@@ -85,9 +88,8 @@ def test_every_artifact_loads_in_a_registry():
         registry.close()
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_stock_library_serves_every_model(tmp_path, backend):
-    """Warm + serve one probe per model under each backend.
+def test_stock_library_serves_every_model(tmp_path):
+    """Warm + serve one probe per model.
 
     JSON responses must be byte-identical to the local
     JSON ``Transformation`` on the same bundle — the acceptance bar for
@@ -102,7 +104,7 @@ def test_stock_library_serves_every_model(tmp_path, backend):
         "defaults-json@1": jsonwl.defaults_transformation(),
         "redact-json@1": jsonwl.redact_transformation(),
     }
-    with ServerThread(directory, backend=backend, warm=True) as handle:
+    with ServerThread(directory, warm=True) as handle:
         with ServerClient(handle.host, handle.port) as client:
             for key in STOCK_MODELS:
                 response = client.transform(key, PROBES[key])
@@ -110,4 +112,37 @@ def test_stock_library_serves_every_model(tmp_path, backend):
                 if key in local:
                     document = parse_json(PROBES[key])
                     expected = serialize_json(local[key].apply(document))
-                    assert response == expected, (key, backend)
+                    assert response == expected, key
+
+
+def _outcome(evaluate, node):
+    try:
+        return evaluate(node)
+    except UndefinedTransductionError as error:
+        return ("undefined", str(error))
+
+
+@pytest.mark.parametrize("key", sorted(STOCK_MODELS))
+def test_engine_matches_the_interpreter(key):
+    """Every state of the model, on every subtree of its encoded probe."""
+    registry = ModelRegistry(MODELS_DIR)
+    try:
+        entry = registry.get(key)
+        document = entry.codec.parse(PROBES[key])
+        encoded, _values = entry.codec.input_encoder.encode_with_values(
+            document
+        )
+        machine = entry.machine
+        reference = pickle.loads(pickle.dumps(machine))
+        engine = engine_for(machine)
+        assert engine.run(encoded) == reference.apply(encoded)
+        subtrees = {node for _, node in encoded.subtrees()}
+        for state in sorted(machine.states, key=repr):
+            for node in sorted(subtrees, key=str):
+                assert _outcome(
+                    lambda tree: engine.eval_state(state, tree), node
+                ) == _outcome(
+                    lambda tree: reference.eval_state(state, tree), node
+                ), (key, state, str(node))
+    finally:
+        registry.close()

@@ -107,14 +107,14 @@ class TestTraceContext:
     def test_spans_serialize_durations_not_timestamps(self):
         clock = FakeClock()
         trace = TraceContext(clock=clock)
-        with trace.span("work", backend="tables"):
+        with trace.span("work", documents=3):
             clock.advance(0.002)
         data = trace.to_dict()
         payload = json.dumps(data)
         assert "started" not in payload and "ended" not in payload
         child = data["children"][0]
         assert child["duration_ms"] == 2.0
-        assert child["meta"] == {"backend": "tables"}
+        assert child["meta"] == {"documents": 3}
 
     def test_attach_grafts_a_finished_span(self):
         trace = new_trace()
@@ -128,13 +128,13 @@ class TestSpanRoundTrip:
     def test_from_dict_preserves_names_durations_meta_children(self):
         clock = FakeClock()
         trace = TraceContext(clock=clock, name="worker.translate")
-        with trace.span("worker.execute", backend="tables"):
+        with trace.span("worker.execute", documents=3):
             clock.advance(0.004)
         rebuilt = span_from_dict(trace.to_dict())
         assert rebuilt.name == "worker.translate"
         child = rebuilt.children[0]
         assert child.name == "worker.execute"
-        assert child.meta == {"backend": "tables"}
+        assert child.meta == {"documents": 3}
         assert child.duration_s == 0.004
 
     def test_round_trip_is_stable(self):

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from repro.engine import (
-    artifact_stats,
-    available_backends,
-    engine_for,
-    reset_artifact_stats,
-)
+from repro.engine import artifact_stats, engine_for, reset_artifact_stats
+from repro.engine.compile import OP_CONST
+from repro.errors import ServiceError
 from repro.serve.shard import (
+    PAYLOAD_FIELDS,
+    PAYLOAD_FORMAT,
     chunk_forest,
     decode_forest,
     encode_forest,
@@ -21,7 +20,55 @@ from repro.serve.shard import (
 )
 from repro.trees.generate import monadic_tree, random_tree
 from repro.trees.tree import Tree, leaf, tree
-from repro.workloads.families import random_total_dtop
+from repro.workloads.families import cycle_relabel, random_total_dtop
+
+
+def legacy_payload(machine):
+    """A valid ``repro/engine-payload@2`` tuple, built by hand: it also
+    carried the execution backend name and the symbol arity table."""
+    compiled = engine_for(machine).compiled
+    consts = []
+
+    def strip(template):
+        out = []
+        for instruction in template:
+            if instruction[0] == OP_CONST:
+                out.append((OP_CONST, len(consts)))
+                consts.append(instruction[1])
+            else:
+                out.append(instruction)
+        return tuple(out)
+
+    rule_templates = tuple(strip(t) for t in compiled.rule_templates)
+    axiom_template = strip(compiled.axiom_template)
+    return (
+        "repro/engine-payload@2",
+        "tables",
+        tuple(compiled.state_names),
+        tuple(compiled.symbol_names),
+        tuple(
+            machine.input_alphabet.rank(symbol)
+            for symbol in compiled.symbol_names
+        ),
+        tuple(compiled.rule_of),
+        tuple(compiled.rule_calls),
+        rule_templates,
+        compiled.axiom_calls,
+        axiom_template,
+        encode_forest(consts),
+    )
+
+
+#: Tuples :func:`unpack_engine` must refuse, built from a good payload.
+MALFORMED_PAYLOADS = {
+    "empty": lambda good: (),
+    "none": lambda good: None,
+    "list": lambda good: list(good),
+    "bare-format-tag": lambda good: PAYLOAD_FORMAT,
+    "truncated": lambda good: good[:-1],
+    "extra-field": lambda good: good + ((),),
+    "version-4": lambda good: ("repro/engine-payload@4",) + good[1:],
+}
 
 
 class TestForestCodec:
@@ -110,10 +157,64 @@ class TestEnginePayload:
         assert [str(outcome) for outcome in got] == [str(tree) for tree in want]
 
     def test_unpack_rejects_foreign_payloads(self):
-        from repro.errors import ServiceError
-
         with pytest.raises(ServiceError):
             unpack_engine(("not-a-payload",))
+
+    def test_unpack_refuses_a_version_2_payload(self):
+        machine, _ = cycle_relabel(2)
+        with pytest.raises(
+            ServiceError, match=r"^not a repro/engine-payload@3 payload$"
+        ):
+            unpack_engine(legacy_payload(machine))
+
+
+    def test_payload_format_is_version_3(self):
+        machine, _ = cycle_relabel(2)
+        payload = pack_engine(engine_for(machine).compiled)
+        assert PAYLOAD_FORMAT == "repro/engine-payload@3"
+        assert payload[0] == PAYLOAD_FORMAT
+        assert len(payload) == PAYLOAD_FIELDS
+
+    def test_payload_carries_no_backend_name_or_arity_table(self):
+        machine, _ = random_total_dtop(3, seed=4)
+        compiled = engine_for(machine).compiled
+        payload = pack_engine(compiled)
+        # @2 put the backend name and the arity table around the names.
+        assert len(legacy_payload(machine)) == len(payload) + 2
+        assert payload[1:4] == (
+            tuple(compiled.state_names),
+            tuple(compiled.symbol_names),
+            tuple(compiled.rule_of),
+        )
+        assert not any(isinstance(field, str) for field in payload[1:])
+
+    @pytest.mark.parametrize(
+        "make", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS.keys()
+    )
+    def test_unpack_refuses_malformed_payloads(self, make):
+        machine, _ = cycle_relabel(2)
+        good = pack_engine(engine_for(machine).compiled)
+        with pytest.raises(
+            ServiceError, match=r"^not a repro/engine-payload@3 payload$"
+        ):
+            unpack_engine(make(good))
+
+    def test_each_unpack_is_a_cold_independent_engine(self):
+        machine, _ = random_total_dtop(3, seed=8)
+        payload = pack_engine(engine_for(machine).compiled)
+        rng = random.Random(8)
+        forest = [
+            random_tree(machine.input_alphabet, max_height=5, rng=rng)
+            for _ in range(20)
+        ]
+        first = unpack_engine(payload)
+        expected = first.run_batch(forest)
+        second = unpack_engine(payload)
+        assert first.memo_size() > 0
+        assert second.memo_size() == 0
+        assert second.cache_stats["misses"] == 0
+        assert second.run_batch(forest) == expected
+        assert expected == [machine.apply(document) for document in forest]
 
 
 class TestChunking:
@@ -186,18 +287,17 @@ class TestChunking:
             ]
             for _ in range(2)
         ]
-        for backend in available_backends():
-            shard_module.init_worker(pack_engine(compiled, backend))
-            worker = shard_module._WORKER_ENGINE
-            for chunk in chunks:
-                shard_module.worker_translate(encode_forest(chunk))
-            # The engine's own bound cleared the memo before the second
-            # chunk's sweep: the worker holds that chunk's pairs only,
-            # not every subtree it ever translated.
-            alone = unpack_engine(pack_engine(compiled, backend))
-            alone.run_batch_outcomes(chunks[1])
-            assert worker.cache_stats["evictions"] == 1
-            assert worker.memo_size() == alone.memo_size()
+        shard_module.init_worker(pack_engine(compiled))
+        worker = shard_module._WORKER_ENGINE
+        for chunk in chunks:
+            shard_module.worker_translate(encode_forest(chunk))
+        # The engine's own bound cleared the memo before the second
+        # chunk's sweep: the worker holds that chunk's pairs only, not
+        # every subtree it ever translated.
+        alone = unpack_engine(pack_engine(compiled))
+        alone.run_batch_outcomes(chunks[1])
+        assert worker.cache_stats["evictions"] == 1
+        assert worker.memo_size() == alone.memo_size()
 
     def test_cost_balancing_splits_heavy_prefix(self):
         heavy = [monadic_tree(["a"] * 50, end=f"e{i}") for i in range(4)]

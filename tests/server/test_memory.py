@@ -3,9 +3,7 @@
 Every document of the soak is distinct, so no memo entry is ever reused
 across bodies: without the engine's pair bound the memo (and the
 interned trees it pins) grows with the traffic.  The bound is patched
-small so a few thousand documents cross it many times; the execution
-backend is whatever ``REPRO_BACKEND`` resolves to, so CI's backend
-matrix covers both engines on the served path.
+small so a few thousand documents cross it many times.
 """
 
 import gc
@@ -16,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import execute
-from repro.engine.backends import get_backend
+from repro.engine.execute import Engine
 from repro.json.jsonio import serialize_json
 from repro.server import ServerClient, ServerThread
 from repro.server.metrics import validate_exposition
@@ -79,7 +77,7 @@ def body_demand(entry, engine, body):
         entry.codec.input_encoder.encode_with_values(document)[0]
         for document in parser.close()
     ]
-    alone = get_backend(engine.backend)(engine.compiled)
+    alone = Engine(engine.compiled)
     alone.run_batch_outcomes(trees)
     return alone.memo_size()
 
@@ -112,6 +110,10 @@ def test_distinct_stream_soak_keeps_memo_and_intern_table_flat(
         assert stats["evictions"] > 0
         assert gauge(samples, "repro_memo_evictions_total") == (
             stats["evictions"]
+        )
+        assert gauge(samples, "repro_engine_memo_hits_total") == stats["hits"]
+        assert gauge(samples, "repro_engine_memo_misses_total") == (
+            stats["misses"]
         )
         # The scrape refreshed the intern gauge from the live table.
         assert samples["repro_intern_live"][()] > 0

@@ -13,7 +13,6 @@ import pytest
 
 from repro import api
 from repro.engine import artifact_stats, reset_artifact_stats
-from repro.engine.backends import ENV_VAR
 from repro.errors import ModelNotFoundError, RegistryError
 from repro.server import ServerClient, ServerThread
 from repro.server.registry import (
@@ -25,23 +24,25 @@ from repro.server.registry import (
 from repro.trees.alphabet import RankedAlphabet
 from repro.transducers.compose import compose_chain
 from repro.workloads.flip import FLIP_ALPHABET, flip_input, flip_transducer
+from repro.workloads.xmlflip import xmlflip_document
+from repro.xml.xmlio import serialize_xml
 
 from tests.server.conftest import MALFORMED_ARTIFACTS, identity_dtop
 
 STOCK_MODELS = Path(__file__).resolve().parents[2] / "models"
 
 
-def pin_backend(path, backend):
-    """Write a per-model ``"backend"`` key into a saved artifact."""
-    data = json.loads(path.read_text())
-    data["backend"] = backend
-    path.write_text(json.dumps(data))
-
-
 def write_pipeline(directory, name, stages, **extra):
     data = {"format": PIPELINE_FORMAT, "stages": stages}
     data.update(extra)
     (directory / f"{name}.json").write_text(json.dumps(data))
+
+
+def edit_artifact(path, **fields):
+    """Rewrite a JSON artifact with extra or replaced top-level keys."""
+    data = json.loads(path.read_text())
+    data.update(fields)
+    path.write_text(json.dumps(data))
 
 
 def directory_state(directory):
@@ -317,58 +318,74 @@ class TestReloadIsolation:
             assert registry.get(model) is old and not old.retired
 
 
-class TestBackendPins:
-    def test_artifact_key_overrides_the_registry_default(self, models_dir):
-        pin_backend(models_dir / "flip@1.json", "codegen")
+class TestUnreadKeys:
+    def test_a_backend_key_loads_and_serves_unchanged(self, models_dir):
+        # A "backend" key, whatever it names, is an unread key.
+        path = models_dir / "flip@1.json"
+        data = json.loads(path.read_text())
+        data["backend"] = "numpy"
+        path.write_text(json.dumps(data))
         document = flip_input(2, 1)
-        with ServerThread(models_dir, backend="tables") as server:
+        with ServerThread(models_dir) as server:
             with ServerClient(server.host, server.port) as client:
-                backends = {
-                    row["model"]: row["backend"] for row in client.models()
-                }
+                rows = {row["model"]: row for row in client.models()}
                 output = client.transform("flip@1", str(document))
-        assert backends == {"flip@1": "codegen", "xmlflip@1": "tables"}
+        assert set(rows) == {"flip@1", "xmlflip@1"}
+        assert "backend" not in rows["flip@1"]
         assert output == str(api.run(flip_transducer(), document))
 
-    def test_auto_pin_serves_on_codegen(self, models_dir):
-        pin_backend(models_dir / "flip@1.json", "auto")
-        with ModelRegistry(models_dir, backend="tables") as registry:
-            assert registry.get("flip@1").backend == "codegen"
-            assert registry.get("xmlflip@1").backend == "tables"
-
-    def test_registry_default_outranks_the_environment(
-        self, models_dir, monkeypatch
-    ):
-        monkeypatch.setenv(ENV_VAR, "codegen")
-        with ModelRegistry(models_dir, backend="tables") as registry:
-            assert registry.get("flip@1").backend == "tables"
+    @pytest.mark.parametrize(
+        "value",
+        ["codegen", "tables", "auto", "no-such-engine", 42, None, ["tables"]],
+        ids=["codegen", "tables", "auto", "unknown", "int", "null", "list"],
+    )
+    def test_any_backend_value_is_ignored(self, models_dir, value):
+        edit_artifact(models_dir / "flip@1.json", backend=value)
+        document = flip_input(3, 2)
         with ModelRegistry(models_dir) as registry:
-            assert registry.get("flip@1").backend == "codegen"
+            entry = registry.get("flip@1")
+            (output,) = entry.run_batch([document])
+            described = entry.describe()
+        assert output == api.run(flip_transducer(), document)
+        assert "backend" not in described
 
-    def test_unknown_pin_fails_a_strict_boot_naming_the_file(self, models_dir):
-        pin_backend(models_dir / "flip@1.json", "numpy")
-        with pytest.raises(RegistryError) as caught:
-            ModelRegistry(models_dir)
-        assert str(caught.value).endswith(
-            "flip@1: cannot load model flip@1.json: unknown execution "
-            "backend 'numpy' (registered: codegen, tables)"
+    def test_an_xml_bundle_with_a_backend_key_serves_unchanged(
+        self, models_dir, xmlflip_transformation
+    ):
+        edit_artifact(models_dir / "xmlflip@1.json", backend="codegen")
+        document = xmlflip_document(3, 1)
+        with ModelRegistry(models_dir) as registry:
+            entry = registry.get("xmlflip@1")
+            assert entry.kind == "xml"
+            (output,) = entry.run_batch([document])
+        expected = xmlflip_transformation.apply(document)
+        assert serialize_xml(output) == serialize_xml(expected)
+
+    def test_a_pipeline_with_a_backend_key_serves_unchanged(self, models_dir):
+        api.save(
+            identity_dtop(FLIP_ALPHABET), str(models_dir / "stage@1.json")
         )
+        write_pipeline(
+            models_dir, "chain@1", ["flip@1", "stage@1"], backend="codegen"
+        )
+        document = flip_input(2, 1)
+        with ModelRegistry(models_dir) as registry:
+            (output,) = registry.get("chain@1").run_batch([document])
+        assert output == api.run(flip_transducer(), document)
 
-    def test_unknown_pin_on_reload_is_a_per_file_failure(self, models_dir):
+    def test_adding_a_backend_key_is_an_ordinary_edit(self, models_dir):
+        document = flip_input(2, 2)
         with ModelRegistry(models_dir) as registry:
             old = registry.get("flip@1")
-            time.sleep(0.01)
-            pin_backend(models_dir / "flip@1.json", "numpy")
+            (before,) = old.run_batch([document])
+            time.sleep(0.01)  # ensure a distinct mtime_ns
+            edit_artifact(models_dir / "flip@1.json", backend="codegen")
             summary = registry.reload()
-            assert summary["failed"] == [
-                "flip@1: cannot load model flip@1.json: unknown execution "
-                "backend 'numpy' (registered: codegen, tables)"
-            ]
-            assert summary["kept"] == ["xmlflip@1"]
-            assert registry.get("flip@1") is old and not old.retired
-            assert str(old.run_batch([flip_input(1, 0)])[0]) == (
-                "root(#, a(#, #))"
-            )
+            assert summary["reloaded"] == ["flip@1"]
+            assert summary["failed"] == []
+            (after,) = registry.get("flip@1").run_batch([document])
+        assert old.retired
+        assert after == before
 
 
 class TestPipelineArtifacts:

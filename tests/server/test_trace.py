@@ -16,11 +16,17 @@ The acceptance invariants of the tracing subsystem:
 * ``profile`` answers non-empty per-rule counts for a stock model.
 """
 
+import re
+
 import pytest
 
 from repro.server import ServerClient, ServerThread
+from repro.server import metrics as metrics_module
 from repro.server.logging import EventLog
+from repro.server.metrics import FAMILIES, validate_exposition
 from repro.workloads.flip import flip_input
+from repro.workloads.xmlflip import xmlflip_document
+from repro.xml.xmlio import serialize_xml
 
 DOCUMENT = str(flip_input(3, 2))
 
@@ -209,12 +215,110 @@ class TestProfileVerb:
 
 
 class TestMetricsFold:
-    def test_snapshot_folds_in_engine_and_backend_counters(self, models_dir):
+    def test_snapshot_folds_in_engine_counters(self, models_dir):
         with ServerThread(models_dir, max_wait_ms=2.0) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
+                client.transform("flip", DOCUMENT)
                 metrics = client.metrics()
+                entry = handle.server.registry.get("flip")
+                stats = entry.peek_engine().cache_stats
         artifacts = metrics["engine_artifacts"]
         assert {"compiles", "payload_hits"} <= set(artifacts)
-        backends = metrics["backends"]
-        assert any(counters["batches"] > 0 for counters in backends.values())
+        assert "backends" not in metrics
+        # Each model's memo hits and misses, mirrored at scrape time.
+        counters = metrics["counters"]
+        labels = {"model": entry.key}
+        hits = counters["repro_engine_memo_hits_total"]
+        misses = counters["repro_engine_memo_misses_total"]
+        assert {"labels": labels, "value": stats["hits"]} in hits
+        assert {"labels": labels, "value": stats["misses"]} in misses
+        # The repeat was answered from the memo.
+        assert stats["hits"] > 0 and stats["misses"] > 0
+
+    def test_each_model_gets_its_own_memo_series(self, models_dir):
+        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                client.transform("flip", DOCUMENT)
+                client.transform(
+                    "xmlflip", serialize_xml(xmlflip_document(2, 1))
+                )
+                counters = client.metrics()["counters"]
+                registry = handle.server.registry
+                stats = {
+                    key: registry.get(key).peek_engine().cache_stats
+                    for key in ("flip@1", "xmlflip@1")
+                }
+        for family, counter in (
+            ("repro_engine_memo_hits_total", "hits"),
+            ("repro_engine_memo_misses_total", "misses"),
+        ):
+            series = {
+                row["labels"]["model"]: row["value"]
+                for row in counters[family]
+            }
+            assert series == {
+                key: values[counter] for key, values in stats.items()
+            }
+        assert stats["xmlflip@1"]["misses"] > 0
+
+    def test_exposition_declares_the_memo_families_as_counters(
+        self, models_dir
+    ):
+        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                client.transform("flip", DOCUMENT)
+                client.transform("flip", DOCUMENT)
+                text = client.metrics_text()
+                entry = handle.server.registry.get("flip")
+                stats = entry.peek_engine().cache_stats
+        samples = validate_exposition(text)
+        labels = (("model", entry.key),)
+        for family, counter in (
+            ("repro_engine_memo_hits_total", "hits"),
+            ("repro_engine_memo_misses_total", "misses"),
+        ):
+            assert f"# TYPE {family} counter" in text
+            assert samples[family][labels] == stats[counter]
+        assert "repro_backend_requests_total" not in text
+
+    def test_unexercised_models_have_no_memo_series(self, models_dir):
+        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                client.transform("flip", DOCUMENT)
+                counters = client.metrics()["counters"]
+        for family in (
+            "repro_engine_memo_hits_total",
+            "repro_engine_memo_misses_total",
+        ):
+            models = {row["labels"]["model"] for row in counters[family]}
+            assert models == {"flip@1"}
+
+    def test_stats_and_models_verbs_name_no_backend(self, models_dir):
+        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                client.transform("flip", DOCUMENT)
+                stats = client.stats()
+                rows = client.models()
+        assert "backends" not in stats
+        assert rows and all("backend" not in row for row in rows)
+        assert all("backend" not in row for row in stats["models"])
+
+    def test_taxonomy_table_matches_the_declared_families(self):
+        rows = dict(
+            re.findall(
+                r"^``(repro_\w+)``\s+(\w+)\s", metrics_module.__doc__, re.M
+            )
+        )
+        assert rows == {name: kind for name, (kind, _) in FAMILIES.items()}
+
+
+class TestExecuteSpan:
+    def test_in_process_execute_span_names_no_backend(self, models_dir):
+        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+            with ServerClient(handle.host, handle.port) as client:
+                _output, trace = client.transform_traced("flip", DOCUMENT)
+        execute = find_span(trace, "execute")
+        assert execute is not None
+        assert execute["meta"]["documents"] == 1
+        assert "backend" not in execute["meta"]

@@ -109,7 +109,6 @@ class TestCacheManagement:
             "intern",
             "lcp",
             "sample_tables",
-            "backends",
             "engine_artifacts",
         }
         for name in ("intern", "lcp"):
@@ -117,8 +116,6 @@ class TestCacheManagement:
         assert "tables_built" in stats["sample_tables"]
         assert "tables_extended" in stats["sample_tables"]
         assert "signature_hits" in stats["sample_tables"]
-        for counters in stats["backends"].values():
-            assert "hits" in counters and "misses" in counters
         assert "compiles" in stats["engine_artifacts"]
         assert "payload_hits" in stats["engine_artifacts"]
 
@@ -213,3 +210,70 @@ class TestNetworkFacade:
                 assert client.transform("flip", "root(#, #)") == "root(#, #)"
         # serve_forever is the blocking CLI face of the same stack.
         assert callable(api.serve_forever)
+
+
+class TestNoBackendKeyword:
+    """Nothing takes a ``backend=``: one engine runs every machine."""
+
+    @pytest.fixture
+    def flip_dir(self, tmp_path):
+        from repro.workloads.flip import flip_transducer
+
+        api.save(flip_transducer(), str(tmp_path / "flip@1.json"))
+        return tmp_path
+
+    def call_with_backend(self, site, flip_dir):
+        from repro.codec import load_transformation
+        from repro.engine import engine_for
+        from repro.serve import TransformService
+        from repro.server.app import TransformServer
+        from repro.server.registry import ModelRegistry
+
+        machine = api.load(str(flip_dir / "flip@1.json"))
+        document = "root(#, #)"
+        if site == "run":
+            api.run(machine, document, backend="tables")
+        elif site == "run_batch":
+            api.run_batch(machine, [document], backend="tables")
+        elif site == "try_run_batch":
+            api.try_run_batch(machine, [document], backend="tables")
+        elif site == "engine_for":
+            engine_for(machine, backend="tables")
+        elif site == "TransformService":
+            TransformService(machine, backend="tables")
+        elif site in ("apply_batch", "apply_stream"):
+            transformation = load_transformation(flip_dir / "flip@1.json")
+            method = getattr(transformation, site)
+            method([parse_term(document)], backend="tables")
+        elif site == "ModelRegistry":
+            ModelRegistry(flip_dir, backend="tables")
+        elif site == "TransformServer":
+            with ModelRegistry(flip_dir) as registry:
+                TransformServer(registry, backend="tables")
+
+    @pytest.mark.parametrize(
+        "site",
+        [
+            "run",
+            "run_batch",
+            "try_run_batch",
+            "engine_for",
+            "TransformService",
+            "apply_batch",
+            "apply_stream",
+            "ModelRegistry",
+            "TransformServer",
+        ],
+    )
+    def test_backend_keyword_is_refused(self, site, flip_dir):
+        with pytest.raises(TypeError, match="backend"):
+            self.call_with_backend(site, flip_dir)
+
+    def test_repro_backend_environment_is_ignored(self, monkeypatch):
+        documents = ["f(f(a, b), a)", "b", "f(b, f(a, b))"]
+        expected = [api.run(api.learn(FLIP_EXAMPLES), d) for d in documents]
+        monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
+        # A machine learned under the variable compiles its engine then.
+        machine = api.learn(FLIP_EXAMPLES)
+        assert api.run_batch(machine, documents) == expected
+        assert api.try_run_batch(machine, documents) == expected

@@ -8,8 +8,6 @@ import pytest
 from repro import api
 from repro.cli import main
 from repro.codec import load_transformation
-from repro.engine import backend_stats, reset_backend_stats
-from repro.engine.backends import ENV_VAR
 from repro.errors import UndefinedTransductionError
 from repro.workloads.flip import flip_input, flip_transducer
 from repro.workloads.xmlflip import (
@@ -304,8 +302,8 @@ class TestErrors:
         assert code == 2
 
 
-class TestSingleDocumentBackend:
-    """One document runs through the named backend, like a batch does."""
+class TestSingleDocument:
+    """One term document runs through the engine and prints its output."""
 
     @pytest.fixture
     def document(self, tmp_path):
@@ -323,41 +321,8 @@ class TestSingleDocumentBackend:
             ]
         )
 
-    def test_backend_typo_exits_2(self, document, capsys):
-        assert self.apply(document, "--backend", "nope") == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: unknown execution backend 'nope' "
-            "(registered: codegen, tables)\n"
-        )
-
-    def test_env_typo_exits_2(self, document, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "nope")
-        assert self.apply(document) == 2
-        assert "unknown execution backend 'nope'" in capsys.readouterr().err
-
-    def test_codegen_runs_the_document(self, document, capsys):
-        reset_backend_stats()
-        assert self.apply(document, "--backend", "codegen") == 0
-        stats = backend_stats()
-        assert stats["codegen"]["batches"] >= 1
-        assert "tables" not in stats
-        expected = api.run(flip_transducer(), flip_input(2, 1))
-        assert capsys.readouterr().out == f"{expected}\n"
-
-    def test_auto_runs_the_document_on_codegen(self, document, capsys):
-        reset_backend_stats()
-        assert self.apply(document, "--backend", "auto") == 0
-        assert set(backend_stats()) == {"codegen"}
-        expected = api.run(flip_transducer(), flip_input(2, 1))
-        assert capsys.readouterr().out == f"{expected}\n"
-
-    def test_flag_outranks_the_environment(self, document, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "codegen")
-        reset_backend_stats()
-        assert self.apply(document, "--backend", "tables") == 0
-        assert set(backend_stats()) == {"tables"}
+    def test_prints_the_engine_output(self, document, capsys):
+        assert self.apply(document) == 0
         expected = api.run(flip_transducer(), flip_input(2, 1))
         assert capsys.readouterr().out == f"{expected}\n"
 
@@ -366,8 +331,37 @@ class TestSingleDocumentBackend:
         path.write_text("f(a, b)")
         with pytest.raises(UndefinedTransductionError) as local:
             api.run(flip_transducer(), "f(a, b)")
-        assert self.apply(path, "--backend", "codegen") == 2
+        assert self.apply(path) == 2
         assert capsys.readouterr().err == f"error: {local.value}\n"
+
+
+    def test_repro_backend_environment_is_ignored(
+        self, document, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
+        assert self.apply(document) == 0
+        expected = api.run(flip_transducer(), flip_input(2, 1))
+        assert capsys.readouterr().out == f"{expected}\n"
+
+
+class TestNoBackendFlag:
+    """No subcommand takes ``--backend``: argparse refuses it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--transform", "t.json", "doc.dtop"],
+            ["serve", "--transform", "t.json", "--input", "batch.xml"],
+            ["server", "--models", "models"],
+        ],
+        ids=["apply", "serve", "server"],
+    )
+    def test_backend_flag_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--backend", "tables"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --backend tables" in err
 
 
 class TestServeAndStream:
