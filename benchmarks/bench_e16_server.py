@@ -141,7 +141,7 @@ def test_e16_micro_batching_beats_per_request_dispatch(
     texts = _corpus()
 
     # Per-request serial dispatch: batching disabled, no sharding.
-    with ServerThread(tmp_path, max_batch=1, max_wait_ms=0.5) as handle:
+    with ServerThread(tmp_path, max_batch=1) as handle:
         serial_elapsed, serial_payloads = _drive(
             handle.host, handle.port, texts
         )
@@ -149,9 +149,7 @@ def test_e16_micro_batching_beats_per_request_dispatch(
     # Micro-batched dispatch: coalesce up to 16 concurrent requests,
     # shard each batch across 4 worker processes.
     def batched_run():
-        with ServerThread(
-            tmp_path, jobs=JOBS, max_batch=CLIENTS, max_wait_ms=25.0
-        ) as handle:
+        with ServerThread(tmp_path, jobs=JOBS, max_batch=CLIENTS) as handle:
             elapsed, payloads = _drive(handle.host, handle.port, texts)
             stats = ServerClient(handle.host, handle.port).stats()
             return elapsed, payloads, stats
@@ -239,7 +237,7 @@ def test_e16_stream_serving_round_trip(benchmark, tmp_path, capsys):
     expected = [serialize_xml(transform_xmlflip(d)) for d in documents]
 
     def round_trip():
-        with ServerThread(tmp_path, max_wait_ms=2.0) as handle:
+        with ServerThread(tmp_path) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 return client.transform_stream("xmlflip", stream)
 

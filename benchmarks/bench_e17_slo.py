@@ -109,9 +109,7 @@ def test_e17_p99_slo_under_sustained_load_and_faults(benchmark, tmp_path):
     total = CLIENTS * PER_CLIENT
 
     with poison_label() as poison:
-        with ServerThread(
-            tmp_path, jobs=2, max_wait_ms=2.0, **SUPERVISION
-        ) as handle:
+        with ServerThread(tmp_path, jobs=2, **SUPERVISION) as handle:
             # -- phase (a): steady state --------------------------------
             elapsed = benchmark.pedantic(
                 lambda: _drive(handle.host, handle.port, PER_CLIENT),

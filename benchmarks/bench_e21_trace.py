@@ -6,9 +6,12 @@ Not a paper experiment: this benchmark prices the observability layer
 (a) **overhead**: serving the flip model to 8 concurrent clients with
     tracing *sampled* at rate 0.01 costs < 5% extra p99 latency over
     tracing disabled (plus a 2 ms noise floor — loopback p99 jitters
-    more than a trace costs).  The *full*-rate configuration (every
-    request traced, events emitted) is measured and recorded but not
-    asserted: it is the price ceiling, not the operating point.
+    more than a trace costs).  Each mode runs ``ROUNDS`` times, the
+    two alternating, and the check compares the per-mode median p99:
+    one jittery run swings p99 by more than the budget.  The
+    *full*-rate configuration (every request traced, events emitted)
+    is measured once and recorded but not asserted: it is the price
+    ceiling, not the operating point.
 
 (b) **profiler**: after serving traffic to a stock *pipeline* model
     (``swap-twice@1``, two fused stages), the ``profile`` verb answers
@@ -21,6 +24,7 @@ so CI can archive them next to the other bench-smoke artifacts.
 
 import json
 import os
+import statistics
 import threading
 import time
 
@@ -44,6 +48,10 @@ PER_CLIENT = 50
 WARMUP = 32
 #: Profiler rules reported.
 TOP_K = 5
+#: Alternating disabled/sampled rounds behind each median p99.
+ROUNDS = 5
+#: Server options of the two compared modes.
+MODES = {"disabled": {}, "sampled": {"trace_sample_rate": 0.01}}
 #: Overhead budget for the sampled configuration: ratio and absolute
 #: noise floor, both env-tunable for slow CI hosts.
 MAX_OVERHEAD_RATIO = float(os.environ.get("BENCH_TRACE_MAX_OVERHEAD", "1.05"))
@@ -94,7 +102,7 @@ def _measure(tmp_path, **server_kwargs):
     events = []
     log = EventLog(enabled=True).add_sink(events.append)
     with ServerThread(
-        tmp_path, max_wait_ms=2.0, max_batch=16, events=log, **server_kwargs
+        tmp_path, max_batch=16, events=log, **server_kwargs
     ) as handle:
         elapsed, latencies = _drive(handle.host, handle.port)
         with ServerClient(handle.host, handle.port) as client:
@@ -119,44 +127,48 @@ def test_e21_sampled_tracing_overhead_is_under_budget(benchmark, tmp_path):
     api.save(flip_transducer(), str(tmp_path / "flip@1.json"))
 
     def race():
-        return {
-            "disabled": _measure(tmp_path),
-            "sampled": _measure(tmp_path, trace_sample_rate=0.01),
-            "full": _measure(tmp_path, trace_sample_rate=1.0),
-        }
+        runs = {mode: [] for mode in MODES}
+        for index in range(ROUNDS):
+            order = list(MODES) if index % 2 == 0 else list(MODES)[::-1]
+            for mode in order:
+                runs[mode].append(_measure(tmp_path, **MODES[mode]))
+        return runs, _measure(tmp_path, trace_sample_rate=1.0)
 
-    modes = benchmark.pedantic(race, rounds=1, iterations=1)
-    disabled, sampled, full = (
-        modes["disabled"], modes["sampled"], modes["full"],
-    )
-    assert disabled["traced_requests"] == 0
-    assert disabled["trace_events"] == 0
+    runs, full = benchmark.pedantic(race, rounds=1, iterations=1)
+    assert all(run["traced_requests"] == 0 for run in runs["disabled"])
+    assert all(run["trace_events"] == 0 for run in runs["disabled"])
     # Full-rate tracing really traced (and event-logged) every request.
     assert full["traced_requests"] == full["requests"] + WARMUP
     assert full["trace_events"] == full["traced_requests"]
 
-    budget_s = disabled["p99_s"] * MAX_OVERHEAD_RATIO + NOISE_FLOOR_S
+    disabled, sampled = (
+        statistics.median(run["p99_s"] for run in runs[mode])
+        for mode in ("disabled", "sampled")
+    )
+    budget_s = disabled * MAX_OVERHEAD_RATIO + NOISE_FLOOR_S
     _RESULTS["overhead"] = {
         "clients": CLIENTS,
         "per_client": PER_CLIENT,
-        "modes": modes,
+        "rounds": ROUNDS,
+        "modes": {**runs, "full": full},
+        "median_p99_s": {"disabled": disabled, "sampled": sampled},
         "sampled_rate": 0.01,
         "p99_budget_s": budget_s,
-        "p99_overhead_ratio": sampled["p99_s"] / max(disabled["p99_s"], 1e-9),
-        "full_overhead_ratio": full["p99_s"] / max(disabled["p99_s"], 1e-9),
+        "p99_overhead_ratio": sampled / max(disabled, 1e-9),
+        "full_overhead_ratio": full["p99_s"] / max(disabled, 1e-9),
     }
     _flush_results()
     report(
         "E21/overhead",
         "tracing sampled at 0.01 costs < 5% p99 latency over disabled",
-        f"p99 disabled {disabled['p99_s'] * 1e3:.2f} ms, sampled "
-        f"{sampled['p99_s'] * 1e3:.2f} ms, full {full['p99_s'] * 1e3:.2f} ms "
+        f"median p99 of {ROUNDS} rounds: disabled {disabled * 1e3:.2f} ms, "
+        f"sampled {sampled * 1e3:.2f} ms; full {full['p99_s'] * 1e3:.2f} ms "
         f"({full['traced_requests']} traces at rate 1.0)",
     )
-    assert sampled["p99_s"] <= budget_s, (
-        f"sampled tracing p99 {sampled['p99_s'] * 1e3:.2f} ms exceeds "
+    assert sampled <= budget_s, (
+        f"sampled tracing median p99 {sampled * 1e3:.2f} ms exceeds "
         f"budget {budget_s * 1e3:.2f} ms "
-        f"(disabled p99 {disabled['p99_s'] * 1e3:.2f} ms)"
+        f"(disabled median p99 {disabled * 1e3:.2f} ms)"
     )
 
 
@@ -171,7 +183,7 @@ def test_e21_profiler_reports_the_hot_rules_of_a_stock_pipeline(
     def race():
         # Serial server: the profiled engine runs in-process (sharded
         # workers profile in their own processes — documented caveat).
-        with ServerThread(models, max_wait_ms=2.0) as handle:
+        with ServerThread(models) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 start = time.perf_counter()
                 for text in texts:

@@ -300,10 +300,9 @@ def serve_forever(
     artifacts (raw transducers and XML transformation bundles), coalesces
     concurrent requests into micro-batches, and shards each model across
     ``jobs`` worker processes.  Extra ``knobs`` — ``max_batch``,
-    ``max_wait_ms``, ``max_pending``, ``stats``, ``metrics``,
-    ``log_json``, ``warm`` — are forwarded to
-    :func:`repro.server.app.serve_forever`.  Blocks; returns the exit
-    code.
+    ``max_pending``, ``stats``, ``metrics``, ``log_json``, ``warm`` —
+    are forwarded to :func:`repro.server.app.serve_forever`.  Blocks;
+    returns the exit code.
     """
     from repro.server import serve_forever as _serve_forever
 

@@ -27,11 +27,6 @@ Usage (also via ``python -m repro``)::
     python -m repro apply --transform transform.json --stream batch.xml \
         --jobs 4 --output out_dir
 
-    # The serve command is the same streaming engine with throughput
-    # statistics — point it at a stream file or stdin:
-    python -m repro serve --transform transform.json --input batch.xml \
-        --jobs 4 --chunk-docs 64 --output out_dir --stats
-
     # Serve a directory of saved models over TCP (name@version keys,
     # JSON-lines protocol, micro-batching, hot reload via the protocol's
     # reload op).  All chatter goes to stderr:
@@ -77,7 +72,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
@@ -258,13 +252,14 @@ def _report(
     results: Iterable[Tuple[str, str, object]],
     out_dir: Optional[Path],
     doc_format: str,
-) -> Tuple[int, int]:
+) -> int:
     """Print or write ``(label, stem, rendered text or error)`` results.
 
     Errors go to stderr as ``error: LABEL: message``.  Outputs land in
     ``out_dir`` as ``STEM.out.FORMAT``, or on stdout — XML ones under a
     ``<!-- LABEL -->`` comment.  Ends with the ``k/n documents
-    transformed`` line on stderr; returns ``(count, failures)``.
+    transformed`` line on stderr; returns the exit code, 1 when any
+    document failed.
     """
     count = failures = 0
     written: set = set()
@@ -293,7 +288,7 @@ def _report(
         + (f", {failures} failed" if failures else ""),
         file=sys.stderr,
     )
-    return count, failures
+    return 1 if failures else 0
 
 
 def _apply_remote(args: argparse.Namespace) -> int:
@@ -320,8 +315,7 @@ def _apply_remote(args: argparse.Namespace) -> int:
             results = _stream_results(
                 client.transform_stream(model, payload), str
             )
-            _, failures = _report(results, out_dir, doc_format)
-            return 1 if failures else 0
+            return _report(results, out_dir, doc_format)
 
         paths = _collect_documents(args, doc_format)
         if len(paths) == 1 and not args.batch_dir:
@@ -353,8 +347,7 @@ def _apply_remote(args: argparse.Namespace) -> int:
                     outcome = error
                 yield str(path), path.stem, outcome
 
-        _, failures = _report(results(), out_dir, doc_format)
-        return 1 if failures else 0
+        return _report(results(), out_dir, doc_format)
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
@@ -362,17 +355,23 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         return _apply_remote(args)
     transformation = load_transformation(args.transform)
     doc_format = _resolve_format(args, transformation)
-    if args.stream:
-        return _serve_stream(
-            transformation,
-            _stream_source(args),
-            jobs=args.jobs,
-            output=args.output,
-            chunk_docs=args.chunk_docs,
-            stats=False,
-            doc_format=doc_format,
-        )
     codec = transformation.codec
+    if args.stream:
+        # Stream mode: the codec's stream parser yields documents (XML:
+        # the direct children of the root element; JSON: one per line)
+        # without materializing the stream; they are transformed
+        # chunk-wise and reported as they complete.
+        source = _stream_source(args)
+        out_dir = _ensure_output_dir(args.output)
+        documents = codec.iter_stream(
+            sys.stdin.buffer if source == "-" else Path(source)
+        )
+        outcomes = transformation.apply_stream(
+            documents, jobs=args.jobs, chunk_docs=args.chunk_docs
+        )
+        return _report(
+            _stream_results(outcomes, codec.render), out_dir, doc_format
+        )
     paths = _collect_documents(args, doc_format)
 
     if len(paths) == 1 and not args.batch_dir:
@@ -432,63 +431,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         )
         for path, outcome in zip(paths, outcomes)
     )
-    _, failures = _report(results, out_dir, doc_format)
-    return 1 if failures else 0
-
-
-def _serve_stream(
-    transformation: Transformation,
-    source: str,
-    jobs: Optional[int],
-    output: Optional[str],
-    chunk_docs: int,
-    stats: bool,
-    doc_format: str = "xml",
-) -> int:
-    """Shared engine of ``serve`` and ``apply --stream``.
-
-    Parses the stream incrementally with the codec's stream parser (XML:
-    documents are the direct children of the stream's root element;
-    JSON: one document per line), transforms it chunk-wise — sharded
-    across ``jobs`` workers when requested — and writes outcomes as they
-    complete.  Per-document failures are reported without aborting; the
-    exit code is 1 when any document failed.
-    """
-    out_dir = _ensure_output_dir(output)
-    codec = transformation.codec
-    documents = codec.iter_stream(
-        sys.stdin.buffer if source == "-" else Path(source)
-    )
-    start = time.perf_counter()
-    outcomes = transformation.apply_stream(
-        documents, jobs=jobs, chunk_docs=chunk_docs
-    )
-    count, failures = _report(
-        _stream_results(outcomes, codec.render), out_dir, doc_format
-    )
-    if stats:
-        elapsed = time.perf_counter() - start
-        rate = count / elapsed if elapsed > 0 else float("inf")
-        print(
-            f"stats: {count} documents in {elapsed:.2f} s "
-            f"({rate:.0f} docs/s, jobs={jobs or 1}, "
-            f"chunk={chunk_docs})",
-            file=sys.stderr,
-        )
-    return 1 if failures else 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    transformation = load_transformation(args.transform)
-    return _serve_stream(
-        transformation,
-        args.input,
-        jobs=args.jobs,
-        output=args.output,
-        chunk_docs=args.chunk_docs,
-        stats=args.stats,
-        doc_format=_resolve_format(args, transformation),
-    )
+    return _report(results, out_dir, doc_format)
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
@@ -500,7 +443,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_pending=args.max_pending,
         stats=args.stats,
         metrics=args.metrics,
@@ -518,7 +460,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     one codec (see :func:`repro.codec.compose_transformations`).
     Reporting goes to **stderr** (state/rule counts, the save
     confirmation); stdout carries only the fused artifact's JSON when
-    ``--save`` is omitted, so the command pipes like ``serve --stats``.
+    ``--save`` is omitted, so the command pipes.
     """
     if args.chain:
         if args.first or args.second:
@@ -646,37 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     apply_cmd.set_defaults(func=_cmd_apply)
 
-    serve = commands.add_parser(
-        "serve",
-        help="stream-transform a batch stream through the sharded service",
-    )
-    serve.add_argument("--transform", required=True)
-    serve.add_argument(
-        "--input",
-        required=True,
-        help="stream file whose root element wraps the documents, or - "
-        "for stdin",
-    )
-    serve.add_argument(
-        "--jobs", type=int, help="worker processes (default: in-process)"
-    )
-    serve.add_argument(
-        "--chunk-docs", type=int, default=64, help="documents per chunk"
-    )
-    serve.add_argument(
-        "--output", help="directory for docNNNNNN.out.xml results"
-    )
-    serve.add_argument(
-        "--stats", action="store_true", help="print throughput statistics"
-    )
-    serve.add_argument(
-        "--format",
-        choices=("auto", "xml", "json"),
-        default="auto",
-        help="document format; auto follows the loaded bundle",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
     server = commands.add_parser(
         "server",
         help="serve a directory of saved models over TCP "
@@ -702,12 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="documents per coalesced micro-batch (1 disables batching)",
-    )
-    server.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="bound on the wait a request pays to coalesce",
     )
     server.add_argument(
         "--max-pending",

@@ -11,9 +11,10 @@ into an actual multi-tenant network service:
     deferred teardown while requests are in flight.
 
 :mod:`repro.server.batcher`
-    latency-bounded micro-batching — concurrent single-document
-    requests coalesce into hash-consed forests under ``max_batch`` /
-    ``max_wait_ms`` and dispatch to the compiled engine or a sharded
+    load-driven micro-batching — one dispatch in flight per model;
+    requests that arrive while it runs coalesce into the next
+    hash-consed forest of at most ``max_batch`` documents, dispatched
+    to the compiled engine or a sharded
     :class:`~repro.serve.service.TransformService`, with per-request
     outcomes and a bounded admission queue.
 

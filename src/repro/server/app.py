@@ -88,7 +88,6 @@ from repro.obs.trace import NULL_TRACE, TraceContext
 from repro.server.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
-    DEFAULT_MAX_WAIT_MS,
     MicroBatcher,
 )
 from repro.server.logging import EventLog
@@ -139,7 +138,6 @@ class TransformServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: int = DEFAULT_MAX_PENDING,
         metrics: Optional[ServerMetrics] = None,
         events: Optional[EventLog] = None,
@@ -164,7 +162,6 @@ class TransformServer:
         self.events = events if events is not None else EventLog(enabled=False)
         self.batcher = MicroBatcher(
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             max_pending=max_pending,
             metrics=self.metrics,
         )
@@ -922,7 +919,6 @@ def serve_forever(
     port: int = 7455,
     jobs: Optional[int] = None,
     max_batch: int = DEFAULT_MAX_BATCH,
-    max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
     max_pending: int = DEFAULT_MAX_PENDING,
     stats: bool = False,
     metrics: bool = False,
@@ -969,7 +965,6 @@ def serve_forever(
         host=host,
         port=port,
         max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
         max_pending=max_pending,
         events=EventLog(stream=sys.stderr, enabled=log_json),
         trace_sample_rate=trace_sample_rate,
@@ -1024,7 +1019,7 @@ class ServerThread:
 
     ::
 
-        with ServerThread("models/", jobs=2, max_wait_ms=5) as handle:
+        with ServerThread("models/", jobs=2) as handle:
             client = ServerClient(handle.host, handle.port)
 
     The context exit requests a graceful stop and joins the thread; the

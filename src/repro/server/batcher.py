@@ -1,4 +1,4 @@
-"""Latency-bounded micro-batching of concurrent transform requests.
+"""Load-driven micro-batching of concurrent transform requests.
 
 A network server sees single-document requests; the compiled engine and
 the sharded :class:`~repro.serve.service.TransformService` are fastest
@@ -6,14 +6,16 @@ on *forests* (hash-consed sharing makes overlapping documents nearly
 free, and one dispatch amortizes the executor hop and the pool's codec
 work over the whole batch).  :class:`MicroBatcher` bridges the two:
 
-* requests for the same model entry coalesce into one pending batch;
-* the batch dispatches when it reaches ``max_batch`` documents **or**
-  when the oldest request has waited ``max_wait_ms`` — the knob bounds
-  the latency a request can pay for the throughput of its neighbours;
-* dispatch runs in a thread-pool executor (the event loop never blocks
-  on engine work) and per-entry dispatches are serialized — a
+* each model entry has at most one dispatch in flight — a
   :class:`TransformService` is single-consumer — while distinct models
   translate concurrently;
+* a request for an idle entry dispatches on the next event-loop turn;
+  requests that arrive in the same turn, or while the entry's dispatch
+  runs, join the next batch, which holds at most ``max_batch``
+  documents.  A lone request never waits on a clock, and batches grow
+  only under load;
+* dispatch runs in a thread-pool executor (the event loop never blocks
+  on engine work);
 * outcomes are **per request**: a document outside the domain resolves
   its own request to the engine's exact
   :class:`~repro.errors.UndefinedTransductionError` and never fails the
@@ -35,9 +37,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import OverloadedError, ServiceError
 from repro.obs.trace import Span, TraceContext
@@ -46,8 +47,6 @@ from repro.server.registry import ModelEntry
 
 #: Default documents per coalesced batch.
 DEFAULT_MAX_BATCH = 32
-#: Default bound (milliseconds) on the wait a request pays to coalesce.
-DEFAULT_MAX_WAIT_MS = 2.0
 #: Default bound on admitted-but-unresolved requests.
 DEFAULT_MAX_PENDING = 1024
 
@@ -57,7 +56,7 @@ class MicroBatcher:
 
     Drive it from one event loop::
 
-        batcher = MicroBatcher(max_batch=32, max_wait_ms=2.0)
+        batcher = MicroBatcher(max_batch=32)
         outcome = await batcher.submit(entry, document)
 
     ``submit`` returns the request's outcome — an output tree, or the
@@ -68,7 +67,6 @@ class MicroBatcher:
     def __init__(
         self,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: int = DEFAULT_MAX_PENDING,
         executor: Optional[ThreadPoolExecutor] = None,
         metrics: Optional[ServerMetrics] = None,
@@ -79,7 +77,6 @@ class MicroBatcher:
         if max_pending < 0:
             raise ServiceError("max_pending must be non-negative")
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_pending = max_pending
         #: Latency histograms + counters; a fresh registry when the
         #: caller (the server) did not share one — recording is always
@@ -99,10 +96,8 @@ class MicroBatcher:
             ModelEntry,
             List[Tuple[object, asyncio.Future, float, Optional[TraceContext]]],
         ] = {}
-        self._timers: Dict[ModelEntry, asyncio.TimerHandle] = {}
-        self._locks: "weakref.WeakKeyDictionary[ModelEntry, asyncio.Lock]" = (
-            weakref.WeakKeyDictionary()
-        )
+        #: Entries with a dispatch scheduled or in flight.
+        self._busy: Set[ModelEntry] = set()
         self._admitted = 0
         self._closed = False
         self._stats = {
@@ -129,7 +124,6 @@ class MicroBatcher:
             **self._stats,
             "pending": self._admitted,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "max_pending": self.max_pending,
         }
 
@@ -167,59 +161,72 @@ class MicroBatcher:
         self._stats["requests"] += 1
         entry.acquire()
         try:
-            queue = self._pending.setdefault(entry, [])
-            queue.append((document, future, self._clock(), trace if trace else None))
-            if len(queue) >= self.max_batch:
-                self._flush(entry)
-            elif len(queue) == 1:
-                self._timers[entry] = loop.call_later(
-                    self.max_wait_ms / 1000.0, self._flush, entry
-                )
+            self._pending.setdefault(entry, []).append(
+                (document, future, self._clock(), trace if trace else None)
+            )
+            if entry not in self._busy:
+                # The next loop turn, not now: requests arriving in this
+                # turn (one stream chunk, a burst of clients) join it.
+                self._busy.add(entry)
+                loop.call_soon(self._flush, entry)
             return await future
         finally:
             self._admitted -= 1
             entry.release()
 
     async def close(self) -> None:
-        """Resolve every pending request to a shutdown error; idempotent."""
+        """Resolve every queued request to a shutdown error; idempotent.
+
+        Batches already taken for dispatch finish on the executor,
+        which this joins; no batch is taken after close.
+        """
         if self._closed:
             return
         self._closed = True
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
         batches = list(self._pending.values())
         self._pending.clear()
         for batch in batches:
             for _document, future, _admitted_at, _trace in batch:
                 if not future.done():
                     future.set_result(ServiceError("server shutting down"))
+        # One loop turn, so a batch taken for dispatch just before close
+        # reaches the executor before it shuts down; nothing queued is
+        # left to take.
+        await asyncio.sleep(0)
         if self._own_executor:
             self._executor.shutdown(wait=True)
 
     # -- batching internals ---------------------------------------------
 
     def _flush(self, entry: ModelEntry) -> None:
-        """Detach the entry's pending batch and dispatch it.
+        """Dispatch up to ``max_batch`` of the entry's pending requests;
+        with none pending, the entry goes idle.
 
-        This is the batch-close timing hook: assembly time — first
-        admission to close — is recorded here, per batch.
+        Runs one loop turn after an idle entry's first admission and
+        again when each of its dispatches completes.  Assembly time —
+        first admission to taken for dispatch — is recorded here, per
+        batch.
         """
-        timer = self._timers.pop(entry, None)
-        if timer is not None:
-            timer.cancel()
-        batch = self._pending.pop(entry, None)
-        if not batch:
+        queue = self._pending.pop(entry, None)
+        if not queue:
+            self._busy.discard(entry)
             return
+        batch = queue[: self.max_batch]
+        if len(queue) > self.max_batch:
+            self._pending[entry] = queue[self.max_batch :]
         labels = {"model": entry.key}
-        closed_at = self._clock()
+        taken_at = self._clock()
         self.metrics.observe(
             "repro_batch_assembly_seconds",
             labels,
-            max(0.0, closed_at - batch[0][2]),
+            max(0.0, taken_at - batch[0][2]),
         )
         self.metrics.observe("repro_batch_documents", labels, len(batch))
-        asyncio.ensure_future(self._dispatch(entry, batch, closed_at))
+        dispatch = asyncio.ensure_future(
+            self._dispatch(entry, batch, taken_at)
+        )
+        # However the dispatch ends, the entry takes its next batch.
+        dispatch.add_done_callback(lambda _done: self._flush(entry))
 
     async def _dispatch(
         self,
@@ -227,7 +234,7 @@ class MicroBatcher:
         batch: List[
             Tuple[object, asyncio.Future, float, Optional[TraceContext]]
         ],
-        closed_at: float,
+        taken_at: float,
     ) -> None:
         """Translate one batch in the executor; resolve its futures."""
         documents = [document for document, _future, _admitted_at, _t in batch]
@@ -238,9 +245,6 @@ class MicroBatcher:
         self._stats["max_batch_seen"] = max(
             self._stats["max_batch_seen"], len(batch)
         )
-        lock = self._locks.get(entry)
-        if lock is None:
-            lock = self._locks[entry] = asyncio.Lock()
         loop = asyncio.get_running_loop()
         labels = {"model": entry.key}
         # One shared collector for the execute spans of this batch: the
@@ -250,23 +254,21 @@ class MicroBatcher:
         any_traced = any(trace is not None for *_rest, trace in batch)
         batch_trace = TraceContext(name="batch") if any_traced else None
         dispatch_started = self._clock()
+        for _document, _future, admitted_at, _trace in batch:
+            self.metrics.observe(
+                "repro_queue_wait_seconds",
+                labels,
+                max(0.0, dispatch_started - admitted_at),
+            )
         try:
-            async with lock:
-                dispatch_started = self._clock()
-                for _document, _future, admitted_at, _trace in batch:
-                    self.metrics.observe(
-                        "repro_queue_wait_seconds",
-                        labels,
-                        max(0.0, dispatch_started - admitted_at),
-                    )
-                if batch_trace is None:
-                    outcomes = await loop.run_in_executor(
-                        self._executor, entry.run_batch, documents
-                    )
-                else:
-                    outcomes = await loop.run_in_executor(
-                        self._executor, entry.run_batch, documents, batch_trace
-                    )
+            if batch_trace is None:
+                outcomes = await loop.run_in_executor(
+                    self._executor, entry.run_batch, documents
+                )
+            else:
+                outcomes = await loop.run_in_executor(
+                    self._executor, entry.run_batch, documents, batch_trace
+                )
         except Exception as error:  # infrastructure, not per-document
             self._stats["dispatch_failures"] += 1
             if not isinstance(error, ServiceError):
@@ -291,13 +293,10 @@ class MicroBatcher:
                 queue_span = trace.add_span(
                     "queue", admitted_at, dispatch_started
                 )
-                # The slice of this member's wait spent assembling the
-                # batch (clamped: stays inside the member's own queue
-                # interval even for late joiners).
+                # The slice of this member's wait until its batch was
+                # taken for dispatch; the rest is the hop to the task.
                 assemble = Span("batch.assemble", admitted_at)
-                assemble.ended = min(
-                    max(admitted_at, closed_at), dispatch_started
-                )
+                assemble.ended = taken_at
                 queue_span.children.append(assemble)
                 trace.add_span(
                     "dispatch",

@@ -221,7 +221,8 @@ FAMILIES: Dict[str, Tuple[str, str]] = {
     ),
     "repro_batch_assembly_seconds": (
         "histogram",
-        "First-admission-to-batch-close assembly time per dispatched batch",
+        "First admission until the batch is taken for dispatch, per "
+        "dispatched batch",
     ),
     "repro_dispatch_seconds": (
         "histogram",

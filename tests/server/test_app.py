@@ -25,7 +25,7 @@ from repro.xml.xmlio import serialize_xml
 
 @pytest.fixture
 def server(models_dir):
-    with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+    with ServerThread(models_dir) as handle:
         yield handle
 
 
@@ -100,8 +100,9 @@ class TestTransform:
             assert result == str(api.run(machine, document))
         stats = ServerClient(server.host, server.port).stats()
         assert stats["batcher"]["documents"] == 48
-        # 8 concurrent blocking clients against a 2 ms window must have
-        # produced at least one multi-document batch.
+        # 8 concurrent blocking clients must have produced at least one
+        # multi-document batch: requests that arrive while a dispatch
+        # runs join the next one.
         assert stats["batcher"]["batches"] < 48
 
 
@@ -156,6 +157,7 @@ class TestProtocol:
         stats = client.stats()
         assert stats["server"]["connections"] >= 1
         assert stats["batcher"]["requests"] >= 1
+        assert "max_wait_ms" not in stats["batcher"]
         assert stats["registry"]["models"] == 2
         assert {m["model"] for m in stats["models"]} == {
             "flip@1",
@@ -272,7 +274,7 @@ class TestHotReload:
 
         events = []
         log = EventLog(enabled=True).add_sink(events.append)
-        with ServerThread(models_dir, max_wait_ms=2.0, events=log) as handle:
+        with ServerThread(models_dir, events=log) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 document = flip_input(2, 1)
                 # Corrupt one model mid-write, change the other validly.
@@ -379,7 +381,7 @@ class TestLargeAndDeepDocuments:
 
         alphabet = RankedAlphabet({"w": 30, "g": 1, "x": 0})
         api.save(identity_dtop(alphabet), str(tmp_path / "wide@1.json"))
-        with ServerThread(tmp_path, max_wait_ms=1.0) as handle:
+        with ServerThread(tmp_path) as handle:
             yield handle
 
     def test_requests_beyond_64k_are_served(self, wide_server):

@@ -1,4 +1,4 @@
-"""MicroBatcher: coalescing, latency bound, per-request outcomes,
+"""MicroBatcher: load-driven coalescing, per-request outcomes,
 admission control, shutdown."""
 
 import asyncio
@@ -14,9 +14,11 @@ from repro.errors import (
     ServiceError,
     UndefinedTransductionError,
 )
+from repro.server.app import TransformServer, serve_forever
 from repro.server.batcher import MicroBatcher
+from repro.server.metrics import ServerMetrics
 from repro.codec import TERM_CODEC, Transformation
-from repro.server.registry import ModelEntry
+from repro.server.registry import ModelEntry, ModelRegistry
 from repro.workloads.flip import flip_input, flip_transducer
 
 
@@ -36,12 +38,54 @@ class BlockingEntry(ModelEntry):
     def __init__(self):
         super().__init__("slow", "1", Path("slow@1.json"), raw_model())
         self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.started = []
         self.batches = []
 
     def run_batch(self, documents):
+        self.started.append(len(documents))
+        self.entered.set()
         self.gate.wait(timeout=30)
         self.batches.append(len(documents))
         return super().run_batch(documents)
+
+
+class TrackingEntry(ModelEntry):
+    """An entry that records how many of its dispatches overlap.
+
+    Its first dispatch meets the other entries' first dispatches at
+    ``barrier``, which only passes if they all run at once.
+    """
+
+    def __init__(self, name, barrier):
+        super().__init__(name, "1", Path(f"{name}@1.json"), raw_model())
+        self.barrier = barrier
+        self.lock = threading.Lock()
+        self.calls = self.in_flight = self.most_in_flight = 0
+
+    def run_batch(self, documents):
+        with self.lock:
+            self.calls += 1
+            first = self.calls == 1
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        try:
+            if first:
+                self.barrier.wait(timeout=10)
+            time.sleep(0.001)
+            return super().run_batch(documents)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+async def held_dispatch(batcher, entry):
+    """Submit one request for ``entry`` and wait until its dispatch is
+    blocked in ``run_batch``; returns the request's future."""
+    first = asyncio.ensure_future(batcher.submit(entry, flip_input(0, 0)))
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, entry.entered.wait, 10)
+    return first
 
 
 class FailingEntry(ModelEntry):
@@ -61,7 +105,7 @@ class TestCoalescing:
         reference = engine_for(entry.machine).run_batch_outcomes(forest)
 
         async def main():
-            batcher = MicroBatcher(max_batch=32, max_wait_ms=20)
+            batcher = MicroBatcher(max_batch=32)
             results = await asyncio.gather(
                 *(batcher.submit(entry, document) for document in forest)
             )
@@ -81,7 +125,7 @@ class TestCoalescing:
         forest = [flip_input(1, 1)] * 10
 
         async def main():
-            batcher = MicroBatcher(max_batch=4, max_wait_ms=50)
+            batcher = MicroBatcher(max_batch=4)
             await asyncio.gather(
                 *(batcher.submit(entry, document) for document in forest)
             )
@@ -93,11 +137,11 @@ class TestCoalescing:
         assert stats["batches"] == 3  # 4 + 4 + 2
         assert stats["max_batch_seen"] == 4
 
-    def test_max_wait_flushes_a_lone_request(self):
+    def test_lone_request_dispatches_without_waiting(self):
         entry = flip_entry()
 
         async def main():
-            batcher = MicroBatcher(max_batch=1000, max_wait_ms=10)
+            batcher = MicroBatcher(max_batch=1000)
             start = time.perf_counter()
             result = await batcher.submit(entry, flip_input(1, 0))
             elapsed = time.perf_counter() - start
@@ -109,13 +153,116 @@ class TestCoalescing:
         # Must not wait for 999 neighbours that never arrive.
         assert elapsed < 5.0
 
+    def test_lone_request_arms_no_timer(self):
+        """The request reaches ``run_batch`` through ``call_soon`` and
+        the executor alone: no positive-delay sleep on the loop."""
+        entry = flip_entry()
+        delays = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            call_at = loop.call_at
+
+            def recording_call_at(when, *args, **kwargs):
+                delays.append(when - loop.time())
+                return call_at(when, *args, **kwargs)
+
+            loop.call_at = recording_call_at
+            batcher = MicroBatcher(max_batch=1000)
+            result = await batcher.submit(entry, flip_input(1, 0))
+            del loop.call_at
+            stats = batcher.stats
+            await batcher.close()
+            return result, stats
+
+        result, stats = asyncio.run(main())
+        assert str(result) == "root(#, a(#, #))"
+        assert stats["batches"] == 1
+        assert [delay for delay in delays if delay > 0] == []
+
+    @pytest.mark.parametrize(
+        "max_batch, expected",
+        [(32, [1, 10]), (4, [1, 4, 4, 2])],
+        ids=["one-batch", "max-batch-4"],
+    )
+    def test_requests_during_a_dispatch_join_the_next_batch(
+        self, max_batch, expected
+    ):
+        entry = BlockingEntry()
+        forest = [flip_input(n % 4, (n + 1) % 3) for n in range(10)]
+
+        metrics = ServerMetrics()
+
+        async def main():
+            batcher = MicroBatcher(max_batch=max_batch, metrics=metrics)
+            first = await held_dispatch(batcher, entry)
+            rest = []
+            for document in forest:
+                # One admission per loop turn: they still wait for the
+                # held dispatch rather than each forming its own batch.
+                rest.append(
+                    asyncio.ensure_future(batcher.submit(entry, document))
+                )
+                await asyncio.sleep(0)
+            entry.gate.set()
+            results = await asyncio.gather(*rest)
+            await first
+            stats = batcher.stats
+            await batcher.close()
+            return results, stats
+
+        results, stats = asyncio.run(main())
+        reference = engine_for(entry.machine).run_batch_outcomes(forest)
+        assert [str(r) for r in results] == [str(r) for r in reference]
+        assert entry.batches == expected
+        assert stats["batches"] == len(expected)
+        assert stats["max_batch_seen"] == max(expected)
+        labels = {"model": entry.key}
+        sizes = metrics.histogram("repro_batch_documents", labels)
+        assert (sizes.count, sizes.sum) == (len(expected), sum(expected))
+        assembly = metrics.histogram("repro_batch_assembly_seconds", labels)
+        assert assembly.count == len(expected)
+
+    def test_entries_dispatch_concurrently_one_dispatch_each(self):
+        barrier = threading.Barrier(2)
+        entries = [
+            TrackingEntry("left", barrier),
+            TrackingEntry("right", barrier),
+        ]
+
+        async def main():
+            batcher = MicroBatcher(max_batch=3)
+            tasks = []
+            for n in range(24):
+                for entry in entries:
+                    tasks.append(
+                        asyncio.ensure_future(
+                            batcher.submit(entry, flip_input(n % 3, 1))
+                        )
+                    )
+                if n % 4 == 0:
+                    await asyncio.sleep(0)
+            results = await asyncio.gather(*tasks)
+            stats = batcher.stats
+            await batcher.close()
+            return results, stats
+
+        results, stats = asyncio.run(main())
+        # The barrier passed: both entries' first dispatches overlapped.
+        assert not barrier.broken
+        assert stats["dispatch_failures"] == 0
+        assert not any(isinstance(r, Exception) for r in results)
+        for entry in entries:
+            assert entry.calls > 1
+            assert entry.most_in_flight == 1
+
     def test_bad_document_fails_alone_not_the_batch(self):
         entry = flip_entry()
         good = flip_input(1, 1)
         bad = flip_input(1, 1).children[0]  # no root wrapper: off-domain
 
         async def main():
-            batcher = MicroBatcher(max_batch=8, max_wait_ms=20)
+            batcher = MicroBatcher(max_batch=8)
             results = await asyncio.gather(
                 batcher.submit(entry, good),
                 batcher.submit(entry, bad),
@@ -135,7 +282,7 @@ class TestCoalescing:
         entry = FailingEntry()
 
         async def main():
-            batcher = MicroBatcher(max_batch=8, max_wait_ms=5)
+            batcher = MicroBatcher(max_batch=8)
             results = await asyncio.gather(
                 batcher.submit(entry, flip_input(0, 0)),
                 batcher.submit(entry, flip_input(1, 1)),
@@ -155,9 +302,7 @@ class TestAdmissionControl:
         entry = BlockingEntry()
 
         async def main():
-            batcher = MicroBatcher(
-                max_batch=2, max_wait_ms=5, max_pending=2
-            )
+            batcher = MicroBatcher(max_batch=2, max_pending=2)
             first = asyncio.ensure_future(
                 batcher.submit(entry, flip_input(0, 0))
             )
@@ -193,17 +338,22 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_close_resolves_pending_to_shutdown_errors(self):
-        entry = flip_entry()
+        entry = BlockingEntry()
 
         async def main():
-            batcher = MicroBatcher(max_batch=100, max_wait_ms=10_000)
+            batcher = MicroBatcher(max_batch=100)
+            first = await held_dispatch(batcher, entry)
             pending = asyncio.ensure_future(
                 batcher.submit(entry, flip_input(0, 0))
             )
             await asyncio.sleep(0.02)
+            # close() joins the executor, so release the held dispatch
+            # from another thread while it waits.
+            threading.Timer(0.05, entry.gate.set).start()
             await batcher.close()
             await batcher.close()  # idempotent
             outcome = await pending
+            await first
             with pytest.raises(ServiceError):
                 await batcher.submit(entry, flip_input(0, 0))
             return outcome
@@ -211,6 +361,56 @@ class TestLifecycle:
         outcome = asyncio.run(main())
         assert isinstance(outcome, ServiceError)
         assert "shutting down" in str(outcome)
+
+    def test_close_never_starts_a_queued_batch(self):
+        """A request queued behind a held dispatch resolves to the
+        shutdown error; it is never dispatched to a stopped executor."""
+        entry = BlockingEntry()
+
+        async def main():
+            batcher = MicroBatcher(max_batch=1)
+            first = await held_dispatch(batcher, entry)
+            second = asyncio.ensure_future(
+                batcher.submit(entry, flip_input(1, 0))
+            )
+            await asyncio.sleep(0.02)
+            threading.Timer(0.05, entry.gate.set).start()
+            await batcher.close()
+            outcomes = await asyncio.gather(first, second)
+            await asyncio.sleep(0.05)
+            return outcomes, batcher.stats
+
+        (first, second), stats = asyncio.run(main())
+        assert str(first) == "root(#, #)"
+        assert isinstance(second, ServiceError)
+        assert str(second) == "server shutting down"
+        assert entry.started == [1]
+        assert stats["batches"] == 1
+        assert stats["dispatch_failures"] == 0
+
+    @pytest.mark.parametrize("turns", [1, 2, 3, 4])
+    def test_close_in_any_loop_turn_of_a_dispatch(self, turns):
+        """Whichever loop turn of admit → take → dispatch ``close()``
+        lands in, the request resolves to its result or to the shutdown
+        error, never to a dispatch failure."""
+        entry = flip_entry()
+
+        async def main():
+            batcher = MicroBatcher()
+            pending = asyncio.ensure_future(
+                batcher.submit(entry, flip_input(1, 0))
+            )
+            for _ in range(turns):
+                await asyncio.sleep(0)
+            await batcher.close()
+            return await pending, batcher.stats
+
+        outcome, stats = asyncio.run(main())
+        assert stats["dispatch_failures"] == 0
+        if isinstance(outcome, Exception):
+            assert str(outcome) == "server shutting down"
+        else:
+            assert str(outcome) == "root(#, a(#, #))"
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ServiceError):
@@ -222,7 +422,7 @@ class TestLifecycle:
         entry = flip_entry()
 
         async def main():
-            batcher = MicroBatcher(max_batch=4, max_wait_ms=5)
+            batcher = MicroBatcher(max_batch=4)
             await asyncio.gather(
                 *(batcher.submit(entry, flip_input(1, 1)) for _ in range(6))
             )
@@ -232,3 +432,32 @@ class TestLifecycle:
         assert entry._refs == 0
         entry.retire()  # with no holders this closes immediately
         assert entry._closed
+
+
+class TestNoWaitKnob:
+    """Batches form by load alone: no wait bound is accepted or shown."""
+
+    def test_batcher_refuses_max_wait_ms(self):
+        with pytest.raises(TypeError):
+            MicroBatcher(max_wait_ms=2.0)
+
+    def test_server_entry_points_refuse_max_wait_ms(self, tmp_path):
+        with pytest.raises(TypeError):
+            TransformServer(ModelRegistry(tmp_path), max_wait_ms=2.0)
+        with pytest.raises(TypeError):
+            serve_forever(tmp_path, max_wait_ms=2.0)
+
+    def test_stats_carry_no_wait_bound(self):
+        assert set(MicroBatcher().stats) == {
+            "requests",
+            "batches",
+            "documents",
+            "coalesced",
+            "max_batch_seen",
+            "errors",
+            "overloads",
+            "dispatch_failures",
+            "pending",
+            "max_batch",
+            "max_pending",
+        }

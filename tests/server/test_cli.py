@@ -32,7 +32,7 @@ from tests.server.faults import wait_until
 
 @pytest.fixture
 def server(models_dir):
-    with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+    with ServerThread(models_dir) as handle:
         yield handle
 
 
@@ -279,7 +279,6 @@ class TestServerCommand:
                 sys.executable, "-m", "repro", "server",
                 "--models", str(models_source),
                 "--port", "0",
-                "--max-wait-ms", "1",
                 "--stats",
             ],
             stdout=subprocess.PIPE,
@@ -334,7 +333,6 @@ class TestServerCommand:
                 "--models", str(models_source),
                 "--port", "0",
                 "--jobs", "2",
-                "--max-wait-ms", "1",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -385,7 +383,6 @@ class TestServerCommand:
                 sys.executable, "-m", "repro", "server",
                 "--models", str(models_dir),
                 "--port", "0",
-                "--max-wait-ms", "1",
                 "--warm",
             ],
             stdout=subprocess.PIPE,

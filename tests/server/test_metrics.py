@@ -253,7 +253,7 @@ class TestConcurrency:
         clients = 16
         per_client = 25
         document = "root(a(#, #), #)"
-        with ServerThread(models_dir, max_wait_ms=1.0) as handle:
+        with ServerThread(models_dir) as handle:
             errors = []
 
             def drive() -> None:
@@ -382,7 +382,7 @@ class TestExposition:
             validate_exposition(missing_inf)
 
     def test_live_server_exposition_is_valid(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=1.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 for _ in range(5):
                     client.transform("flip", "root(a(#, #), #)")

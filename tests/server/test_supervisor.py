@@ -310,7 +310,7 @@ class TestFaultInjection:
     ):
         with poison_label():
             with ServerThread(
-                models_dir, jobs=2, max_wait_ms=1.0, **FAST_SUPERVISION
+                models_dir, jobs=2, **FAST_SUPERVISION
             ) as handle:
                 with ServerClient(handle.host, handle.port) as client:
                     assert (
@@ -354,7 +354,7 @@ class TestFaultInjection:
         )
         with poison_label():
             with ServerThread(
-                models_dir, jobs=2, max_wait_ms=1.0, **options
+                models_dir, jobs=2, **options
             ) as handle:
                 with ServerClient(handle.host, handle.port) as client:
                     client.transform("flip", "root(a(#, #), #)")
@@ -399,7 +399,7 @@ class TestFaultInjection:
         self, models_dir
     ):
         with ServerThread(
-            models_dir, jobs=2, max_wait_ms=1.0, **FAST_SUPERVISION
+            models_dir, jobs=2, **FAST_SUPERVISION
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", "root(a(#, #), #)")
@@ -430,7 +430,7 @@ class TestFaultInjection:
         restarts the shard within the backoff budget, and the metrics
         report both the crashes and the restarts."""
         with ServerThread(
-            models_dir, jobs=2, max_wait_ms=1.0, **FAST_SUPERVISION
+            models_dir, jobs=2, **FAST_SUPERVISION
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 server = handle.server

@@ -52,7 +52,7 @@ def find_span(span, name):
 class TestTracedTransform:
     @pytest.fixture
     def sharded(self, models_dir):
-        with ServerThread(models_dir, jobs=2, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir, jobs=2) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 yield client
 
@@ -113,7 +113,7 @@ class TestTraceEventsAndMetrics:
         events = []
         log = EventLog(enabled=True).add_sink(events.append)
         with ServerThread(
-            models_dir, max_wait_ms=2.0, events=log, trace_sample_rate=1.0
+            models_dir, events=log, trace_sample_rate=1.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
@@ -133,7 +133,7 @@ class TestTraceEventsAndMetrics:
         events = []
         log = EventLog(enabled=True).add_sink(events.append)
         with ServerThread(
-            models_dir, max_wait_ms=2.0, events=log, slow_ms=0.0
+            models_dir, events=log, slow_ms=0.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
@@ -147,7 +147,7 @@ class TestTraceEventsAndMetrics:
         events = []
         log = EventLog(enabled=True).add_sink(events.append)
         with ServerThread(
-            models_dir, max_wait_ms=2.0, events=log, slow_ms=60_000.0
+            models_dir, events=log, slow_ms=60_000.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
@@ -157,7 +157,7 @@ class TestTraceEventsAndMetrics:
         assert counted == [{"labels": {"mode": "watch"}, "value": 1}]
 
     def test_disabled_tracing_records_nothing(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 metrics = client.metrics()
@@ -166,7 +166,7 @@ class TestTraceEventsAndMetrics:
 
     def test_trace_overhead_histogram_records_per_trace(self, models_dir):
         with ServerThread(
-            models_dir, max_wait_ms=2.0, trace_sample_rate=1.0
+            models_dir, trace_sample_rate=1.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 for _ in range(3):
@@ -180,7 +180,7 @@ class TestProfileVerb:
     def test_profile_returns_per_rule_counts_for_a_stock_model(
         self, models_dir
     ):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 profiles = client.profile()
@@ -192,7 +192,7 @@ class TestProfileVerb:
         assert top["hits"] > 0 and " × " in top["label"]
 
     def test_profile_narrows_to_one_model(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 client.transform("flip", DOCUMENT)
@@ -200,7 +200,7 @@ class TestProfileVerb:
         assert set(profiles) == {"flip@1"}
 
     def test_unexercised_models_are_omitted(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 profiles = client.profile()
         assert profiles == {}
@@ -208,7 +208,7 @@ class TestProfileVerb:
     def test_unknown_model_raises(self, models_dir):
         from repro.errors import ModelNotFoundError
 
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 with pytest.raises(ModelNotFoundError):
                     client.profile(model="nope")
@@ -216,7 +216,7 @@ class TestProfileVerb:
 
 class TestMetricsFold:
     def test_snapshot_folds_in_engine_counters(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 client.transform("flip", DOCUMENT)
@@ -237,7 +237,7 @@ class TestMetricsFold:
         assert stats["hits"] > 0 and stats["misses"] > 0
 
     def test_each_model_gets_its_own_memo_series(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 client.transform(
@@ -265,7 +265,7 @@ class TestMetricsFold:
     def test_exposition_declares_the_memo_families_as_counters(
         self, models_dir
     ):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 client.transform("flip", DOCUMENT)
@@ -283,7 +283,7 @@ class TestMetricsFold:
         assert "repro_backend_requests_total" not in text
 
     def test_unexercised_models_have_no_memo_series(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 counters = client.metrics()["counters"]
@@ -295,7 +295,7 @@ class TestMetricsFold:
             assert models == {"flip@1"}
 
     def test_stats_and_models_verbs_name_no_backend(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 stats = client.stats()
@@ -315,7 +315,7 @@ class TestMetricsFold:
 
 class TestExecuteSpan:
     def test_in_process_execute_span_names_no_backend(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 _output, trace = client.transform_traced("flip", DOCUMENT)
         execute = find_span(trace, "execute")

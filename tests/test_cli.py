@@ -351,10 +351,9 @@ class TestNoBackendFlag:
         "argv",
         [
             ["apply", "--transform", "t.json", "doc.dtop"],
-            ["serve", "--transform", "t.json", "--input", "batch.xml"],
             ["server", "--models", "models"],
         ],
-        ids=["apply", "serve", "server"],
+        ids=["apply", "server"],
     )
     def test_backend_flag_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:
@@ -362,6 +361,24 @@ class TestNoBackendFlag:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --backend tables" in err
+
+
+class TestRemovedSurface:
+    """``apply --stream`` is the one local streaming command, and the
+    server batches by load with no wait bound to set."""
+
+    def test_serve_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--transform", "t.json", "--input", "b.xml"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
+    def test_max_wait_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["server", "--models", "models", "--max-wait-ms", "1"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --max-wait-ms 1" in err
 
 
 class TestServeAndStream:
@@ -392,31 +409,7 @@ class TestServeAndStream:
         )
         return path, documents
 
-    def test_serve_writes_outputs_in_stream_order(
-        self, workspace, saved, stream_file, capsys
-    ):
-        path, documents = stream_file
-        out_dir = workspace / "served"
-        code = main(
-            [
-                "serve",
-                "--transform", str(saved),
-                "--input", str(path),
-                "--jobs", "2",
-                "--chunk-docs", "4",
-                "--output", str(out_dir),
-                "--stats",
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 0
-        assert f"{len(documents)}/{len(documents)} documents transformed" in err
-        assert "stats:" in err
-        for index, document in enumerate(documents):
-            rendered = (out_dir / f"doc{index + 1:06d}.out.xml").read_text()
-            assert parse_xml(rendered) == transform_xmlflip(document)
-
-    def test_apply_stream_matches_serve(
+    def test_stream_writes_outputs_in_stream_order(
         self, workspace, saved, stream_file, capsys
     ):
         path, documents = stream_file
@@ -426,12 +419,18 @@ class TestServeAndStream:
                 "apply",
                 "--transform", str(saved),
                 "--stream", str(path),
+                "--jobs", "2",
+                "--chunk-docs", "4",
                 "--output", str(out_dir),
             ]
         )
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 0
+        assert f"{len(documents)}/{len(documents)} documents transformed" in err
         assert len(list(out_dir.glob("*.out.xml"))) == len(documents)
+        for index, document in enumerate(documents):
+            rendered = (out_dir / f"doc{index + 1:06d}.out.xml").read_text()
+            assert parse_xml(rendered) == transform_xmlflip(document)
 
     def test_stream_reports_per_document_errors(
         self, workspace, saved, capsys
@@ -541,7 +540,9 @@ class TestStatsGoToStderr:
         capsys.readouterr()
         return path
 
-    def test_serve_stats_never_touch_stdout(self, workspace, saved, capsys):
+    def test_stream_summary_never_touches_stdout(
+        self, workspace, saved, capsys
+    ):
         documents = [xmlflip_document(n % 3, n % 2) for n in range(5)]
         stream = workspace / "batch.xml"
         stream.write_text(
@@ -550,20 +551,13 @@ class TestStatsGoToStderr:
             + "</batch>"
         )
         code = main(
-            [
-                "serve",
-                "--transform", str(saved),
-                "--input", str(stream),
-                "--stats",
-            ]
+            ["apply", "--transform", str(saved), "--stream", str(stream)]
         )
         captured = capsys.readouterr()
         assert code == 0
-        # stderr carries the summary and the statistics...
+        # stderr carries the summary...
         assert "documents transformed" in captured.err
-        assert "stats:" in captured.err
         # ...while stdout is exactly the documents (plus separators).
-        assert "stats:" not in captured.out
         assert "transformed" not in captured.out
         rendered = [
             chunk for chunk in captured.out.split("<!-- document #")
