@@ -151,9 +151,9 @@ class Transformation:
         carry values need the origin-tracking interpreter to rehydrate
         them — provenance is per-occurrence and cannot be memoized or
         batched — and are translated individually.  All failures
-        (non-conforming, out-of-domain, or too deep for the recursive
-        encoders and origin tracker) are reported per document without
-        aborting the batch.
+        (non-conforming, out-of-domain, or nested too deeply for the
+        encoders and decoders, which recurse once per nesting level) are
+        reported per document without aborting the batch.
 
         ``jobs > 1`` shards the engine-eligible documents across a
         worker pool (:class:`~repro.serve.service.TransformService`)
@@ -228,8 +228,8 @@ class Transformation:
                     results.append(
                         ReproError(
                             "document translation exceeded the recursion "
-                            "limit (origin tracking and "
-                            f"{codec.name.upper()} decoding are recursive)"
+                            f"limit ({codec.name.upper()} decoding recurses "
+                            "once per nesting level)"
                         )
                     )
         return results

@@ -5,16 +5,19 @@ every node of the output tree, which input node the emitting rule was
 reading.  ``apply_with_origins`` evaluates the transducer while
 threading Dewey addresses on both sides; it costs O(|output|) — no
 memoization is possible because each output position is distinct.
+
+The evaluation runs on an explicit stack, so a long cons list (a wide
+JSON array or XML list) costs no Python recursion at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import UndefinedTransductionError
 from repro.trees.tree import Tree
 from repro.transducers.dtop import DTOP
-from repro.transducers.rhs import Call, StateName
+from repro.transducers.rhs import Call
 
 Address = Tuple[int, ...]
 
@@ -26,40 +29,45 @@ def apply_with_origins(
 
     The origin of an output node is the input node whose rule emitted it
     (for axiom-emitted output, the root).  Raises
-    :class:`UndefinedTransductionError` outside the domain.
+    :class:`UndefinedTransductionError` outside the domain; the first
+    undefined call in left-to-right pre-order is the one reported.
     """
     origins: Dict[Address, Address] = {}
-
-    def eval_state(state: StateName, node: Tree, in_addr: Address, out_addr: Address) -> Tree:
-        rhs = transducer.rhs(state, node.label)
-        if rhs is None:
-            raise UndefinedTransductionError(
-                f"no rule for state {state!r} on symbol {node.label!r}"
-            )
-        return instantiate(rhs, node, in_addr, out_addr)
-
-    def instantiate(part: Tree, node: Tree, in_addr: Address, out_addr: Address) -> Tree:
+    rhs_of = transducer.rhs
+    built: List[Tree] = []
+    # A pending item is a template to instantiate — (part, input node,
+    # input address, output address) — or an output node whose
+    # children are the last ``arity`` entries of ``built``:
+    # (label, arity).
+    pending: List[tuple] = [(transducer.axiom, source, (), ())]
+    while pending:
+        item = pending.pop()
+        if len(item) == 2:
+            label, arity = item
+            children = tuple(built[-arity:])
+            del built[-arity:]
+            built.append(Tree(label, children))
+            continue
+        part, node, in_addr, out_addr = item
         label = part.label
-        if isinstance(label, Call):
-            child = node.children[label.var - 1]
-            return eval_state(label.state, child, in_addr + (label.var,), out_addr)
+        while isinstance(label, Call):
+            if label.var:  # x0 (axiom calls only) reads the node itself
+                node = node.children[label.var - 1]
+                in_addr = in_addr + (label.var,)
+            part = rhs_of(label.state, node.label)
+            if part is None:
+                raise UndefinedTransductionError(
+                    f"no rule for state {label.state!r} on symbol {node.label!r}"
+                )
+            label = part.label
         origins[out_addr] = in_addr
-        children = tuple(
-            instantiate(child, node, in_addr, out_addr + (i,))
-            for i, child in enumerate(part.children, start=1)
-        )
-        return Tree(label, children)
-
-    def instantiate_axiom(part: Tree, out_addr: Address) -> Tree:
-        label = part.label
-        if isinstance(label, Call):
-            return eval_state(label.state, source, (), out_addr)
-        origins[out_addr] = ()
-        children = tuple(
-            instantiate_axiom(child, out_addr + (i,))
-            for i, child in enumerate(part.children, start=1)
-        )
-        return Tree(label, children)
-
-    result = instantiate_axiom(transducer.axiom, ())
-    return result, origins
+        children = part.children
+        if not children:
+            built.append(part)
+            continue
+        pending.append((label, len(children)))
+        for index in range(len(children), 0, -1):
+            pending.append(
+                (children[index - 1], node, in_addr, out_addr + (index,))
+            )
+    return built[0], origins

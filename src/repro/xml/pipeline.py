@@ -73,7 +73,7 @@ def xml_codec(input_encoder: DTDEncoder, output_encoder: DTDEncoder) -> Codec:
         },
         input_schema=input_dtd,
         output_schema=output_dtd,
-        encoder_note="the DTD encoder is recursive",
+        encoder_note="the DTD encoder recurses once per element nesting level",
     )
 
 

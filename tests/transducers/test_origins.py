@@ -1,11 +1,18 @@
 """Tests for origin-tracking evaluation."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.codec import load_transformation
 from repro.errors import UndefinedTransductionError
 from repro.transducers.origins import apply_with_origins
-from repro.trees.tree import parse_term
+from repro.transducers.rhs import Call
+from repro.trees.tree import Tree, parse_term
 from repro.workloads.flip import flip_input, flip_transducer
+
+from tests.fuzz.test_differential import random_forest, random_machine
 
 
 class TestOrigins:
@@ -48,3 +55,60 @@ class TestOrigins:
     def test_undefined_raises(self):
         with pytest.raises(UndefinedTransductionError):
             apply_with_origins(flip_transducer(), parse_term("#"))
+
+
+def _recursive_origins(transducer, source):
+    """The recursive definition: instantiate templates depth first."""
+    origins = {}
+
+    def instantiate(part, node, in_addr, out_addr):
+        label = part.label
+        if isinstance(label, Call):
+            child = node.children[label.var - 1] if label.var else node
+            child_addr = in_addr + (label.var,) if label.var else in_addr
+            rhs = transducer.rhs(label.state, child.label)
+            if rhs is None:
+                raise UndefinedTransductionError(
+                    f"no rule for state {label.state!r} on symbol {child.label!r}"
+                )
+            return instantiate(rhs, child, child_addr, out_addr)
+        origins[out_addr] = in_addr
+        return Tree(
+            label,
+            tuple(
+                instantiate(child, node, in_addr, out_addr + (index,))
+                for index, child in enumerate(part.children, start=1)
+            ),
+        )
+
+    return instantiate(transducer.axiom, source, (), ()), origins
+
+
+def _outcome(run, machine, tree):
+    try:
+        output, origins = run(machine, tree)
+    except UndefinedTransductionError as error:
+        return ("error", str(error))
+    return (str(output), origins)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_the_recursive_definition(seed):
+    """Same output, origin map and first-error message, total or partial."""
+    machine, _ = random_machine(seed)
+    for tree in random_forest(machine, seed):
+        assert _outcome(apply_with_origins, machine, tree) == _outcome(
+            _recursive_origins, machine, tree
+        )
+
+
+def test_wide_cons_list_needs_no_recursion():
+    transformation = load_transformation(
+        Path(__file__).resolve().parents[2] / "models" / "identity-json@1.json"
+    )
+    tree, values = transformation.codec.input_encoder.encode_with_values(
+        [f"s{index}" for index in range(5 * sys.getrecursionlimit())]
+    )
+    output, origins = apply_with_origins(transformation.transducer, tree)
+    assert output == tree
+    assert len(origins) == tree.size

@@ -1,14 +1,25 @@
 """Tests for the DTD-based encoding (Section 10)."""
 
+import itertools
+import json
+import os
+import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
-from repro.errors import AmbiguousContentModelError, EncodingError
+from repro.codec import load_transformation
+from repro.errors import AmbiguousContentModelError, EncodingError, ReproError
 from repro.trees.tree import parse_term
 from repro.workloads.library import library_document, library_input_dtd
 from repro.workloads.xmlflip import xmlflip_document, xmlflip_input_dtd
-from repro.xml.dtd import parse_dtd
+from repro.xml.dtd import Empty, parse_dtd
 from repro.xml.encode import DTDEncoder
-from repro.xml.unranked import element, text
+from repro.xml.pipeline import XML_BUNDLE_FORMAT
+from repro.xml.unranked import PCDATA_LABEL, element, text
 
 
 class TestPaperFlipEncoding:
@@ -167,3 +178,175 @@ class TestRoundtrips:
             assert encoder.roundtrip(doc) == doc
         with pytest.raises(EncodingError):
             encoder.encode(element("r", element("b")))
+
+
+def _words(length):
+    alphabet = ("a", "b", PCDATA_LABEL)
+    for size in range(length + 1):
+        yield from itertools.product(alphabet, repeat=size)
+
+
+def _outcome(encoder, document):
+    try:
+        tree, values = encoder.encode_with_values(document)
+    except ReproError as error:
+        return (type(error).__name__, str(error))
+    return ("tree", str(tree), sorted(values.items()))
+
+
+class TestOnePassPlans:
+    """Which content models the one-pass parser takes, and its parity.
+
+    The span parser (an encoder with its plans cleared) is the
+    reference: on every word of up to five children both must give the
+    same tree, values, or error type and message.
+    """
+
+    ELIGIBLE = [
+        "(a*,b*)",
+        "(b*,a*)",
+        "(a+,b?)",
+        "((a,b)|b)",
+        "((a|b),(a|b))",
+        "(#PCDATA|a)*",
+        "(a,(b|#PCDATA)?)?",
+        "((a?,b?)|#PCDATA)",
+        "((a,b?)*,#PCDATA)",
+        "((a)?)?",
+    ]
+    FALLBACK = [
+        "(a*,a*)",
+        "(a?|b?)",
+        "(a+)+",
+        "(a?)*",
+        "(a?,a)",
+        "((a|b*),a)",
+        "((a,b)*,a)",
+        "((a,b?)+,b)",
+    ]
+
+    @staticmethod
+    def dtd(model):
+        return parse_dtd(
+            f"<!ELEMENT r {model} > <!ELEMENT a EMPTY > <!ELEMENT b EMPTY >"
+        )
+
+    @pytest.mark.parametrize("model", ELIGIBLE + FALLBACK)
+    def test_plan_taken_exactly_when_lookahead_is_unambiguous(self, model):
+        encoder = DTDEncoder(self.dtd(model))
+        assert ("r" in encoder._plans) == (model in self.ELIGIBLE)
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    @pytest.mark.parametrize("model", ELIGIBLE + FALLBACK)
+    def test_every_short_word_matches_the_span_parser(self, model, fuse):
+        encoder = DTDEncoder(self.dtd(model), fuse=fuse, abstract_values=True)
+        reference = DTDEncoder(self.dtd(model), fuse=fuse, abstract_values=True)
+        reference._plans.clear()
+        for word in _words(5):
+            document = element(
+                "r",
+                *(
+                    text("x") if token == PCDATA_LABEL else element(token)
+                    for token in word
+                ),
+            )
+            assert _outcome(encoder, document) == _outcome(reference, document), word
+
+    def test_shipped_dtds_are_all_one_pass(self):
+        models_dir = Path(__file__).resolve().parents[2] / "models"
+        checked = 0
+        for path in sorted(models_dir.glob("*.json")):
+            if json.loads(path.read_text())["format"] != XML_BUNDLE_FORMAT:
+                continue
+            transformation = load_transformation(path)
+            for encoder in (
+                transformation.codec.input_encoder,
+                transformation.codec.output_encoder,
+            ):
+                for name, model in encoder.dtd.elements.items():
+                    if not isinstance(model, Empty):
+                        assert name in encoder._plans, (path.name, name)
+                        checked += 1
+        # xmlflip, library and addressbook, both sides.
+        assert checked >= 12
+
+    def test_plans_survive_pickling(self):
+        encoder = DTDEncoder(self.dtd("((a|b?),#PCDATA)*"))
+        copy = pickle.loads(pickle.dumps(encoder))
+        assert "r" in copy._plans
+        document = element("r", element("a"), text("x"), text("y"))
+        assert copy.encode_with_values(document) == encoder.encode_with_values(
+            document
+        )
+
+    def test_invalid_word_message_descends_through_optional_roots(self):
+        encoder = DTDEncoder(self.dtd("((a,b)?)?"))
+        assert "r" in encoder._plans
+        with pytest.raises(EncodingError, match=r"^children do not match \(a,b\)$"):
+            encoder.encode(element("r", element("b")))
+
+    def test_invalid_word_raises_before_children_are_encoded(self):
+        encoder = DTDEncoder(xmlflip_input_dtd())
+        # The first child is broken too, but this level's word is checked
+        # first: b before a violates (a*,b*).
+        document = element("root", element("b", element("a")), element("a"))
+        with pytest.raises(EncodingError, match=r"^children do not match \(a\*,b\*\)$"):
+            encoder.encode(document)
+
+
+class TestWideDocuments:
+    """Width costs linear time and no recursion (one pass per level)."""
+
+    def test_ten_thousand_children_encode_and_decode(self):
+        encoder = DTDEncoder(xmlflip_input_dtd(), compact_lists=True)
+        document = xmlflip_document(5000, 5000)
+        started = time.perf_counter()
+        tree, values = encoder.encode_with_values(document)
+        assert values == {}
+        assert encoder.decode(tree) == document
+        assert time.perf_counter() - started < 10
+
+    def test_wide_wrong_order_gives_the_span_parser_message(self):
+        encoder = DTDEncoder(xmlflip_input_dtd())
+        document = element(
+            "root", *([element("b")] * 5000 + [element("a")] * 5000)
+        )
+        started = time.perf_counter()
+        with pytest.raises(EncodingError, match=r"^children do not match \(a\*,b\*\)$"):
+            encoder.encode(document)
+        assert time.perf_counter() - started < 10
+
+    def test_wide_values_keep_document_order(self):
+        encoder = DTDEncoder(library_input_dtd(), fuse=True)
+        document = library_document(2000)
+        assert encoder.roundtrip(document) == document
+
+    def test_encode_allocation_grows_linearly(self):
+        # A fresh interpreter, with the tree intern table grown past what
+        # the samples add, so no one-off table resize lands in a sample.
+        script = """
+import tracemalloc
+from repro.trees.tree import Tree
+from repro.workloads.xmlflip import xmlflip_document, xmlflip_input_dtd
+from repro.xml.encode import DTDEncoder
+padding = [Tree(f"pad{index}") for index in range(100000)]
+encoder = DTDEncoder(xmlflip_input_dtd())
+peaks = []
+for width in (500, 2000):
+    document = xmlflip_document(width, width)
+    tracemalloc.start()
+    encoder.encode(document)
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(peaks[0], peaks[1])
+"""
+        src = Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        narrow, wide = map(int, result.stdout.split())
+        assert wide <= 5 * narrow, (narrow, wide)
