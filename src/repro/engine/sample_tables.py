@@ -6,8 +6,7 @@ that running them is table lookups; this module does the same for
 ``(input, output)`` tree pairs) into uid-keyed indexes:
 
 * an inverted input-path index ``u → [(s, t, u⁻¹s), …]`` over all pairs,
-  built from a globally memoized per-tree path index (trees are interned,
-  so the per-tree index is sample-independent and shared program-wide);
+  built from a memoized per-tree path index;
 * per path-pair ``p = (u, v)``: the residual ``p⁻¹S`` as a uid-keyed map
   plus a precomputed **residual signature** — an order-independent hash
   of the uid map, maintained incrementally as pairs are appended;
@@ -29,9 +28,13 @@ byte-identical to the interpreted path.
 Extension is copy-on-write: :meth:`SampleTables.extended` returns a new
 tables object sharing all untouched structure with its parent, touching
 only the paths the appended inputs contain.  The parent stays fully
-valid.  :func:`sample_tables_stats` aggregates global counters proving
-builds vs. extensions (the active learner's regression tests key on
-them).
+valid.  A tables object and all its extensions form one *lineage*: the
+memos of pure functions of interned trees (the per-tree path index and
+the learner's memos, see :attr:`SampleTables.memos`) are shared by
+reference along it, so re-learning from an extended sample reuses them,
+and they are released with the last sample of the lineage.
+:func:`sample_tables_stats` aggregates global counters proving builds
+vs. extensions (the active learner's regression tests key on them).
 """
 
 from __future__ import annotations
@@ -45,17 +48,6 @@ from repro.trees.tree import Tree
 PathPair = Tuple[Path, Path]
 #: One inverted-index entry: (input root, output root, subtree at path).
 Entry = Tuple[Tree, Tree, Tree]
-
-# ---------------------------------------------------------------------------
-# Global memoization
-# ---------------------------------------------------------------------------
-
-#: Per-tree labeled-path index ``uid → {path: subtree}``.  A pure function
-#: of the (interned, immutable) tree, so one global memo serves every
-#: sample; cleared wholesale when it overflows (uids are never reused, so
-#: stale entries are merely unreachable, never wrong).
-_PATH_INDEX_MEMO: Dict[int, Dict[Path, Tree]] = {}
-_PATH_INDEX_LIMIT = 1 << 16
 
 _GLOBAL_STATS: Dict[str, int] = {
     "tables_built": 0,
@@ -78,31 +70,16 @@ def reset_sample_tables_stats() -> None:
         _GLOBAL_STATS[key] = 0
 
 
-def clear_sample_table_caches() -> None:
-    """Drop the global per-tree path-index memo and zero the counters.
-
-    Only useful to bound memory in long-running processes; per-sample
-    tables are released with their samples.
-    """
-    _PATH_INDEX_MEMO.clear()
-    reset_sample_tables_stats()
-
-
 def path_index(root: Tree) -> Dict[Path, Tree]:
-    """All ``(labeled path, subtree)`` of a tree as a dict, globally memoized."""
-    index = _PATH_INDEX_MEMO.get(root.uid)
-    if index is None:
-        index = {}
-        stack: List[Tuple[Path, Tree]] = [((), root)]
-        while stack:
-            prefix, node = stack.pop()
-            index[prefix] = node
-            label = node.label
-            for i, child in enumerate(node.children, start=1):
-                stack.append((prefix + ((label, i),), child))
-        if len(_PATH_INDEX_MEMO) >= _PATH_INDEX_LIMIT:
-            _PATH_INDEX_MEMO.clear()
-        _PATH_INDEX_MEMO[root.uid] = index
+    """All ``(labeled path, subtree)`` of a tree as a dict."""
+    index: Dict[Path, Tree] = {}
+    stack: List[Tuple[Path, Tree]] = [((), root)]
+    while stack:
+        prefix, node = stack.pop()
+        index[prefix] = node
+        label = node.label
+        for i, child in enumerate(node.children, start=1):
+            stack.append((prefix + ((label, i),), child))
     return index
 
 
@@ -151,6 +128,8 @@ class SampleTables:
         "_alpha_upto",
         "_alpha_obj",
         "_stats",
+        "_paths",
+        "memos",
     )
 
     def __init__(self) -> None:
@@ -180,6 +159,11 @@ class SampleTables:
             "misses": 0,
             "refreshes": 0,
         }
+        # Lineage-shared memos of pure functions of interned uids (see
+        # the module docstring): root uid → path index, and the learner's
+        # memos, keyed by name (owned by repro.learning.rpni).
+        self._paths: Dict[int, Dict[Path, Tree]] = {}
+        self.memos: Dict[str, Dict] = {}
 
     # ------------------------------------------------------------------
     # Construction and extension
@@ -219,6 +203,8 @@ class SampleTables:
         child._alpha_obj = self._alpha_obj
         child._stats = dict(self._stats)
         child._stats["extends"] += 1
+        child._paths = self._paths
+        child.memos = self.memos
         child._index_pairs(tuple(new_pairs), owned_paths=set())
         _GLOBAL_STATS["tables_extended"] += 1
         return child
@@ -237,7 +223,7 @@ class SampleTables:
         """
         by_path = self._by_path
         for source, target in new_pairs:
-            for prefix, sub in path_index(source).items():
+            for prefix, sub in self._path_index(source).items():
                 entries = by_path.get(prefix)
                 if entries is None:
                     by_path[prefix] = [(source, target, sub)]
@@ -248,6 +234,12 @@ class SampleTables:
                     entries.append((source, target, sub))
         self.pairs = self.pairs + new_pairs
         _GLOBAL_STATS["pairs_indexed"] += len(new_pairs)
+
+    def _path_index(self, root: Tree) -> Dict[Path, Tree]:
+        index = self._paths.get(root.uid)
+        if index is None:
+            index = self._paths[root.uid] = path_index(root)
+        return index
 
     # ------------------------------------------------------------------
     # Queries (semantics identical to repro.learning.sample.Sample)
@@ -400,15 +392,15 @@ class SampleTables:
         self._residual[p] = (uid_map, signature, len(entries))
         return uid_map, signature
 
-    @staticmethod
     def _fold_residual(
+        self,
         uid_map: Dict[int, Tree],
         signature: int,
         v: Path,
         entries: Sequence[Entry],
     ) -> Tuple[Optional[Dict[int, Tree]], int]:
         for _, t, sub_in in entries:
-            sub_out = path_index(t).get(v)
+            sub_out = self._path_index(t).get(v)
             if sub_out is None:
                 continue
             in_uid = sub_in.uid
@@ -440,7 +432,7 @@ class SampleTables:
             start, existing = 0, []
         seen = {(sub_in.uid, sub_out.uid) for sub_in, sub_out in existing}
         for _, t, sub_in in entries[start:]:
-            sub_out = path_index(t).get(v)
+            sub_out = self._path_index(t).get(v)
             if sub_out is None:
                 continue
             key = (sub_in.uid, sub_out.uid)
@@ -499,7 +491,7 @@ class SampleTables:
             ranks = self._alpha_ranks
             changed = False
             for _, target in self.pairs[self._alpha_upto :]:
-                for node in path_index(target).values():
+                for node in self._path_index(target).values():
                     arity = len(node.children)
                     known = ranks.get(node.label)
                     if known is None:

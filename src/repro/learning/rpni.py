@@ -19,11 +19,14 @@ compiled sample tables of :mod:`repro.engine.sample_tables` — flat
 uid-keyed indexes with precomputed residual signatures — and replaces
 the quadratic border×OK merge scan with :class:`~repro.engine.MergeIndex`
 lookups driven by the border state's own residual entries.  Rule
-materialization memoizes its tree walks on interned-node uids, so
-re-learning from an extended sample (the active learner's round loop)
-re-derives only what the new pairs changed.  With ``compiled=False`` the
-pre-compilation path runs instead: the interpreted, per-sample memoized
-methods of :class:`~repro.learning.sample.Sample` and the pairwise
+materialization and final assembly memoize on interned-node uids in
+memos that live on the sample's tables lineage
+(:attr:`~repro.engine.SampleTables.memos`): re-learning from an extended
+sample (the active learner's round loop) re-derives only what the new
+pairs changed, and the memos are released with the samples.  With
+``compiled=False`` the pre-compilation path runs instead: the
+interpreted, per-sample memoized methods of
+:class:`~repro.learning.sample.Sample` and the pairwise
 :func:`~repro.learning.merge.mergeable` scan.  Both paths make the
 byte-identical decisions (states, rules, trace, and errors); property
 tests diff them, and :attr:`LearnedDTOP.stats` records which path ran
@@ -51,41 +54,6 @@ from repro.learning.merge import mergeable
 from repro.learning.sample import Sample
 
 PathPair = Tuple[Path, Path]
-
-#: Memo caps: wholesale clear on overflow (uids are never reused, so a
-#: stale entry is unreachable, never wrong).
-_MEMO_LIMIT = 1 << 16
-#: ``tree uid → ⊥ leaves as (labeled path, Dewey address)`` — a pure
-#: function of the interned tree, shared across learning runs so
-#: re-learning from an extended sample walks unchanged outputs zero times.
-_BOTTOMS_MEMO: Dict[int, List[Tuple[Path, Tuple[int, ...]]]] = {}
-#: ``(tree uid, sorted (dewey, call-tree uid)) → rhs tree`` for
-#: :func:`_tree_with_calls` — same sharing argument.
-_CALLS_MEMO: Dict[Tuple, Tree] = {}
-#: ``path pair → section-8 order key`` (pure function of the pair).
-_ORDER_KEY_MEMO: Dict[PathPair, object] = {}
-#: Final-assembly memo: (domain, output alphabet, axiom uid, rule uids,
-#: µ) → (renamed DTOP, rename order).  When a re-learning round derives
-#: the identical raw machine — the steady state of the active learner —
-#: µ-resolution, DTOP construction/validation, and the document-order
-#: rename are all skipped.  Instances in the key keep their referents
-#: alive, so the identity-keyed entries can never dangle; capped like
-#: the other memos.
-_RESULT_MEMO: Dict[Tuple, Tuple[DTOP, Dict[PathPair, StateName]]] = {}
-
-
-def clear_learning_memos() -> None:
-    """Drop the module-level learning memos (rule-materialization walks,
-    order keys, final-assembly results).
-
-    These strongly pin interned trees and learned machines; callers
-    bounding memory in long-running processes release them through
-    :func:`repro.api.clear_caches`.  Correctness never depends on this.
-    """
-    _BOTTOMS_MEMO.clear()
-    _CALLS_MEMO.clear()
-    _ORDER_KEY_MEMO.clear()
-    _RESULT_MEMO.clear()
 
 
 @dataclass
@@ -122,11 +90,15 @@ def _subtree_at_labeled(root: Tree, v: Path) -> Optional[Tree]:
 
 
 def _bottoms_with_paths(
-    node: Tree, memoize: bool = False
+    node: Tree, memo: Optional[Dict[int, List]] = None
 ) -> List[Tuple[Path, Tuple[int, ...]]]:
-    """All ``⊥`` leaves as (labeled path, Dewey address), document order."""
-    if memoize:
-        cached = _BOTTOMS_MEMO.get(node.uid)
+    """All ``⊥`` leaves as (labeled path, Dewey address), document order.
+
+    ``memo`` (``tree uid → result``) is the lineage memo of the compiled
+    path; ``None`` walks every time.
+    """
+    if memo is not None:
+        cached = memo.get(node.uid)
         if cached is not None:
             return cached
     found: List[Tuple[Path, Tuple[int, ...]]] = []
@@ -139,22 +111,21 @@ def _bottoms_with_paths(
             visit(child, lpath + ((current.label, i),), dewey + (i,))
 
     visit(node, (), ())
-    if memoize:
-        if len(_BOTTOMS_MEMO) >= _MEMO_LIMIT:
-            _BOTTOMS_MEMO.clear()
-        _BOTTOMS_MEMO[node.uid] = found
+    if memo is not None:
+        memo[node.uid] = found
     return found
 
 
 def _tree_with_calls(
-    node: Tree, calls: Dict[Tuple[int, ...], Tree], memoize: bool = False
+    node: Tree,
+    calls: Dict[Tuple[int, ...], Tree],
+    memo: Optional[Dict[Tuple, Tree]] = None,
 ) -> Tree:
     """Replace the ``⊥`` leaves at the given Dewey addresses by call trees."""
-    key = None
-    if memoize:
+    if memo is not None:
         # Call trees are interned, so their uid determines (target, var).
         key = (node.uid, tuple(sorted((d, c.uid) for d, c in calls.items())))
-        cached = _CALLS_MEMO.get(key)
+        cached = memo.get(key)
         if cached is not None:
             return cached
 
@@ -172,10 +143,8 @@ def _tree_with_calls(
         )
 
     result = visit(node, ())
-    if memoize:
-        if len(_CALLS_MEMO) >= _MEMO_LIMIT:
-            _CALLS_MEMO.clear()
-        _CALLS_MEMO[key] = result
+    if memo is not None:
+        memo[key] = result
     return result
 
 
@@ -215,6 +184,12 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
     ops = tables_for(sample) if compiled else sample
     merge_index = MergeIndex(ops) if compiled else None
     scan_probes = 0
+    # Memos of pure functions of interned uids.  The compiled path keeps
+    # them on the tables lineage, so re-learning from an extension reuses
+    # them; the reference path memoizes nothing across calls.
+    memos = ops.memos if compiled else {}
+    bottoms_memo = memos.setdefault("bottoms", {}) if compiled else None
+    calls_memo = memos.setdefault("calls", {}) if compiled else None
 
     out_axiom = ops.out(())
     assert out_axiom is not None  # sample is non-empty
@@ -233,11 +208,11 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
 
     # Axiom: out_S(ε) with a border state per ⊥ (Definition 35 / Qborder).
     axiom_calls: Dict[Tuple[int, ...], Tree] = {}
-    for lpath, dewey in _bottoms_with_paths(out_axiom, memoize=compiled):
+    for lpath, dewey in _bottoms_with_paths(out_axiom, bottoms_memo):
         target: PathPair = ((), lpath)
         axiom_calls[dewey] = make_call_tree(target, 0)
         border.add(target)
-    raw_axiom = _tree_with_calls(out_axiom, axiom_calls, memoize=compiled)
+    raw_axiom = _tree_with_calls(out_axiom, axiom_calls, calls_memo)
 
     def build_rules_for(p: PathPair) -> None:
         """Materialize all rules of the freshly promoted OK state ``p``."""
@@ -268,7 +243,7 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
                     v=v,
                 )
             calls: Dict[Tuple[int, ...], Tree] = {}
-            for rel_lpath, dewey in _bottoms_with_paths(sub, memoize=compiled):
+            for rel_lpath, dewey in _bottoms_with_paths(sub, bottoms_memo):
                 full_v = v + rel_lpath
                 candidates = [
                     i
@@ -295,7 +270,7 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
                         candidates=candidates,
                     )
             # Second pass so the error cases above fire before mutation.
-            for rel_lpath, dewey in _bottoms_with_paths(sub, memoize=compiled):
+            for rel_lpath, dewey in _bottoms_with_paths(sub, bottoms_memo):
                 full_v = v + rel_lpath
                 i = next(
                     i
@@ -306,13 +281,9 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
                 calls[dewey] = make_call_tree(target, i)
                 if target not in border and target not in mu and target not in ok:
                     border.add(target)
-            raw_rules[(p, symbol)] = _tree_with_calls(sub, calls, memoize=compiled)
+            raw_rules[(p, symbol)] = _tree_with_calls(sub, calls, calls_memo)
 
-    # Order keys are pure functions of the path pair: the compiled path
-    # shares them across runs (re-learning revisits the same pairs).
-    order_keys: Dict[PathPair, object] = _ORDER_KEY_MEMO if compiled else {}
-    if compiled and len(order_keys) >= _MEMO_LIMIT:
-        order_keys.clear()
+    order_keys: Dict[PathPair, object] = {}
 
     def border_key(q: PathPair) -> object:
         key = order_keys.get(q)
@@ -370,23 +341,18 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
     # DTOP, and the document-order rename depend only on the raw
     # artifacts — all interned — so a re-learning round that derived the
     # identical machine is a single dict hit.
-    result_key = None
-    if compiled:
-        result_key = (
-            domain,
-            output_alphabet,
-            raw_axiom.uid,
-            tuple((p, f, rhs.uid) for (p, f), rhs in raw_rules.items()),
-            tuple(mu.items()),
-        )
-        cached_result = _RESULT_MEMO.get(result_key)
-        if cached_result is not None:
-            renamed, order = cached_result
-        else:
-            renamed = None
+    results = memos.setdefault("results", {})
+    result_key = (
+        domain,
+        output_alphabet,
+        raw_axiom.uid,
+        tuple((p, f, rhs.uid) for (p, f), rhs in raw_rules.items()),
+        tuple(mu.items()),
+    )
+    cached_result = results.get(result_key)
+    if cached_result is not None:
+        renamed, order = cached_result
     else:
-        renamed = None
-    if renamed is None:
         raw = DTOP(
             domain.alphabet,
             output_alphabet,
@@ -394,10 +360,7 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
             {key: resolve_tree(rhs) for key, rhs in raw_rules.items()},
         )
         renamed, order = _document_order_rename(raw)
-        if result_key is not None:
-            if len(_RESULT_MEMO) >= _MEMO_LIMIT:
-                _RESULT_MEMO.clear()
-            _RESULT_MEMO[result_key] = (renamed, order)
+        results[result_key] = (renamed, order)
     state_paths = {order[p]: p for p in ok if p in order}
     stats: Dict[str, object] = {
         "compiled": compiled,

@@ -9,11 +9,10 @@ paths repeatedly.
 
 Every derived quantity — ``out_S(u)``, ``out_S(u·f)``, residuals,
 residual maps, and io-path membership — is cached on the (immutable)
-sample.  Example pairs are deduplicated with interned-tree uids, and the
-underlying ``⊔`` computations hit the global memoized lcp, so the RPNI
-merge loop (which probes the same path pairs once per merge candidate)
-does each piece of work once.  :meth:`Sample.cache_stats` exposes the
-hit/miss counters.
+sample.  Example pairs are deduplicated with interned-tree uids, so the
+RPNI merge loop (which probes the same path pairs once per merge
+candidate) does each piece of work once.  :meth:`Sample.cache_stats`
+exposes the hit/miss counters.
 
 Two implementations coexist.  The methods on this class are the
 *interpreted reference*: direct transcriptions of the paper's
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.engine.sample_tables import path_index
 from repro.errors import InconsistentSampleError
 from repro.trees.lcp import BOTTOM_SYMBOL, lcp_many
 from repro.trees.paths import Path
@@ -89,15 +89,7 @@ class Sample:
         """All ``(labeled path, subtree)`` of a tree, as a dict; memoized."""
         index = self._path_index_cache.get(root.uid)
         if index is None:
-            index = {}
-            stack: List[Tuple[Path, Tree]] = [((), root)]
-            while stack:
-                path, node = stack.pop()
-                index[path] = node
-                label = node.label
-                for i, child in enumerate(node.children, start=1):
-                    stack.append((path + ((label, i),), child))
-            self._path_index_cache[root.uid] = index
+            index = self._path_index_cache[root.uid] = path_index(root)
         return index
 
     def _inputs_index(self) -> Dict[Path, List[Tuple[Tree, Tree, Tree]]]:

@@ -180,8 +180,7 @@ def out_table(transducer: DTOP, domain: Optional[DTTA] = None) -> Dict[Pair, Tre
     only the pairs whose dependencies actually changed — chaotic
     iteration of a monotone decreasing operator, whose limit is
     order-independent and equal to the round-based Kleene sweep the
-    interpreted reference (:func:`_out_table_reference`) computes.  All
-    ``⊔`` steps hit the global uid-pair memo of :mod:`repro.trees.lcp`.
+    interpreted reference (:func:`_out_table_reference`) computes.
     """
     # Imported here: this module is pulled in by the package __init__,
     # before repro.engine (which imports repro.transducers.rhs) exists.

@@ -45,8 +45,6 @@ from repro.trees.lcp import (
     lcp_many,
     bottom_positions,
     is_prefix_of,
-    lcp_cache_stats,
-    clear_lcp_cache,
 )
 from repro.trees.substitution import (
     substitute_leaves,
@@ -84,8 +82,6 @@ __all__ = [
     "lcp_many",
     "bottom_positions",
     "is_prefix_of",
-    "lcp_cache_stats",
-    "clear_lcp_cache",
     "substitute_leaves",
     "replace_at_node",
     "replace_at_path",

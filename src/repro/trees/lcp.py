@@ -9,14 +9,12 @@ Section 3 of the paper defines, for trees ``t, t'``::
 ``⊥`` marks the positions where the compared trees disagree; those
 positions are exactly where an earliest transducer places its state calls.
 
-Because trees are interned (:mod:`repro.trees.tree`), the binary ``⊔`` is
-memoized globally on the pair of node uids: the earliest-normal-form
-fixpoint (:mod:`repro.transducers.earliest`) and the sample operator
-``out_S`` (:mod:`repro.learning.sample`) recompute LCPs of the same
-subtree pairs over and over, and each distinct pair is now computed once.
-The cache is capped (wholesale clear on overflow) so long-running
-processes do not grow without bound; :func:`lcp_cache_stats` exposes
-hit/miss counters.
+Because trees are interned (:mod:`repro.trees.tree`), one ``⊔`` call
+memoizes on the pair of node uids: a pair of subtrees shared many times
+inside the two compared DAGs is compared once, so the cost is linear in
+the DAG size, not in the (possibly exponential) tree size.  The memo
+lives for one top-level call and dies with it; results that callers
+reuse (``out_S`` on a sample) are cached by those callers.
 """
 
 from __future__ import annotations
@@ -25,24 +23,6 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import TreeError
 from repro.trees.tree import Tree
-
-#: Memo for the binary ``⊔``, keyed by the (sorted) uid pair.  uids are
-#: never reused, so stale entries are merely unreachable, never wrong.
-_LCP_CACHE: Dict[Tuple[int, int], Tree] = {}
-_LCP_CACHE_LIMIT = 1 << 18
-_LCP_STATS: Dict[str, int] = {"hits": 0, "misses": 0}
-
-
-def lcp_cache_stats() -> Dict[str, int]:
-    """Counters of the ``⊔`` memo cache: ``hits``, ``misses``, ``entries``."""
-    return {**_LCP_STATS, "entries": len(_LCP_CACHE)}
-
-
-def clear_lcp_cache() -> None:
-    """Drop all memoized ``⊔`` results and zero the counters."""
-    _LCP_CACHE.clear()
-    _LCP_STATS["hits"] = 0
-    _LCP_STATS["misses"] = 0
 
 
 class _BottomSymbol:
@@ -74,34 +54,31 @@ def is_bottom(node: Tree) -> bool:
 
 
 def lcp(left: Tree, right: Tree) -> Tree:
-    """Binary largest common prefix ``t ⊔ t'`` (Section 3), memoized.
+    """Binary largest common prefix ``t ⊔ t'`` (Section 3).
 
     ``⊥`` behaves as the least element: ``⊥ ⊔ t = ⊥`` because the labels
     differ — exactly the paper's definition, no special case needed.
 
-    Interning makes ``left is right`` the complete equality test, and the
-    (commutative) result is memoized on the uid pair, so repeated ``⊔``
-    over shared substructure costs one dictionary lookup.
+    Interning makes ``left is right`` the complete equality test, and
+    the result is memoized on the uid pair for the duration of the call,
+    so ``⊔`` over shared substructure compares each subtree pair once.
     """
+    return _lcp(left, right, {})
+
+
+def _lcp(left: Tree, right: Tree, memo: Dict[Tuple[int, int], Tree]) -> Tree:
     if left is right:
         return left
     if left.label != right.label or len(left.children) != len(right.children):
         return BOTTOM
-    key = (
-        (left.uid, right.uid) if left.uid < right.uid else (right.uid, left.uid)
-    )
-    cached = _LCP_CACHE.get(key)
-    if cached is not None:
-        _LCP_STATS["hits"] += 1
-        return cached
-    _LCP_STATS["misses"] += 1
-    result = Tree(
-        left.label,
-        [lcp(a, b) for a, b in zip(left.children, right.children)],
-    )
-    if len(_LCP_CACHE) >= _LCP_CACHE_LIMIT:
-        _LCP_CACHE.clear()
-    _LCP_CACHE[key] = result
+    key = (left.uid, right.uid)
+    result = memo.get(key)
+    if result is None:
+        result = Tree(
+            left.label,
+            [_lcp(a, b, memo) for a, b in zip(left.children, right.children)],
+        )
+        memo[key] = result
     return result
 
 
@@ -117,10 +94,11 @@ def lcp_many(trees: Iterable[Tree]) -> Tree:
         result = next(iterator)
     except StopIteration:
         raise TreeError("largest common prefix of an empty set is undefined")
+    memo: Dict[Tuple[int, int], Tree] = {}
     for item in iterator:
         if is_bottom(result):
             return result
-        result = lcp(result, item)
+        result = _lcp(result, item, memo)
     return result
 
 

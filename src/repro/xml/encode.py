@@ -496,24 +496,26 @@ class DTDEncoder:
                 f"root element {document.label!r} is not the DTD start "
                 f"element {self.dtd.start!r}"
             )
-        texts: List[str] = []
+        texts: List[Optional[str]] = []
         tree = self._encode_element(document, texts)
-        if not texts:
+        if all(text is None for text in texts):
             return tree, {}
-        # Texts were collected in document order, and pre-order is the
+        # Texts (``None`` for a text-less ``pcdata`` node) were collected
+        # in document order, one per slot, and pre-order is the
         # lexicographic order of the slot addresses.
         labels = VALUE_LABELS if self.abstract_values else (PCDATA_SYMBOL,)
         slots = [
             address for address, node in tree.subtrees() if node.label in labels
         ]
-        return tree, dict(zip(slots, texts))
+        return tree, {
+            slot: text for slot, text in zip(slots, texts) if text is not None
+        }
 
-    def _encode_item(self, item: UTree, texts: List[str]) -> Tree:
+    def _encode_item(self, item: UTree, texts: List[Optional[str]]) -> Tree:
         """``enc_D`` of one child matched by an element or ``#PCDATA`` leaf."""
         if not item.is_text:
             return self._encode_element(item, texts)
-        if item.text is not None:
-            texts.append(item.text)
+        texts.append(item.text)
         if self.abstract_values:
             return Tree(PCDATA_SYMBOL, (Tree(abstract_value_of(item.text), ()),))
         return PCDATA_LEAF

@@ -42,6 +42,18 @@ def test_ten_thousand_child_xml_translates_locally():
     assert result == transform_xmlflip(document)
 
 
+def test_apply_is_apply_batch_of_one():
+    transformation = load_transformation(MODELS_DIR / "xmlflip@1.json")
+    document = xmlflip_document(5000, 5000)
+    started = time.perf_counter()
+    result = transformation.apply(document)
+    assert time.perf_counter() - started < BOUND_S
+    assert result == transformation.apply_batch([document])[0]
+    wrong_order = element("root", element("b"), element("a"))
+    with pytest.raises(EncodingError, match=r"^children do not match \(a\*,b\*\)$"):
+        transformation.apply(wrong_order)
+
+
 def test_ten_thousand_child_xml_translates_through_the_server(server):
     document = xmlflip_document(5000, 5000)
     wrong_order = element("root", *([element("b")] * 5000 + [element("a")] * 5000))

@@ -14,12 +14,14 @@ compiled worklist fixpoint of the earliest normal form against its
 round-based Kleene reference.
 """
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import tables_for
+from repro.automata.ops import enumerate_language
+from repro.engine import engine_for, tables_for
 from repro.errors import InsufficientSampleError, LearningError
 from repro.learning.active import learn_actively
 from repro.learning.charset import characteristic_sample
@@ -27,6 +29,7 @@ from repro.learning.rpni import rpni_dtop
 from repro.learning.sample import Sample
 from repro.transducers.earliest import _out_table_reference, out_table
 from repro.transducers.minimize import canonicalize
+from repro.trees.tree import intern_stats
 from repro.workloads.families import cycle_relabel, random_total_dtop, rotate_lists
 
 
@@ -138,6 +141,47 @@ class TestActiveLearningReuse:
         result = learn_actively(target.try_apply, domain, rng=random.Random(11))
         canonical = canonicalize(target, domain)
         assert canonicalize(result.learned.dtop, domain).same_translation(canonical)
+
+
+class TestLineageMemos:
+    """Learning memos live on a sample's tables lineage (the sample and
+    its extensions), never in the process."""
+
+    def test_results_shared_along_the_lineage_only(self):
+        target, domain = rotate_lists(3)
+        canonical = canonicalize(target, domain)
+        sample = characteristic_sample(canonical)
+        first = rpni_dtop(sample, canonical.domain).dtop
+        assert rpni_dtop(sample, canonical.domain).dtop is first
+        members = [
+            source
+            for source in enumerate_language(canonical.domain, limit=60)
+            if sample.output_of(source) is None
+        ]
+        outputs = engine_for(canonical.dtop).run_batch(members)
+        grown = sample.extended_with(zip(members, outputs))
+        assert len(grown) > len(sample)
+        assert rpni_dtop(grown, canonical.domain).dtop is first
+        fresh = rpni_dtop(Sample(sample.pairs), canonical.domain).dtop
+        assert fresh is not first
+        assert (fresh.axiom, fresh.rules) == (first.axiom, first.rules)
+
+    def test_learning_retains_no_trees(self):
+        """Dropping every result releases every tree learning interned."""
+
+        def learn(seed):
+            target, domain = random_total_dtop(2 + seed % 4, seed)
+            canonical = canonicalize(target, domain)
+            learned = rpni_dtop(characteristic_sample(canonical), canonical.domain)
+            assert learned.dtop.rules == canonical.dtop.rules
+
+        learn(10_000)  # module-level constants intern on first use
+        gc.collect()
+        before = intern_stats()["live"]
+        for seed in range(200):
+            learn(seed)
+        gc.collect()
+        assert intern_stats()["live"] <= before + 16
 
 
 class TestCharsetBuilderIncremental:

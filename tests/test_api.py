@@ -105,14 +105,8 @@ class TestSerializationRoundTrips:
 class TestCacheManagement:
     def test_cache_stats_shape(self):
         stats = api.cache_stats()
-        assert set(stats) == {
-            "intern",
-            "lcp",
-            "sample_tables",
-            "engine_artifacts",
-        }
-        for name in ("intern", "lcp"):
-            assert "hits" in stats[name] and "misses" in stats[name]
+        assert set(stats) == {"intern", "sample_tables", "engine_artifacts"}
+        assert "hits" in stats["intern"] and "misses" in stats["intern"]
         assert "tables_built" in stats["sample_tables"]
         assert "tables_extended" in stats["sample_tables"]
         assert "signature_hits" in stats["sample_tables"]
@@ -126,11 +120,6 @@ class TestCacheManagement:
         api.run_batch(machine, ["f(f(a, b), a)", "b"])
         after = api.cache_stats()["engine_artifacts"]
         assert after == {"compiles": before["compiles"] + 1, "payload_hits": 0}
-
-    def test_clear_caches_runs(self):
-        Tree("f", (Tree("a", ()), Tree("a", ())))
-        api.clear_caches()
-        assert api.cache_stats()["lcp"]["entries"] == 0
 
 
 class TestCompose:

@@ -43,6 +43,25 @@ class TestBinaryLcp:
         got = lcp(parse_term("g(a, b)"), parse_term("g(b, a)"))
         assert got == Tree("g", (BOTTOM, BOTTOM))
 
+    def test_shared_subtrees_compared_once(self):
+        """⊔ of two height-40 doubling DAGs (2^40 leaves each, 41 distinct
+        nodes) differing only in their leaf: the per-call memo keeps the
+        work linear in DAG size."""
+        import time
+
+        from repro.trees.tree import Tree, leaf
+
+        def doubling(bottom, height=40):
+            node = bottom
+            for _ in range(height):
+                node = Tree("f", (node, node))
+            return node
+
+        start = time.perf_counter()
+        got = lcp(doubling(leaf("a")), doubling(leaf("b")))
+        assert time.perf_counter() - start < 0.5
+        assert got is doubling(BOTTOM)
+
 
 class TestLcpMany:
     def test_empty_set_rejected(self):

@@ -109,6 +109,22 @@ class TestValues:
         doc = library_document(3)
         assert encoder.roundtrip(doc) == doc
 
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_text_less_pcdata_keeps_later_values_in_their_slots(self, fuse):
+        encoder = DTDEncoder(library_input_dtd(), fuse=fuse)
+        doc = element(
+            "LIBRARY",
+            element(
+                "BOOK",
+                element("AUTHOR", text(None)),
+                element("TITLE", text("t")),
+                element("YEAR", text("y")),
+            ),
+        )
+        _tree, values = encoder.encode_with_values(doc)
+        assert sorted(values.values()) == ["t", "y"]
+        assert encoder.roundtrip(doc) == doc
+
     def test_decode_without_values_gives_placeholders(self):
         encoder = DTDEncoder(library_input_dtd(), fuse=True)
         tree = encoder.encode(library_document(1))
