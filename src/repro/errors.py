@@ -138,11 +138,14 @@ class DTDError(ParseError):
 
 
 class AmbiguousContentModelError(DTDError):
-    """A child sequence admits more than one parse against a content model.
+    """A content model whose encoding needs more than one symbol of lookahead.
 
-    The paper restricts DTDs to 1-unambiguous regular expressions; our parse
-    engine accepts any regular expression but raises this error when the
-    uniqueness assumption is violated by an actual document.
+    The paper restricts DTDs to 1-unambiguous regular expressions, and
+    the DTD encoder parses child words in one pass with one symbol of
+    lookahead.  It refuses, when it is built, every model it cannot
+    parse that way: the non-deterministic ones, and a few deterministic
+    ones such as ``(a?|b?)`` and ``(a?)*``.  The message names the
+    element, its content model and the token where the choice is open.
     """
 
 

@@ -196,18 +196,18 @@ class JsonEncoder:
                     Tree(label, (self._encode_value(member, scalars),))
                 )
             return Tree(
-                OBJECT_LABEL, (self._cons(MEMBERS_LABEL, heads),)
+                OBJECT_LABEL, (self._spine(MEMBERS_LABEL, heads),)
             )
         if isinstance(value, (list, tuple)):
             heads = [self._encode_value(item, scalars) for item in value]
-            return Tree(ARRAY_LABEL, (self._cons(ITEMS_LABEL, heads),))
+            return Tree(ARRAY_LABEL, (self._spine(ITEMS_LABEL, heads),))
         raise EncodingError(
             f"value of type {type(value).__name__} is outside the "
             f"modeled JSON subset"
         )
 
     @staticmethod
-    def _cons(label: str, heads: List[Tree]) -> Tree:
+    def _spine(label: str, heads: List[Tree]) -> Tree:
         spine = HASH
         for head in reversed(heads):
             spine = Tree(label, (head, spine))

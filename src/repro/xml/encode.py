@@ -22,26 +22,29 @@ side table keyed by the Dewey address of the ``pcdata`` leaf, so that a
 transformation result can be re-hydrated (see
 :func:`repro.transducers.origins.apply_with_origins`).
 
-**Parsing child words.**  XML 1.0 requires deterministic content models,
-and such a model can be parsed left to right with one symbol of
-lookahead (Brüggemann-Klein and Wood, "One-unambiguous regular
-languages", 1998).  At construction every content model is compiled
-into that form when its lookahead is unambiguous (:func:`_lookahead_plan`:
-nullable and first sets per subexpression, then first/follow
-disjointness).  An element's child word is then checked in one
-label-only pass — an invalid word raises this level's error before any
-child element is encoded — and encoded in a second left-to-right pass
-that builds cons lists from the right in a loop.  Both cost O(n) in the
-number of children, and recursion depth is bounded by content-model
-nesting and element depth, never by list length.
+**Parsing child words.**  ``enc_D`` needs the unique parse of each
+child word, and the encoder finds it in one left-to-right pass with one
+symbol of lookahead.  At construction every content model is compiled
+into that form (:func:`_lookahead_plan`: nullable and first sets per
+subexpression, then first/follow disjointness, the check of
+Brüggemann-Klein and Wood, "One-unambiguous regular languages", 1998).
+An element's child word is then checked in one label-only pass — an
+invalid word raises this level's error before any child element is
+encoded — and encoded in a second left-to-right pass that builds cons
+lists from the right in a loop.  Both cost O(n) in the number of
+children, and recursion depth is bounded by content-model nesting and
+element depth, never by list length.
 
-Models whose lookahead is ambiguous (``(a*,a*)``, ``(a?|b?)``,
-``(a+)+``, ``(a?)*``) keep the span parser: a CYK-style search over
-every split of the word, O(n³) time and recursion depth ∝ n, which also
-reports :class:`~repro.errors.AmbiguousContentModelError`.  It stays the
-reference the one-pass parser is tested against; a word the one-pass
-parser rejects raises the message the span parser would, derived from
-the model without running it.
+XML 1.0 requires deterministic content models, and the encoder accepts
+no other: a model whose *encoding* needs more than one symbol of
+lookahead is refused when the encoder is built, with an
+:class:`~repro.errors.AmbiguousContentModelError` naming the element,
+the model and the token where the choice is open.  That covers the
+non-deterministic models (``(a*,a*)``, ``(a?,a)``, ``((a,b?)+,b)``) and
+three deterministic shapes the encoding cannot parse with one symbol:
+``(a?|b?)`` and ``(a+)+`` parse ambiguously (on the empty word and on
+``aa``), and ``(a?)*`` has a loop body that matches nothing.  The
+element name ``pcdata`` is reserved: text children carry that label.
 """
 
 from __future__ import annotations
@@ -74,6 +77,9 @@ PCDATA_LEAF = Tree(PCDATA_SYMBOL, ())
 VALUE_LABELS = ("v0", "v1")
 
 Values = Dict[Tuple[int, ...], str]
+
+#: The token after the last child; no first set contains it.
+_END = None
 
 
 def abstract_value_of(text: Optional[str]) -> str:
@@ -112,23 +118,19 @@ class _Node:
             self.default = next((part for part in parts if part.nullable), None)
 
 
-def _compile(model: ContentModel) -> Optional[_Node]:
+def _compile(model: ContentModel) -> _Node:
     """Nullable and first sets of every subexpression, bottom-up."""
     kind = type(model)
     if kind is PCDataRe:
         return _Node(kind, PCDATA_LABEL, (PCDATA_LABEL,), False)
     if kind is ElementRe:
-        if model.name == PCDATA_LABEL:
-            return None  # indistinguishable from text by label
         return _Node(kind, model.name, (model.name,), False)
     if kind in (Seq, Alt):
         parts = tuple(_compile(part) for part in model.parts)
     elif kind in (Star, Plus, Opt):
         parts = (_compile(model.inner),)
     else:
-        return None
-    if None in parts:
-        return None
+        raise DTDError(f"cannot encode against {model!r}")
     if kind is Seq:
         first: set = set()
         nullable = True
@@ -142,50 +144,82 @@ def _compile(model: ContentModel) -> Optional[_Node]:
     return _Node(kind, model.label(), first, nullable, parts)
 
 
-def _deterministic(node: _Node, follow: frozenset) -> bool:
-    """Does one symbol of lookahead fix every choice inside ``node``?
+def _conflict(node: _Node, follow: frozenset) -> frozenset:
+    """The tokens on which one symbol of lookahead leaves a choice open.
 
-    ``follow`` is the set of tokens that may come right after ``node``.
-    Star and Plus bodies must also consume a token per iteration, as the
-    span parser requires.
+    ``follow`` is the set of tokens that may come right after ``node``,
+    ``_END`` for the end of the children.  The result is empty when one
+    symbol fixes every choice inside ``node``.  Star and Plus bodies
+    must also consume a token per iteration: a nullable body leaves
+    open, at whatever follows the loop, whether another iteration runs.
     """
     kind = node.kind
     if not node.parts:
-        return True
+        return frozenset()
     if kind is Seq:
         for part in reversed(node.parts):
-            if not _deterministic(part, follow):
-                return False
+            clash = _conflict(part, follow)
+            if clash:
+                return clash
             follow = part.first | follow if part.nullable else part.first
-        return True
+        return frozenset()
     if kind is Alt:
-        disjoint = sum(len(part.first) for part in node.parts) == len(node.first)
+        seen: set = set()
+        shared: set = set()
+        for part in node.parts:
+            shared |= seen & part.first
+            seen |= part.first
         nullable = sum(part.nullable for part in node.parts)
-        if not disjoint or nullable > 1 or (nullable and node.first & follow):
-            return False
-        return all(_deterministic(part, follow) for part in node.parts)
+        if shared:
+            return frozenset(shared)
+        if nullable > 1:
+            return follow
+        if nullable and node.first & follow:
+            return node.first & follow
+        for part in node.parts:
+            clash = _conflict(part, follow)
+            if clash:
+                return clash
+        return frozenset()
     inner = node.parts[0]
     if inner.first & follow:
-        return False
+        return inner.first & follow
     if kind is Opt:
-        return _deterministic(inner, follow)
-    return not inner.nullable and _deterministic(inner, inner.first | follow)
+        return _conflict(inner, follow)
+    if inner.nullable:
+        return follow
+    return _conflict(inner, inner.first | follow)
 
 
-def _lookahead_plan(model: ContentModel) -> Optional[_Node]:
-    """``model`` compiled for one-pass parsing, or ``None`` for the span parser."""
+def _lookahead_plan(name: str, model: ContentModel) -> _Node:
+    """``model`` compiled for one-pass parsing; refused if one symbol is not enough."""
     plan = _compile(model)
-    if plan is None or not _deterministic(plan, frozenset()):
-        return None
+    clash = _conflict(plan, frozenset((_END,)))
+    if clash:
+        token = min(clash, key=lambda token: (token is _END, token or ""))
+        if token is _END:
+            where = "the end of the children"
+        elif token == PCDATA_LABEL:
+            where = "#PCDATA"
+        else:
+            where = repr(token)
+        raise AmbiguousContentModelError(
+            f"element {name!r}: the encoding of content model "
+            f"{model.label()} needs more than one symbol of lookahead "
+            f"at {where}"
+        )
     return plan
 
 
 def _mismatch_message(name: str, model: ContentModel, fused: bool) -> str:
-    """The span parser's error for a child word that ``model`` rejects.
+    """The error for a child word that ``model`` rejects.
 
-    An invalid word is never empty under a root ``R?``, so the span
-    parser descends through ``Opt`` roots and fails at the first other
-    node, with that node's message.
+    It is derived from the model, never from the word, so a rejection
+    costs no more than the one-pass check.  An invalid word is never
+    empty under a root ``R?``, so the message is that of the first
+    node below the ``Opt`` roots; a fused sequence names the element.
+    These are the messages of the span-parser reference the encoder is
+    tested against (``tests/xml/span_parser.py``).
     """
     if fused:
         return f"children of {name!r} do not match {model.label()}"
@@ -243,6 +277,12 @@ class DTDEncoder:
         self.fuse = fuse
         self.compact_lists = compact_lists
         self.abstract_values = abstract_values
+        if PCDATA_LABEL in dtd.elements:
+            raise DTDError(
+                f"element name {PCDATA_LABEL!r} is reserved: the encoding "
+                f"labels character data {PCDATA_SYMBOL!r}"
+            )
+        self._plans = self._compile_plans()
         self._registry: Dict[str, ContentModel] = {}
         self._ranks: Dict[str, int] = {HASH_LABEL: 0}
         if abstract_values:
@@ -252,14 +292,23 @@ class DTDEncoder:
         else:
             self._ranks[PCDATA_SYMBOL] = 0
         self._collect_alphabet()
-        #: element → (one-pass plan, the error an invalid child word
-        #: raises); absent for EMPTY and for models left to the span parser.
-        self._plans: Dict[str, Tuple[_Node, str]] = {}
-        for name, model in dtd.elements.items():
-            plan = _lookahead_plan(model)
-            if plan is not None:
-                fused = fuse and isinstance(model, Seq)
-                self._plans[name] = (plan, _mismatch_message(name, model, fused))
+
+    def _compile_plans(self) -> Dict[str, Tuple[_Node, str]]:
+        """Element → (one-pass plan, the error an invalid child word raises).
+
+        Every element but the EMPTY ones gets a plan; a content model
+        that one symbol of lookahead cannot parse is refused with an
+        :class:`~repro.errors.AmbiguousContentModelError`.
+        """
+        plans = {}
+        for name, model in self.dtd.elements.items():
+            if not isinstance(model, Empty):
+                fused = self.fuse and isinstance(model, Seq)
+                plans[name] = (
+                    _lookahead_plan(name, model),
+                    _mismatch_message(name, model, fused),
+                )
+        return plans
 
     # ------------------------------------------------------------------
     # Alphabet
@@ -308,14 +357,13 @@ class DTDEncoder:
         return RankedAlphabet(self._ranks)
 
     # ------------------------------------------------------------------
-    # One-pass parsing (content models with unambiguous lookahead)
+    # One-pass parsing
     # ------------------------------------------------------------------
 
     def _match(self, node: _Node, tokens: List, pos: int) -> int:
         """End of ``node``'s parse of ``tokens`` from ``pos``, or -1.
 
-        ``tokens`` are the child labels plus a ``None`` end marker, which
-        no first set contains.
+        ``tokens`` are the child labels plus the ``_END`` marker.
         """
         if not node.parts:
             return pos + 1 if tokens[pos] in node.first else -1
@@ -395,86 +443,6 @@ class DTDEncoder:
         return tuple(children), pos
 
     # ------------------------------------------------------------------
-    # Span parsing (the fallback, and the reference in tests)
-    # ------------------------------------------------------------------
-
-    def _spans(
-        self,
-        model: ContentModel,
-        items: Tuple[UTree, ...],
-        i: int,
-        j: int,
-        memo: Dict,
-    ) -> bool:
-        """Can ``model`` generate ``items[i:j]``?  Memoized."""
-        key = (id(model), i, j)
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycle guard (Star/Plus recursion shrinks spans)
-        result = self._spans_raw(model, items, i, j, memo)
-        memo[key] = result
-        return result
-
-    def _spans_raw(self, model, items, i, j, memo) -> bool:
-        if isinstance(model, Empty):
-            return i == j
-        if isinstance(model, PCDataRe):
-            return j == i + 1 and items[i].is_text
-        if isinstance(model, ElementRe):
-            return j == i + 1 and not items[i].is_text and items[i].label == model.name
-        if isinstance(model, Star):
-            if i == j:
-                return True
-            return any(
-                self._spans(model.inner, items, i, k, memo)
-                and self._spans(model, items, k, j, memo)
-                for k in range(i + 1, j + 1)
-            )
-        if isinstance(model, Plus):
-            return any(
-                self._spans(model.inner, items, i, k, memo)
-                and (k == j or self._spans(model, items, k, j, memo))
-                for k in range(i + 1, j + 1)
-            )
-        if isinstance(model, Opt):
-            return i == j or self._spans(model.inner, items, i, j, memo)
-        if isinstance(model, Alt):
-            return any(self._spans(p, items, i, j, memo) for p in model.parts)
-        if isinstance(model, Seq):
-            return bool(self._seq_splits(model.parts, items, i, j, memo, cap=1))
-        raise DTDError(f"unknown content model node {model!r}")
-
-    def _seq_splits(
-        self, parts, items, i, j, memo, cap: int = 2
-    ) -> List[Tuple[int, ...]]:
-        """Up to ``cap`` ways to split ``items[i:j]`` across ``parts``.
-
-        A split is the tuple of boundary indices (len(parts)+1 entries).
-        """
-        results: List[Tuple[int, ...]] = []
-
-        def recurse(index: int, position: int, bounds: Tuple[int, ...]) -> None:
-            if len(results) >= cap:
-                return
-            if index == len(parts):
-                if position == j:
-                    results.append(bounds + (j,))
-                return
-            for k in range(position, j + 1):
-                if self._spans(parts[index], items, position, k, memo):
-                    recurse(index + 1, k, bounds + (k,))
-                    if len(results) >= cap:
-                        return
-
-        recurse(0, i, (i,))
-        # Deduplicate (identical boundary tuples can be found twice).
-        unique: List[Tuple[int, ...]] = []
-        for item in results:
-            if item not in unique:
-                unique.append(item)
-        return unique
-
-    # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
 
@@ -529,147 +497,16 @@ class DTDEncoder:
             if items:
                 raise EncodingError(f"element {node.label!r} must be EMPTY")
             return Tree(node.label, ())
-        fused = self.fuse and isinstance(model, Seq)
-        if node.label in self._plans:
-            plan, mismatch = self._plans[node.label]
-            tokens: List = [item.label for item in items]
-            tokens.append(None)
-            if self._match(plan, tokens, 0) != len(items):
-                raise EncodingError(mismatch)
-            if fused:
-                children, _ = self._build_parts(plan, items, tokens, 0, texts)
-                return Tree(node.label, children)
-            tree, _ = self._build(plan, items, tokens, 0, texts)
-            return Tree(node.label, (tree,))
-        memo: Dict = {}
-        if fused:
-            splits = self._seq_splits(model.parts, items, 0, len(items), memo)
-            if not splits:
-                raise EncodingError(
-                    f"children of {node.label!r} do not match {model.label()}"
-                )
-            if len(splits) > 1:
-                raise AmbiguousContentModelError(
-                    f"children of {node.label!r} parse ambiguously "
-                    f"against {model.label()}"
-                )
-            bounds = splits[0]
-            encoded = tuple(
-                self._encode_span(
-                    part, items, bounds[k], bounds[k + 1], memo, texts
-                )
-                for k, part in enumerate(model.parts)
-            )
-            return Tree(node.label, encoded)
-        return Tree(
-            node.label,
-            (self._encode_span(model, items, 0, len(items), memo, texts),),
-        )
-
-    def _encode_span(
-        self,
-        model: ContentModel,
-        items: Tuple[UTree, ...],
-        i: int,
-        j: int,
-        memo: Dict,
-        texts: List[str],
-    ) -> Tree:
-        """``enc_D(R, items[i:j])`` — the unique parse, or an error."""
-        if isinstance(model, PCDataRe):
-            if not (j == i + 1 and items[i].is_text):
-                raise EncodingError("expected character data")
-            return self._encode_item(items[i], texts)
-        if isinstance(model, ElementRe):
-            if not (j == i + 1 and not items[i].is_text and items[i].label == model.name):
-                raise EncodingError(f"expected a {model.name!r} element")
-            return self._encode_item(items[i], texts)
-        if isinstance(model, Star):
-            label = model.label()
-            if i == j:
-                return HASH if self.compact_lists else Tree(label, (HASH, HASH))
-            cuts = [
-                k
-                for k in range(i + 1, j + 1)
-                if self._spans(model.inner, items, i, k, memo)
-                and self._spans(model, items, k, j, memo)
-            ]
-            return self._cons(
-                model, label, items, i, j, cuts, memo, texts, star=True
-            )
-        if isinstance(model, Plus):
-            label = model.label()
-            cuts = [
-                k
-                for k in range(i + 1, j + 1)
-                if self._spans(model.inner, items, i, k, memo)
-                and (k == j or self._spans(model, items, k, j, memo))
-            ]
-            if len(cuts) == 1 and cuts[0] == j:
-                head = self._encode_span(model.inner, items, i, j, memo, texts)
-                return Tree(label, (head, HASH))
-            return self._cons(
-                model, label, items, i, j, cuts, memo, texts, star=False
-            )
-        if isinstance(model, Opt):
-            label = model.label()
-            if i == j:
-                return Tree(label, (HASH,))
-            inner = self._encode_span(model.inner, items, i, j, memo, texts)
-            return Tree(label, (inner,))
-        if isinstance(model, Alt):
-            matching = [
-                p for p in model.parts if self._spans(p, items, i, j, memo)
-            ]
-            if not matching:
-                raise EncodingError(
-                    f"no branch of {model.label()} matches the children"
-                )
-            if len(matching) > 1:
-                raise AmbiguousContentModelError(
-                    f"multiple branches of {model.label()} match"
-                )
-            return Tree(
-                model.label(),
-                (self._encode_span(matching[0], items, i, j, memo, texts),),
-            )
-        if isinstance(model, Seq):
-            splits = self._seq_splits(model.parts, items, i, j, memo)
-            if not splits:
-                raise EncodingError(f"children do not match {model.label()}")
-            if len(splits) > 1:
-                raise AmbiguousContentModelError(
-                    f"ambiguous parse against {model.label()}"
-                )
-            bounds = splits[0]
-            return Tree(
-                model.label(),
-                tuple(
-                    self._encode_span(
-                        part, items, bounds[k], bounds[k + 1], memo, texts
-                    )
-                    for k, part in enumerate(model.parts)
-                ),
-            )
-        raise DTDError(f"cannot encode against {model!r}")
-
-    def _cons(
-        self, model, label, items, i, j, cuts, memo, texts, star: bool
-    ) -> Tree:
-        if not cuts:
-            raise EncodingError(f"children do not match {label}")
-        if len(cuts) > 1:
-            raise AmbiguousContentModelError(
-                f"ambiguous parse against {label} "
-                f"(the DTD is not 1-unambiguous)"
-            )
-        k = cuts[0]
-        head = self._encode_span(model.inner, items, i, k, memo, texts)
-        if star or k < j:
-            tail = self._encode_span(model, items, k, j, memo, texts)
-        else:
-            tail = HASH
-        return Tree(label, (head, tail))
+        plan, mismatch = self._plans[node.label]
+        tokens: List = [item.label for item in items]
+        tokens.append(_END)
+        if self._match(plan, tokens, 0) != len(items):
+            raise EncodingError(mismatch)
+        if self.fuse and isinstance(model, Seq):
+            children, _ = self._build_parts(plan, items, tokens, 0, texts)
+            return Tree(node.label, children)
+        tree, _ = self._build(plan, items, tokens, 0, texts)
+        return Tree(node.label, (tree,))
 
     # ------------------------------------------------------------------
     # Decoding

@@ -1,15 +1,19 @@
 """Differential fuzzing of the one-pass DTD encoder against the span parser.
 
 ``DTDEncoder`` parses an element's child word in one left-to-right pass
-when its content model has unambiguous lookahead, and keeps the
-CYK-style span parser for the other models.  The span parser is the
-reference: an encoder whose plans are cleared runs it on every element.
-Over random acyclic DTDs under every ``fuse``/``compact_lists``/
-``abstract_values`` combination, and random documents whose child words
-are valid, mutated at the top, or mutated one or more element levels
-down, both encoders must agree **byte for byte**: encoded tree, value
-table, and error type + message (``AmbiguousContentModelError``
-included).  Successful encodings must also decode back to the document.
+with one symbol of lookahead, and refuses, when it is built, every
+content model it cannot parse that way.  The reference is the CYK-style
+span parser in ``tests/xml/span_parser.py``.  Over random acyclic DTDs
+under every ``fuse``/``compact_lists``/``abstract_values`` combination:
+
+* a DTD the encoder builds must agree with the reference **byte for
+  byte** on random documents whose child words are valid, mutated at the
+  top, or mutated one or more element levels down: encoded tree, value
+  table, and error type + message.  Successful encodings must also
+  decode back to the document;
+* a DTD it refuses must raise ``AmbiguousContentModelError`` under every
+  flag combination, naming an element whose model the span parser shows
+  is ambiguous or needs more than one symbol of lookahead.
 
 ``REPRO_FUZZ_SEEDS`` widens the seed budget as for the other harnesses.
 """
@@ -19,7 +23,7 @@ import random
 
 import pytest
 
-from repro.errors import DTDError, ReproError
+from repro.errors import AmbiguousContentModelError, DTDError, ReproError
 from repro.xml.dtd import (
     DTD,
     Alt,
@@ -35,10 +39,15 @@ from repro.xml.encode import DTDEncoder
 from repro.xml.unranked import PCDATA_LABEL, UTree
 
 from tests.fuzz.test_differential import FUZZ_SEEDS
+from tests.xml.span_parser import REFUSAL, SpanParserEncoder, lookahead_witness
 
 FLAGS = list(itertools.product((False, True), repeat=3))
-#: Random DTDs per seed, and documents per DTD and flag combination.
+#: Random DTDs the encoder builds per seed, and documents per DTD and
+#: flag combination.
 DTDS_PER_SEED = 6
+#: Random DTDs drawn per sweep at most (about two in three of
+#: ``random_dtd``'s are refused).
+MAX_DRAWS = 400
 DOCUMENTS_PER_DTD = 25
 #: Elements per DTD; element ``e{i}`` may only contain ``e{j}``, j > i.
 ELEMENTS = 5
@@ -168,33 +177,19 @@ def outcome(encoder, document):
     return ("tree", str(tree), sorted(values.items()))
 
 
-def span_parser_encoder(dtd, fuse, compact_lists, abstract_values):
-    """The reference: an encoder that span-parses every element."""
-    encoder = DTDEncoder(
-        dtd, fuse=fuse, compact_lists=compact_lists, abstract_values=abstract_values
-    )
-    encoder._plans.clear()
-    return encoder
-
-
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_one_pass_encoder_matches_span_parser(seed):
     rng = random.Random(seed * 7727 + 5)
     kinds = set()
-    planned = fallback = 0
-    for _ in range(DTDS_PER_SEED):
-        dtd = random_dtd(rng)
+    built, refused = sweep(rng, random_dtd, DTDS_PER_SEED)
+    # The sweep must both build encoders and refuse DTDs.
+    assert len(built) == DTDS_PER_SEED and refused, (len(built), refused)
+    for dtd, pairs in built:
         documents = [
             random_document(rng, dtd, rng.choice((0.0, 0.1, 0.3)))
             for _ in range(DOCUMENTS_PER_DTD)
         ]
-        for encoder, reference in encoders(dtd):
-            planned += len(encoder._plans)
-            fallback += sum(
-                1
-                for name, model in dtd.elements.items()
-                if name not in encoder._plans and not isinstance(model, Empty)
-            )
+        for encoder, reference in pairs:
             for document in documents:
                 got = outcome(encoder, document)
                 assert got == outcome(reference, document), (dtd, document)
@@ -208,30 +203,74 @@ def test_one_pass_encoder_matches_span_parser(seed):
                     ):
                         assert encoder.decode(tree, values) == document
                     assert encoder.decode(tree) == document.strip_text()
-    # The sweep must exercise both parsers, successes and rejections.
-    assert planned and fallback, (planned, fallback)
+    # ... and see both successes and rejections.
     assert {"tree", "EncodingError"} <= kinds, kinds
 
 
+def sweep(rng, make_dtd, count, flags=FLAGS):
+    """Draw random DTDs until ``count`` build and at least one is refused.
+
+    Returns the built ones as ``(dtd, encoders(dtd) pairs)`` and the
+    number refused; :func:`encoders` checks every refusal on the way.
+    """
+    built = []
+    refused = 0
+    for _ in range(MAX_DRAWS):
+        if len(built) == count and refused:
+            break
+        dtd = make_dtd(rng)
+        pairs, refusal = encoders(dtd, flags)
+        if refusal is not None:
+            refused += 1
+        elif pairs and len(built) < count:
+            built.append((dtd, pairs))
+    return built, refused
+
+
 def encoders(dtd, flags=FLAGS):
-    """(one-pass encoder, span-parser reference) per flag combination."""
+    """The (one-pass encoder, span-parser reference) pairs, and the refusal.
+
+    One pair per flag combination that builds; the refusal is the error
+    message when the DTD is refused, else ``None``.  A refusal must be the same ``AmbiguousContentModelError`` under
+    every flag combination, naming an element, its model and a token,
+    and the span parser must show why that element's model needs more
+    than one symbol of lookahead.
+    """
+    pairs = []
+    refusals = []
     for fuse, compact, abstract in flags:
         try:
             encoder = DTDEncoder(
                 dtd, fuse=fuse, compact_lists=compact, abstract_values=abstract
             )
+        except AmbiguousContentModelError as error:
+            refusals.append(str(error))
+            continue
         except DTDError:
             continue  # an encoding symbol needed with two ranks
-        yield encoder, span_parser_encoder(dtd, fuse, compact, abstract)
+        reference = SpanParserEncoder(
+            dtd, fuse=fuse, compact_lists=compact, abstract_values=abstract
+        )
+        pairs.append((encoder, reference))
+    if not refusals:
+        return pairs, None
+    assert not pairs and refusals == refusals[:1] * len(flags), refusals
+    match = REFUSAL.match(refusals[0])
+    assert match is not None, refusals[0]
+    name, label, _token = match.groups()
+    assert label == dtd.elements[name].label(), refusals[0]
+    assert lookahead_witness(dtd, name) is not None, (dtd, refusals[0])
+    return pairs, refusals[0]
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_errors_one_level_down_match(seed):
     """A valid top-level word whose first invalid spot is in a child."""
     rng = random.Random(seed * 104729 + 17)
+    built, refused = sweep(rng, random_dtd, DTDS_PER_SEED * 4)
+    assert len(built) == DTDS_PER_SEED * 4 and refused, (len(built), refused)
     compared = 0
-    for _ in range(DTDS_PER_SEED * 4):
-        dtd = random_dtd(rng)
+    for dtd, pairs in built:
         word = sample_word(rng, dtd.elements[dtd.start])
         targets = [index for index, token in enumerate(word) if token != PCDATA_LABEL]
         if not targets:
@@ -249,10 +288,16 @@ def test_errors_one_level_down_match(seed):
                 for index, token in enumerate(word)
             ),
         )
-        for encoder, reference in encoders(dtd):
+        for encoder, reference in pairs:
             assert outcome(encoder, document) == outcome(reference, document)
             compared += 1
     assert compared
+
+
+def random_short_model_dtd(rng):
+    """A DTD whose root model is random over two EMPTY elements."""
+    model = random_model(rng, ["a", "b"], rng.randint(1, 4))
+    return DTD("r", {"r": model, "a": Empty(), "b": Empty()})
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
@@ -270,10 +315,12 @@ def test_every_short_word_matches(seed):
         for length in range(5)
         for word in itertools.product(alphabet, repeat=length)
     ]
-    for _ in range(DTDS_PER_SEED * 2):
-        model = random_model(rng, ["a", "b"], rng.randint(1, 4))
-        dtd = DTD("r", {"r": model, "a": Empty(), "b": Empty()})
-        for encoder, reference in encoders(dtd, [FLAGS[0], FLAGS[-1]]):
+    built, refused = sweep(
+        rng, random_short_model_dtd, DTDS_PER_SEED * 2, [FLAGS[0], FLAGS[-1]]
+    )
+    assert len(built) == DTDS_PER_SEED * 2 and refused, (len(built), refused)
+    for dtd, pairs in built:
+        for encoder, reference in pairs:
             for word in words:
                 document = UTree(
                     "r",
@@ -285,6 +332,6 @@ def test_every_short_word_matches(seed):
                     ),
                 )
                 assert outcome(encoder, document) == outcome(reference, document), (
-                    model,
+                    dtd.elements["r"],
                     word,
                 )

@@ -24,12 +24,21 @@ from repro.server.registry import (
 from repro.trees.alphabet import RankedAlphabet
 from repro.transducers.compose import compose_chain
 from repro.workloads.flip import FLIP_ALPHABET, flip_input, flip_transducer
-from repro.workloads.xmlflip import xmlflip_document
+from repro.workloads.xmlflip import transform_xmlflip, xmlflip_document
 from repro.xml.xmlio import serialize_xml
 
 from tests.server.conftest import MALFORMED_ARTIFACTS, identity_dtop
 
 STOCK_MODELS = Path(__file__).resolve().parents[2] / "models"
+
+#: An input DTD the encoder refuses, and the refusal.
+REFUSED_DTD = (
+    "<!ELEMENT root ((a,b?)+,b) >\n<!ELEMENT a EMPTY >\n<!ELEMENT b EMPTY >"
+)
+REFUSAL = (
+    "element 'root': the encoding of content model ((a,b?)+,b) needs more "
+    "than one symbol of lookahead at 'b'"
+)
 
 
 def write_pipeline(directory, name, stages, **extra):
@@ -271,6 +280,30 @@ class TestReloadIsolation:
         with pytest.raises(RegistryError) as caught:
             ModelRegistry(tmp_path)
         assert "broken@1" in str(caught.value)
+
+    def test_strict_boot_refuses_a_non_deterministic_dtd(self, models_dir):
+        shutil.copy(models_dir / "xmlflip@1.json", models_dir / "refused@1.json")
+        edit_artifact(models_dir / "refused@1.json", input_dtd=REFUSED_DTD)
+        with pytest.raises(RegistryError) as caught:
+            ModelRegistry(models_dir)
+        assert f"refused@1: cannot load model refused@1.json: {REFUSAL}" in str(
+            caught.value
+        )
+
+    def test_reload_of_a_non_deterministic_dtd_keeps_the_old_entry(
+        self, models_dir
+    ):
+        with ModelRegistry(models_dir) as registry:
+            old = registry.get("xmlflip@1")
+            time.sleep(0.01)
+            edit_artifact(models_dir / "xmlflip@1.json", input_dtd=REFUSED_DTD)
+            summary = registry.reload()
+            assert summary["failed"] == [
+                f"xmlflip@1: cannot load model xmlflip@1.json: {REFUSAL}"
+            ]
+            assert registry.get("xmlflip@1") is old and not old.retired
+            document = xmlflip_document(2, 1)
+            assert old.run_batch([document]) == [transform_xmlflip(document)]
 
     def test_duplicate_keys_still_abort_the_whole_reload(self, models_dir):
         with ModelRegistry(models_dir) as registry:

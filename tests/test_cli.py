@@ -38,6 +38,25 @@ def workspace(tmp_path):
 
 
 class TestLearnApply:
+    def test_learn_refuses_a_non_deterministic_dtd(self, workspace, capsys):
+        (workspace / "in.dtd").write_text(
+            "<!ELEMENT root ((a,b?)+,b) >\n<!ELEMENT a EMPTY >\n"
+            "<!ELEMENT b EMPTY >"
+        )
+        code = main(
+            [
+                "learn",
+                "--input-dtd", str(workspace / "in.dtd"),
+                "--output-dtd", str(workspace / "out.dtd"),
+                "--examples", str(workspace / "examples"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: element 'root': the encoding of content model "
+            "((a,b?)+,b) needs more than one symbol of lookahead at 'b'\n"
+        )
+
     def test_learn_save_apply(self, workspace, capsys):
         saved = workspace / "transform.json"
         code = main(
