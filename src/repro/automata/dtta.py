@@ -9,9 +9,9 @@ the path-closed tree languages (Proposition 2).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
-from repro.errors import AutomatonError, PathError
+from repro.errors import AutomatonError
 from repro.trees.alphabet import RankedAlphabet, Symbol
 from repro.trees.paths import Path
 from repro.trees.tree import Tree
@@ -158,13 +158,6 @@ class DTTA:
             state = children[index - 1]
         self._path_cache[path] = state
         return state
-
-    def restricted_alphabet(self) -> RankedAlphabet:
-        """The sub-alphabet actually used by some transition."""
-        used = {symbol for (_, symbol) in self.transitions}
-        return RankedAlphabet(
-            {s: r for s, r in self.alphabet.items() if s in used}
-        )
 
     def rename(self, mapping: Mapping[State, State]) -> "DTTA":
         """Return an isomorphic copy with states renamed by ``mapping``."""

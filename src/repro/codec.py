@@ -7,9 +7,11 @@ lives here once, parametrized by a :class:`Codec`:
 
 * ``parse`` / ``render`` — request text ↔ document;
 * ``input_encoder.encode_with_values(document)`` → ``(ranked tree,
-  {address: value})`` and ``output_encoder.decode(tree, values)`` →
-  document; ``value_labels`` name the output leaves that take a value
-  back from their origin;
+  {ordinal: value})`` and ``output_encoder.decode(tree, values)`` →
+  document; ``value_labels`` name the value slots, and a value is keyed
+  by the preorder ordinal of its slot among the slots.  An output slot
+  takes the value of the input slot its rule was reading
+  (:func:`~repro.transducers.origins.value_sources`);
 * ``stream_parser()`` — an incremental ``feed``/``ready``/``close``
   parser for served stream bodies, and ``read_stream(source)`` — the
   documents of a local stream file, read through the same parser class
@@ -45,7 +47,7 @@ from repro.serialize import (
     shape_errors,
 )
 from repro.transducers.dtop import DTOP
-from repro.transducers.origins import apply_with_origins
+from repro.transducers.origins import value_sources
 from repro.trees.tree import parse_term
 
 
@@ -127,15 +129,13 @@ class Transformation:
             raise outcome
         return outcome
 
-    def _decode_with_values(self, output, origins: Dict, values: Dict):
+    def _decode_with_values(self, source, output, values: Dict, counts: Dict):
+        """Decode ``output = [[M]](source)`` with the ``values`` it copies."""
         out_values = {}
         if values:
             labels = self.codec.value_labels
-            for address, node in output.subtrees():
-                if node.label in labels and address in origins:
-                    value = values.get(origins[address])
-                    if value is not None:
-                        out_values[address] = value
+            sources = value_sources(self.transducer, source, output, labels, counts)
+            out_values = {o: values[i] for o, i in sources.items() if i in values}
         return self.codec.output_encoder.decode(output, out_values)
 
     def apply_batch(
@@ -147,19 +147,18 @@ class Transformation:
     ) -> List:
         """Transform a batch of documents; per-document outcomes.
 
-        Value-free documents are translated through the compiled batch
+        Every encoded document is translated through the compiled batch
         engine in **one** bottom-up sweep (:mod:`repro.engine`), so
-        structure shared between them is paid for once.  Documents that
-        carry values need the origin-tracking interpreter to rehydrate
-        them — provenance is per-occurrence and cannot be memoized or
-        batched — and are translated individually.  All failures
-        (non-conforming, out-of-domain, or nested too deeply for the
-        encoders and decoders, which recurse once per nesting level) are
-        reported per document without aborting the batch.
+        structure shared between them is paid for once.  Values stay in
+        the side tables while the engine runs; one pass per document
+        then finds which input slot each output slot copies.  All
+        failures (non-conforming, out-of-domain, or nested too deeply
+        for the encoders and decoders, which recurse once per nesting
+        level) are reported per document without aborting the batch.
 
-        ``jobs > 1`` shards the engine-eligible documents across a
-        worker pool (:class:`~repro.serve.service.TransformService`)
-        created for this call; pass a live ``service`` (built over
+        ``jobs > 1`` shards the batch across a worker pool
+        (:class:`~repro.serve.service.TransformService`) created for
+        this call; pass a live ``service`` (built over
         ``self.transducer``) instead to amortize the pool across many
         batches — the streaming path of :meth:`apply_stream` does.
         Outcomes are identical either way.  A ``trace`` collects the
@@ -169,16 +168,12 @@ class Transformation:
             trace = NULL_TRACE
         codec = self.codec
         prepared: List[Union[Tuple, ReproError]] = []
-        engine_inputs = []
         with trace.span("pipeline.encode", codec=codec.name):
             for document in documents:
                 try:
-                    encoded, values = codec.input_encoder.encode_with_values(
-                        document
-                    )
+                    prepared.append(codec.input_encoder.encode_with_values(document))
                 except ReproError as error:
                     prepared.append(error)
-                    continue
                 except RecursionError:
                     prepared.append(
                         ReproError(
@@ -186,10 +181,9 @@ class Transformation:
                             f"({codec.encoder_note})"
                         )
                     )
-                    continue
-                prepared.append((encoded, values))
-                if not values:
-                    engine_inputs.append(encoded)
+        engine_inputs = [
+            entry[0] for entry in prepared if not isinstance(entry, ReproError)
+        ]
         if service is not None:
             raw_outcomes = service.run_batch_outcomes(engine_inputs, trace=trace)
         elif jobs is not None and jobs > 1:
@@ -204,25 +198,18 @@ class Transformation:
             with trace.span("execute", documents=len(engine_inputs)):
                 raw_outcomes = engine.run_batch_outcomes(engine_inputs)
         outcomes = iter(raw_outcomes)
+        counts: Dict[int, int] = {}
         results: List = []
         with trace.span("pipeline.decode", codec=codec.name):
             for entry in prepared:
-                if isinstance(entry, ReproError):
-                    results.append(entry)
+                output = entry if isinstance(entry, ReproError) else next(outcomes)
+                if isinstance(output, Exception):
+                    results.append(output)
                     continue
                 encoded, values = entry
                 try:
-                    if values:
-                        output, origins = apply_with_origins(
-                            self.transducer, encoded
-                        )
-                    else:
-                        output, origins = next(outcomes), {}
-                        if isinstance(output, Exception):
-                            results.append(output)
-                            continue
                     results.append(
-                        self._decode_with_values(output, origins, values)
+                        self._decode_with_values(encoded, output, values, counts)
                     )
                 except ReproError as error:
                     results.append(error)

@@ -24,7 +24,7 @@ Python stack.  Results are memoized on ``(state_id, uid)`` — like
 :meth:`DTOP.eval_state`, but shared across every entry point of the
 engine (batch runs, single runs, stopped-run off-path translations).
 
-The memo is bounded by :data:`MEMO_LIMIT` pairs, in every process: at
+The memo is bounded by :data:`MEMO_LIMIT` entries, in every process: at
 a batch boundary — before a sweep's demand pass, never between a sweep
 and the replay that reads it — a memo past the limit is cleared
 wholesale and ``cache_stats["evictions"]`` counts it.  A clear is
@@ -68,12 +68,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 PairKey = Tuple[int, int]  # (state_id, tree uid)
 Outcome = Union[Tree, UndefinedTransductionError]
 
-#: Bound on an engine's memoized ``(state, subtree)`` pairs.  The memo
-#: holds strong references to every subtree it keys and every output it
-#: built, so unbounded distinct traffic would otherwise grow the heap
-#: (and the cost of every full collection) without limit.  Measured
-#: warm working sets sit far below it: at most 622 pairs per served
-#: stock model, 8,214 for the 24-state validator forest of E15.
+#: Bound on an engine's memoized ``(state, subtree)`` pairs plus the
+#: subtrees they key.  The memo holds strong references to every subtree
+#: it keys and every output it built, so unbounded distinct traffic would
+#: otherwise grow the heap (and the cost of every full collection)
+#: without limit.  Measured warm working sets sit far below it: at most
+#: 622 pairs per served stock model, 8,214 for the 24-state validator
+#: forest of E15.
 MEMO_LIMIT = 1 << 14
 
 
@@ -101,11 +102,14 @@ class Engine:
     :func:`engine_for`.
     """
 
-    __slots__ = ("compiled", "_memo", "_stats", "_profile", "_lock")
+    __slots__ = ("compiled", "_memo", "_pins", "_stats", "_profile", "_lock")
 
     def __init__(self, compiled: CompiledDTOP):
         self.compiled = compiled
         self._memo: Dict[PairKey, Tree] = {}
+        # uid → keyed subtree, kept alive (and counted toward MEMO_LIMIT)
+        # so that a document encoded again gets the same uids and hits.
+        self._pins: Dict[int, Tree] = {}
         self._stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "batches": 0, "evictions": 0
         }
@@ -128,6 +132,7 @@ class Engine:
         self._bound_memo()
         compiled = self.compiled
         memo = self._memo
+        pins = self._pins
         stats = self._stats
         stats["batches"] += 1
         hits = 0
@@ -219,6 +224,7 @@ class Engine:
             memo[key] = self._replay(
                 compiled.rule_templates[rule], node, children
             )
+            pins[node.uid] = node
             rule_hits[rule] += 1
             misses += 1
         now = clock()
@@ -357,8 +363,9 @@ class Engine:
         ratios are computed from their deltas); ``evictions`` counts the
         clears.
         """
-        if len(self._memo) > MEMO_LIMIT:
+        if len(self._memo) + len(self._pins) > MEMO_LIMIT:
             self._memo.clear()
+            self._pins.clear()
             self._stats["evictions"] += 1
 
     @property
@@ -371,6 +378,7 @@ class Engine:
     def clear_cache(self) -> None:
         """Drop the pair memo and zero the counters (explicit invalidation)."""
         self._memo.clear()
+        self._pins.clear()
         for counter in self._stats:
             self._stats[counter] = 0
 

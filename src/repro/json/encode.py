@@ -14,9 +14,10 @@ same learned DTOPs.  JSON lowers with a fixed, schema-less alphabet:
   tree label;
 * ``str(v)`` / ``num(v)`` for scalars, with ``v`` one of the two
   abstract value constants of :func:`repro.xml.encode.abstract_value_of`
-  — the raw scalar goes into a side table keyed by the Dewey address of
-  the abstract leaf, exactly the XML contract, so transformation
-  results re-hydrate through origin tracking;
+  — the raw scalar goes into a side table keyed by the preorder ordinal
+  of the abstract leaf among the value leaves, exactly the XML
+  contract, so transformation results re-hydrate through provenance
+  (:func:`repro.transducers.origins.value_sources`);
 * ``true`` / ``false`` / ``null`` as rank-0 constants.
 
 List spines are built and consumed iteratively, so recursion depth is
@@ -31,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.errors import EncodingError
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.tree import Tree
+from repro.transducers.origins import slot_count
 from repro.xml.dtd import HASH_LABEL
 from repro.xml.encode import VALUE_LABELS, abstract_value_of
 
@@ -72,7 +74,10 @@ BASE_RANKS = {
 
 HASH = Tree(HASH_LABEL, ())
 
-Values = Dict[Tuple[int, ...], JsonValue]
+#: The rank-0 constants and the values they decode to.
+CONSTANTS = {TRUE_LABEL: True, FALSE_LABEL: False, NULL_LABEL: None}
+
+Values = Dict[int, JsonValue]
 
 Scalar = (str, int, float)
 
@@ -141,28 +146,12 @@ class JsonEncoder:
         return tree
 
     def encode_with_values(self, document: JsonValue) -> Tuple[Tree, Values]:
-        """Encode a document, returning the ranked tree and its scalars.
-
-        The value table maps Dewey addresses of the abstract ``v0``/``v1``
-        leaves to the original scalar (string or number).  Addresses are
-        assigned post-hoc: preorder over the encoded tree visits the
-        value leaves in document order, the same order the scalars were
-        collected in.
-        """
+        """Encode a document, returning the ranked tree and its scalars
+        (string or number), keyed by the preorder ordinal of their
+        ``v0``/``v1`` leaf: the order the scalars are collected in."""
         scalars: List[JsonValue] = []
         tree = self._encode_value(document, scalars)
-        values: Values = {}
-        if scalars:
-            # subtrees() is pre-order, which visits the value leaves in
-            # document order — the order the scalars were collected in.
-            slots = (
-                address
-                for address, node in tree.subtrees()
-                if node.label in VALUE_LABELS
-            )
-            for address, value in zip(slots, scalars):
-                values[address] = value
-        return tree, values
+        return tree, dict(enumerate(scalars))
 
     def _encode_value(self, value: JsonValue, scalars: List[JsonValue]) -> Tree:
         # bool before int: True/False are int instances in Python.
@@ -220,66 +209,59 @@ class JsonEncoder:
     def decode(self, tree: Tree, values: Optional[Values] = None) -> JsonValue:
         """Decode a ranked encoding back to a JSON value.
 
-        ``values`` rehydrates scalars by Dewey address of the abstract
-        leaves.  A value leaf with no entry (a scalar the machine
-        synthesized rather than copied) defaults to ``""`` under
-        ``str`` and ``0`` under ``num``; a value that crossed types (a
-        string moved into a ``num`` position, say) is coerced.
+        ``values`` rehydrates scalars by the preorder ordinal of their
+        abstract value leaf among the value leaves.  A value leaf with
+        no entry (a scalar the machine synthesized rather than copied)
+        defaults to ``""`` under ``str`` and ``0`` under ``num``; a value
+        that crossed types (a string moved into a ``num`` position, say)
+        is coerced.
         """
-        return self._decode_value(tree, (), values or {})
+        return self._decode_value(tree, [0], values or {})
 
-    def _decode_value(
-        self, node: Tree, address: Tuple[int, ...], values: Values
-    ) -> JsonValue:
+    def _decode_value(self, node: Tree, slot: List[int], values: Values) -> JsonValue:
+        """``slot[0]`` is the ordinal of the next value leaf in preorder."""
         label = node.label
-        if label == TRUE_LABEL:
-            return True
-        if label == FALSE_LABEL:
-            return False
-        if label == NULL_LABEL:
-            return None
-        if label == STRING_LABEL:
-            raw = values.get(self._value_address(node, address))
-            if raw is None:
-                return ""
-            return raw if isinstance(raw, str) else serialize_json(raw)
-        if label == NUMBER_LABEL:
-            raw = values.get(self._value_address(node, address))
-            if isinstance(raw, bool) or raw is None:
-                return 0
-            if isinstance(raw, (int, float)):
-                return raw
+        if label in CONSTANTS:
+            if node.children:  # ignored children may hold value leaves
+                slot[0] += slot_count(node, VALUE_LABELS)
+            return CONSTANTS[label]
+        if label in (STRING_LABEL, NUMBER_LABEL):
+            leaf = node.children[0] if len(node.children) == 1 else node
+            if leaf.label not in VALUE_LABELS or leaf.children:
+                raise EncodingError(
+                    f"scalar symbol {label!r} must hold one abstract value leaf"
+                )
+            raw = values.get(slot[0])
+            slot[0] += 1
+            if label == STRING_LABEL:
+                if raw is None:
+                    return ""
+                return raw if isinstance(raw, str) else serialize_json(raw)
             if isinstance(raw, str):
-                try:
-                    return int(raw)
-                except ValueError:
+                for number in (int, float):
                     try:
-                        return float(raw)
+                        return number(raw)
                     except ValueError:
-                        return 0
+                        pass
+            elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+                return raw
             return 0
         if label == OBJECT_LABEL:
             self._expect_rank(node, 1)
             result: dict = {}
-            for head, head_address in self._iter_spine(
-                MEMBERS_LABEL, node.children[0], address + (1,)
-            ):
+            for head in self._iter_spine(MEMBERS_LABEL, node.children[0]):
                 key = self._member_key(head)
                 if key in result:
                     raise EncodingError(
                         f"decoded object has duplicate key {key!r}"
                     )
-                result[key] = self._decode_value(
-                    head.children[0], head_address + (1,), values
-                )
+                result[key] = self._decode_value(head.children[0], slot, values)
             return result
         if label == ARRAY_LABEL:
             self._expect_rank(node, 1)
             return [
-                self._decode_value(head, head_address, values)
-                for head, head_address in self._iter_spine(
-                    ITEMS_LABEL, node.children[0], address + (1,)
-                )
+                self._decode_value(head, slot, values)
+                for head in self._iter_spine(ITEMS_LABEL, node.children[0])
             ]
         raise EncodingError(
             f"unknown JSON encoding symbol {label!r}"
@@ -294,19 +276,6 @@ class JsonEncoder:
             )
 
     @staticmethod
-    def _value_address(node: Tree, address: Tuple[int, ...]) -> Tuple[int, ...]:
-        if (
-            len(node.children) != 1
-            or node.children[0].label not in VALUE_LABELS
-            or node.children[0].children
-        ):
-            raise EncodingError(
-                f"scalar symbol {node.label!r} must hold one abstract "
-                f"value leaf"
-            )
-        return address + (1,)
-
-    @staticmethod
     def _member_key(head: Tree) -> str:
         if not head.label.startswith(MEMBER_PREFIX) or len(head.children) != 1:
             raise EncodingError(
@@ -316,19 +285,16 @@ class JsonEncoder:
         return head.label[len(MEMBER_PREFIX) :]
 
     @staticmethod
-    def _iter_spine(
-        label: str, node: Tree, address: Tuple[int, ...]
-    ) -> Iterator[Tuple[Tree, Tuple[int, ...]]]:
-        """Walk a cons spine iteratively, yielding (head, head address)."""
+    def _iter_spine(label: str, node: Tree) -> Iterator[Tree]:
+        """Walk a cons spine iteratively, yielding its heads."""
         while node.label == label:
             if len(node.children) != 2:
                 raise EncodingError(
                     f"list symbol {label!r} used with rank "
                     f"{len(node.children)}, expected 2"
                 )
-            yield node.children[0], address + (1,)
+            yield node.children[0]
             node = node.children[1]
-            address = address + (2,)
         if node.label != HASH_LABEL or node.children:
             raise EncodingError(
                 f"list spine of {label!r} ends in {node.label!r}, "

@@ -2,7 +2,7 @@
 
 :func:`json_codec` is the JSON sibling of :func:`repro.xml.pipeline.xml_codec`:
 a :class:`~repro.codec.Transformation` over it encodes → transduces →
-decodes, rehydrating scalar values through origin tracking.  Because
+decodes, rehydrating scalar values by provenance.  Because
 the encoding is schema-less, one :class:`~repro.json.encode.JsonEncoder`
 serves both sides.
 
@@ -37,7 +37,8 @@ from repro.json.jsonio import (
     serialize_json,
 )
 
-# perfbench's layer recorder wraps these names where it finds them here.
+# perfbench's layer recorder wraps this name where it finds it here; no
+# translation calls it (it is the provenance oracle of the tests).
 from repro.transducers.origins import apply_with_origins  # noqa: F401
 
 #: The transformation type of JSON models (one class serves every codec).

@@ -133,11 +133,6 @@ class DTOP:
         """``rhs(q, f)`` or ``None`` when undefined."""
         return self.rules.get((state, symbol))
 
-    def rules_of_state(self, state: StateName) -> Dict[Symbol, Tree]:
-        return {
-            symbol: rhs for (q, symbol), rhs in self.rules.items() if q == state
-        }
-
     # ------------------------------------------------------------------
     # Semantics
     # ------------------------------------------------------------------

@@ -25,8 +25,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.automata.dtta import DTTA, State as DState
 from repro.automata.ops import minimal_witness_trees
 from repro.errors import TransducerError
-from repro.trees.alphabet import RankedAlphabet
-from repro.trees.lcp import BOTTOM, bottom_positions, is_bottom, lcp, lcp_many
+from repro.trees.lcp import is_bottom, lcp, lcp_many
 from repro.trees.tree import Tree
 from repro.transducers.domain import effective_domain
 from repro.transducers.dtop import DTOP
@@ -335,14 +334,6 @@ def _markers_to_calls(node: Tree, name_of: Callable[[EState], StateName]) -> Tre
     return Tree(
         label, tuple(_markers_to_calls(c, name_of) for c in node.children)
     )
-
-
-def _markers_in(node: Tree) -> List[_Marker]:
-    found: List[_Marker] = []
-    for _, sub in node.subtrees():
-        if isinstance(sub.label, _Marker):
-            found.append(sub.label)
-    return found
 
 
 def to_earliest(

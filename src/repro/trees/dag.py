@@ -26,7 +26,7 @@ Like tree interning, a :class:`Dag` assumes its nodes are never mutated.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.trees.tree import Label, Tree
 
@@ -101,10 +101,6 @@ class Dag:
                     if child.uid not in memo:
                         stack.append((child, False))
         return memo[root.uid]
-
-    def add_forest(self, roots: Iterable[Tree]) -> List[DagNode]:
-        """Intern several trees into one shared pool (order preserved)."""
-        return [self.add_tree(root) for root in roots]
 
     def __len__(self) -> int:
         """Total number of distinct nodes interned in the pool."""

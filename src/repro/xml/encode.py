@@ -18,9 +18,10 @@ paper uses for the §10 library example (``B(x1, x2, x3)``).
 
 Character-data *values* are not part of the formal model (every text
 node encodes to the constant ``pcdata``); the encoder returns them in a
-side table keyed by the Dewey address of the ``pcdata`` leaf, so that a
-transformation result can be re-hydrated (see
-:func:`repro.transducers.origins.apply_with_origins`).
+side table keyed by the preorder ordinal of the text's value slot (the
+``pcdata`` leaf, or its ``v0``/``v1`` child with ``abstract_values``)
+among the value slots, so that a transformation result can be
+re-hydrated (see :func:`repro.transducers.origins.value_sources`).
 
 **Parsing child words.**  ``enc_D`` needs the unique parse of each
 child word, and the encoder finds it in one left-to-right pass with one
@@ -43,7 +44,8 @@ the model and the token where the choice is open.  That covers the
 non-deterministic models (``(a*,a*)``, ``(a?,a)``, ``((a,b?)+,b)``) and
 three deterministic shapes the encoding cannot parse with one symbol:
 ``(a?|b?)`` and ``(a+)+`` parse ambiguously (on the empty word and on
-``aa``), and ``(a?)*`` has a loop body that matches nothing.  The
+``aa``), and ``(a?)*`` has a loop body that matches nothing.  Under an
+``R?`` a choice is only entered on a token, so ``(a?|b?)?`` is taken.  The
 element name ``pcdata`` is reserved: text children carry that label.
 """
 
@@ -54,6 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import AmbiguousContentModelError, DTDError, EncodingError
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.tree import Tree
+from repro.transducers.origins import slot_count
 from repro.xml.dtd import (
     DTD,
     Alt,
@@ -76,7 +79,7 @@ PCDATA_LEAF = Tree(PCDATA_SYMBOL, ())
 #: The two abstract text-value constants used by ``abstract_values`` mode.
 VALUE_LABELS = ("v0", "v1")
 
-Values = Dict[Tuple[int, ...], str]
+Values = Dict[int, str]
 
 #: The token after the last child; no first set contains it.
 _END = None
@@ -144,7 +147,7 @@ def _compile(model: ContentModel) -> _Node:
     return _Node(kind, model.label(), first, nullable, parts)
 
 
-def _conflict(node: _Node, follow: frozenset) -> frozenset:
+def _conflict(node: _Node, follow: frozenset, entered: bool = False) -> frozenset:
     """The tokens on which one symbol of lookahead leaves a choice open.
 
     ``follow`` is the set of tokens that may come right after ``node``,
@@ -152,6 +155,10 @@ def _conflict(node: _Node, follow: frozenset) -> frozenset:
     symbol fixes every choice inside ``node``.  Star and Plus bodies
     must also consume a token per iteration: a nullable body leaves
     open, at whatever follows the loop, whether another iteration runs.
+    ``entered`` says that ``node`` is only entered on a token of its
+    first set (the body of an ``R?``, or an ``Alt`` branch of one), so
+    it never parses the empty word and may have several nullable
+    branches.
     """
     kind = node.kind
     if not node.parts:
@@ -172,12 +179,12 @@ def _conflict(node: _Node, follow: frozenset) -> frozenset:
         nullable = sum(part.nullable for part in node.parts)
         if shared:
             return frozenset(shared)
-        if nullable > 1:
+        if nullable > 1 and not entered:
             return follow
         if nullable and node.first & follow:
             return node.first & follow
         for part in node.parts:
-            clash = _conflict(part, follow)
+            clash = _conflict(part, follow, entered)
             if clash:
                 return clash
         return frozenset()
@@ -185,7 +192,7 @@ def _conflict(node: _Node, follow: frozenset) -> frozenset:
     if inner.first & follow:
         return inner.first & follow
     if kind is Opt:
-        return _conflict(inner, follow)
+        return _conflict(inner, follow, True)
     if inner.nullable:
         return follow
     return _conflict(inner, inner.first | follow)
@@ -277,6 +284,8 @@ class DTDEncoder:
         self.fuse = fuse
         self.compact_lists = compact_lists
         self.abstract_values = abstract_values
+        #: The labels of value slots, the nodes text values sit on.
+        self.value_labels = VALUE_LABELS if abstract_values else (PCDATA_SYMBOL,)
         if PCDATA_LABEL in dtd.elements:
             raise DTDError(
                 f"element name {PCDATA_LABEL!r} is reserved: the encoding "
@@ -452,11 +461,9 @@ class DTDEncoder:
         return tree
 
     def encode_with_values(self, document: UTree) -> Tuple[Tree, Values]:
-        """Encode a document, returning the ranked tree and its text values.
-
-        The value table maps Dewey addresses of ``pcdata`` leaves in the
-        encoded tree to the original character data.
-        """
+        """Encode a document, returning the ranked tree and its text values,
+        keyed by the preorder ordinal of their value slot: the order the
+        texts are collected in (a text without data has no entry)."""
         if document.is_text:
             raise EncodingError("the document root cannot be a text node")
         if document.label != self.dtd.start:
@@ -466,17 +473,8 @@ class DTDEncoder:
             )
         texts: List[Optional[str]] = []
         tree = self._encode_element(document, texts)
-        if all(text is None for text in texts):
-            return tree, {}
-        # Texts (``None`` for a text-less ``pcdata`` node) were collected
-        # in document order, one per slot, and pre-order is the
-        # lexicographic order of the slot addresses.
-        labels = VALUE_LABELS if self.abstract_values else (PCDATA_SYMBOL,)
-        slots = [
-            address for address, node in tree.subtrees() if node.label in labels
-        ]
         return tree, {
-            slot: text for slot, text in zip(slots, texts) if text is not None
+            slot: text for slot, text in enumerate(texts) if text is not None
         }
 
     def _encode_item(self, item: UTree, texts: List[Optional[str]]) -> Tree:
@@ -493,6 +491,8 @@ class DTDEncoder:
             raise EncodingError("expected an element, found text")
         model = self.dtd.content(node.label)
         items = node.children
+        if node.label in self.value_labels:  # a value slot without a value
+            texts.append(None)
         if isinstance(model, Empty):
             if items:
                 raise EncodingError(f"element {node.label!r} must be EMPTY")
@@ -515,66 +515,56 @@ class DTDEncoder:
     def decode(self, tree: Tree, values: Optional[Values] = None) -> UTree:
         """Decode a ranked encoding back to an unranked document.
 
-        ``values`` optionally rehydrates text content by Dewey address of
-        the ``pcdata`` leaves.
+        ``values`` optionally rehydrates text content by the preorder
+        ordinal of each text's value slot among the value slots.
         """
         decoded: List[UTree] = []
-        self._decode_items(tree, () if values else None, values, decoded)
+        self._decode_items(tree, [0], values or {}, decoded)
         if len(decoded) != 1 or decoded[0].is_text:
             raise EncodingError("the tree does not decode to a single element")
         return decoded[0]
 
     def _decode_items(
-        self,
-        node: Tree,
-        address: Optional[Tuple[int, ...]],
-        values: Optional[Values],
-        out: List[UTree],
+        self, node: Tree, slot: List[int], values: Values, out: List[UTree]
     ) -> None:
         """Append the unranked items ``node`` encodes to ``out``.
 
         The last child of a grouping node (the tail of an ``R*``/``R+``
-        spine) is walked in a loop, not recursively.  ``address`` is
-        ``None`` when there are no values to look up.
+        spine) is walked in a loop, not recursively.  ``slot[0]`` is the
+        preorder ordinal of the next value slot (kept while ``values``).
         """
+        labels = self.value_labels
         while True:
             label = node.label
             if label == HASH_LABEL:
+                if values and node.children:
+                    slot[0] += slot_count(node, labels)
                 return
             if label == PCDATA_SYMBOL:
                 text = None
-                if address is not None:
+                if values:
                     # abstract-values mode: the value sits on pcdata(v0|v1)
-                    slot = address + (1,) if node.children else address
-                    text = values.get(slot)
+                    holder = node.children[0] if node.children else node
+                    ordinal = slot[0] + (holder is not node and label in labels)
+                    if holder.label in labels:
+                        text = values.get(ordinal)
+                    slot[0] += slot_count(node, labels)
                 out.append(UTree(PCDATA_LABEL, (), text))
                 return
             if label in self.dtd.elements:
+                slot[0] += label in labels
                 children: List[UTree] = []
-                for index, child in enumerate(node.children, start=1):
-                    self._decode_items(
-                        child,
-                        None if address is None else address + (index,),
-                        values,
-                        children,
-                    )
+                for child in node.children:
+                    self._decode_items(child, slot, values, children)
                 out.append(UTree(str(label), tuple(children)))
                 return
             if label not in self._registry:
                 raise EncodingError(f"unknown encoding symbol {label!r}")
-            last = len(node.children)
-            if not last:
+            if not node.children:
                 return
-            for index, child in enumerate(node.children[:-1], start=1):
-                self._decode_items(
-                    child,
-                    None if address is None else address + (index,),
-                    values,
-                    out,
-                )
+            for child in node.children[:-1]:
+                self._decode_items(child, slot, values, out)
             node = node.children[-1]
-            if address is not None:
-                address = address + (last,)
 
     def roundtrip(self, document: UTree) -> UTree:
         """Encode then decode — identity on valid documents (with values)."""

@@ -7,8 +7,8 @@ Given input and output DTDs and example document pairs, the pipeline
 3. runs ``RPNI_dtop`` on the encoded pairs, and
 4. wraps the learned transducer as a
    :class:`~repro.codec.Transformation` over :func:`xml_codec`, which
-   encodes → transduces → decodes, rehydrating character data through
-   origin tracking.
+   encodes → transduces → decodes, rehydrating character data by
+   provenance.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from repro.codec import Codec, Transformation
 from repro.learning.rpni import rpni_dtop
 from repro.learning.sample import Sample
 from repro.serve.stream import StreamParser, iter_stream_documents
-from repro.xml.dtd import DTD, PCDATA_SYMBOL, parse_dtd
-from repro.xml.encode import VALUE_LABELS, DTDEncoder
+from repro.xml.dtd import DTD, parse_dtd
+from repro.xml.encode import DTDEncoder
 from repro.xml.schema import schema_dtta
 from repro.xml.unranked import UTree
 from repro.xml.xmlio import parse_xml, serialize_xml
 
-# perfbench's layer recorder wraps these names where it finds them here.
+# perfbench's layer recorder wraps this name where it finds it here; no
+# translation calls it (it is the provenance oracle of the tests).
 from repro.transducers.origins import apply_with_origins  # noqa: F401
 
 #: The transformation type of XML models (one class serves every codec).
@@ -53,9 +54,7 @@ def xml_codec(input_encoder: DTDEncoder, output_encoder: DTDEncoder) -> Codec:
         input_encoder=input_encoder,
         output_encoder=output_encoder,
         rebuild=xml_codec,
-        value_labels=(
-            VALUE_LABELS if output_encoder.abstract_values else (PCDATA_SYMBOL,)
-        ),
+        value_labels=output_encoder.value_labels,
         stream_parser=partial(StreamParser, ignore_attributes=True, forest=True),
         read_stream=iter_stream_documents,
         bundle_format=XML_BUNDLE_FORMAT,

@@ -10,6 +10,7 @@ memos, exact outcomes, cumulative counters, and threads sharing one
 engine while evictions fire.
 """
 
+import gc
 import importlib.util
 import pickle
 import random
@@ -384,6 +385,36 @@ class TestMemoBound:
         assert engine.eval_state("q", source) == reference.eval_state(
             "q", source
         )
+
+
+def test_a_document_encoded_again_hits_the_memo():
+    """The memo keeps the subtrees it keys alive, so a document parsed
+    and encoded again, into fresh objects, gets the same uids and hits;
+    the clear lets them go."""
+    from pathlib import Path
+
+    from repro.codec import load_transformation
+    from repro.trees.tree import interned_count
+    from repro.workloads.library import library_document, transform_library
+    from repro.xml import parse_xml, serialize_xml
+
+    models = Path(__file__).resolve().parents[2] / "models"
+    transformation = load_transformation(models / "library@1.json")
+    engine = engine_for(transformation.transducer)
+    text = serialize_xml(library_document(3))
+    gc.collect()
+    before = interned_count()
+    transformation.apply(parse_xml(text))
+    gc.collect()
+    misses = engine.cache_stats["misses"]
+    assert misses > 0
+    result = transformation.apply(parse_xml(text))
+    assert result == transform_library(parse_xml(text))
+    assert engine.cache_stats["misses"] == misses
+    engine.clear_cache()
+    del result
+    gc.collect()
+    assert interned_count() <= before
 
 
 class TestSharedEngineAcrossThreads:

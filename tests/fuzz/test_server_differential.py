@@ -36,6 +36,7 @@ from tests.fuzz.test_fusion_differential import (
     random_chain,
     staged_outcome,
 )
+from tests.origins_oracle import oracle_outcome
 
 #: Concurrent blocking clients replaying the corpus.
 CLIENTS = 8
@@ -188,34 +189,40 @@ def random_json_document(rng, depth=0):
     )
 
 
-def test_served_json_models_match_local_pipelines(tmp_path):
-    """Random config documents through every JSON workload: the served
-    outcome (output bytes or error type + message) must equal the local
-    JSON ``Transformation`` outcome, per document."""
+@pytest.mark.parametrize("jobs", [None, 2])
+def test_served_json_models_match_local_pipelines(tmp_path, jobs):
+    """Random config documents, most carrying values, through every JSON
+    workload: the served outcome and the local ``Transformation``
+    outcome (output bytes or error type + message) must both equal the
+    origin oracle's, per document, and a translated document must equal
+    the workload's plain-Python reference.  With ``jobs=2`` the server
+    shards value-bearing documents over worker processes too."""
     local = {}
-    for name, factory, _reference in JSON_WORKLOADS:
+    for name, factory, reference in JSON_WORKLOADS:
         transformation = factory()
         transformation.save(tmp_path / f"{name}@1.json")
-        local[name] = transformation
+        local[name] = (transformation, reference)
 
     rng = random.Random(0x1E9A)
     corpus = [serialize_json(random_json_document(rng)) for _ in range(40)]
 
-    with ServerThread(tmp_path, max_batch=8) as handle:
+    with ServerThread(tmp_path, max_batch=8, jobs=jobs) as handle:
         with ServerClient(handle.host, handle.port) as client:
             errors = 0
-            for name, transformation in local.items():
+            for name, (transformation, reference) in local.items():
                 for text in corpus:
-                    try:
-                        expected = (
-                            "tree",
-                            serialize_json(
-                                transformation.apply(parse_json(text))
-                            ),
-                        )
-                    except ReproError as error:
-                        expected = (type(error).__name__, str(error))
+                    oracle = oracle_outcome(transformation, parse_json(text))
+                    if isinstance(oracle, ReproError):
+                        expected = (type(oracle).__name__, str(oracle))
                         errors += 1
+                    else:
+                        expected = ("tree", serialize_json(oracle))
+                        assert oracle == reference(parse_json(text))
+                    try:
+                        got = transformation.apply(parse_json(text))
+                        assert ("tree", serialize_json(got)) == expected
+                    except ReproError as error:
+                        assert (type(error).__name__, str(error)) == expected
                     remote = client.try_transform(name, text)
                     assert remote_outcome_bytes(remote) == expected, (
                         name,

@@ -1,12 +1,14 @@
 """Wide valid documents translate, locally and through a live server.
 
 A list of n children encodes to a cons spine of depth n.  The DTD
-encoder parses each child word in one pass and the origin tracker runs
-on an explicit stack, so width costs neither cubic time nor recursion.
+encoder parses each child word in one pass, value tables are keyed by
+slot ordinal, and the provenance pass runs on an explicit stack, so
+width costs neither superlinear time or memory nor recursion.
 """
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from repro.codec import load_transformation
 from repro.errors import EncodingError
 from repro.server import ServerClient, ServerThread
+from repro.workloads.library import library_document, transform_library
 from repro.workloads.xmlflip import transform_xmlflip, xmlflip_document
 from repro.xml import parse_xml, serialize_xml
 from repro.xml.unranked import element
@@ -81,3 +84,71 @@ def test_wide_string_array_translates_through_the_server(server, count):
     text = string_array(count)
     with ServerClient(server.host, server.port, timeout=60) as client:
         assert client.transform("identity-json@1", text) == text
+
+
+#: Wide value-bearing documents: 100,000 strings and 10,000 books (three
+#: text values each); and 100,000 value-free items.
+STRINGS = 100_000
+BOOKS = 10_000
+
+
+@pytest.fixture(scope="module")
+def wide_documents():
+    """(model, document text, expected output text or ``None`` for the
+    document itself) of each wide case."""
+    books = library_document(BOOKS)
+    return [
+        ("identity-json@1", string_array(STRINGS), string_array(STRINGS)),
+        ("library@1", serialize_xml(books), serialize_xml(transform_library(books))),
+        ("identity-json@1", json.dumps([True, None] * (STRINGS // 2)), None),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_wide_value_bearing_documents_translate_locally(wide_documents, case):
+    model, text, expected = wide_documents[case]
+    transformation = load_transformation(MODELS_DIR / f"{model}.json")
+    started = time.perf_counter()
+    [result] = transformation.apply_batch([transformation.codec.parse(text)])
+    assert time.perf_counter() - started < BOUND_S
+    assert transformation.codec.render(result) == (expected or text)
+
+
+def test_wide_value_bearing_documents_translate_through_the_server(
+    server, wide_documents
+):
+    with ServerClient(server.host, server.port, timeout=60) as client:
+        for model, text, expected in wide_documents:
+            started = time.perf_counter()
+            assert client.transform(model, text) == (expected or text)
+            assert time.perf_counter() - started < BOUND_S
+
+
+def _peak(transformation, document):
+    """``tracemalloc`` peak of translating ``document``, in bytes."""
+    tracemalloc.start()
+    try:
+        [result] = transformation.apply_batch([document])
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "model, make, reference, width",
+    [
+        ("identity-json@1", lambda n: [f"s{i}" for i in range(n)], lambda d: d, 1000),
+        ("library@1", library_document, transform_library, 250),
+    ],
+)
+def test_memory_is_linear_in_width(model, make, reference, width):
+    """Doubling the width at most doubles the peak, up to noise; value
+    tables keyed by Dewey address made it quadruple."""
+    transformation = load_transformation(MODELS_DIR / f"{model}.json")
+    peaks = []
+    for width in (width, 2 * width):
+        document = make(width)
+        peak, result = _peak(transformation, document)
+        assert result == reference(document)
+        peaks.append(peak)
+    assert peaks[1] <= 2.5 * peaks[0], peaks

@@ -79,15 +79,28 @@ class TestEncodeStructure:
         assert len(values) == 2500
         assert encoder.decode(tree, values) == document
 
-    def test_values_keyed_by_dewey_address_in_document_order(self):
+    def test_values_keyed_by_slot_ordinal_in_document_order(self):
         encoder = JsonEncoder()
-        tree, values = encoder.encode_with_values({"a": "x", "b": 5})
+        tree, values = encoder.encode_with_values({"a": "x", "b": [True, 5]})
         slots = [
-            address
-            for address, node in tree.subtrees()
-            if node.label in VALUE_LABELS
+            node for _, node in tree.subtrees() if node.label in VALUE_LABELS
         ]
-        assert [values[s] for s in slots] == ["x", 5]
+        assert len(slots) == 2
+        assert values == {0: "x", 1: 5}
+
+
+def test_value_leaves_under_ignored_children_keep_their_ordinals():
+    """``true(str(v0))`` decodes to ``true``; its value leaf still takes
+    ordinal 0, so the next string reads ordinal 1."""
+    tree = term(
+        "arr",
+        term(
+            "items",
+            term("true", term("str", term("v0"))),
+            term("items", term("str", term("v1")), term("#")),
+        ),
+    )
+    assert JsonEncoder().decode(tree, {0: "a", 1: "b"}) == [True, "b"]
 
 
 class TestDecodeValidation:

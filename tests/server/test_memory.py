@@ -3,7 +3,8 @@
 Every document of the soak is distinct, so no memo entry is ever reused
 across bodies: without the engine's pair bound the memo (and the
 interned trees it pins) grows with the traffic.  The bound is patched
-small so a few thousand documents cross it many times.
+small so a few thousand documents cross it many times.  Half of the
+documents carry values, which run on the engine like the rest.
 """
 
 import gc
@@ -36,25 +37,30 @@ INTERN_CEILING = 5000
 KEYS = [key for key in CONFIG_KEYS if key not in RENAME_MAP.values()]
 
 
-def _value(rng, depth):
-    """A config-shaped JSON value with no scalars (engine-served)."""
+def _value(rng, depth, scalars):
+    """A config-shaped JSON value; strings and numbers (values the
+    side table carries) only if ``scalars``."""
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
+        if scalars and rng.random() < 0.5:
+            return rng.choice((f"s{rng.randrange(1000)}", rng.randrange(1000)))
         return rng.choice((True, False, None))
     if roll < 0.8:
         return {
-            key: _value(rng, depth - 1)
+            key: _value(rng, depth - 1, scalars)
             for key in rng.sample(KEYS, rng.randint(1, 4))
         }
-    return [_value(rng, depth - 1) for _ in range(rng.randint(1, 4))]
+    return [_value(rng, depth - 1, scalars) for _ in range(rng.randint(1, 4))]
 
 
 def distinct_documents(count, seed):
+    """Distinct documents; every other one carries values."""
     rng = random.Random(seed)
     seen = set()
     while len(seen) < count:
         keys = rng.sample(KEYS, rng.randint(2, 5))
-        text = serialize_json({key: _value(rng, 2) for key in keys})
+        scalars = len(seen) % 2 == 1
+        text = serialize_json({key: _value(rng, 2, scalars) for key in keys})
         if text not in seen:
             seen.add(text)
             yield text
@@ -101,6 +107,7 @@ def test_distinct_stream_soak_keeps_memo_and_intern_table_flat(
             body = "\n".join(documents[start:start + BODY_DOCS]) + "\n"
             outcomes = client.transform_stream(MODEL, body)
             assert all(isinstance(item, str) for item in outcomes)
+            assert any('"s' in item for item in outcomes)  # values came back
             engine = entry.peek_engine()
             samples = validate_exposition(client.metrics_text())
             entries = gauge(samples, "repro_engine_memo_entries")

@@ -1,4 +1,4 @@
-"""Tests for origin-tracking evaluation."""
+"""Tests for origin tracking and for the provenance pass checked against it."""
 
 import sys
 from pathlib import Path
@@ -6,13 +6,17 @@ from pathlib import Path
 import pytest
 
 from repro.codec import load_transformation
+from repro.engine import engine_for
 from repro.errors import UndefinedTransductionError
-from repro.transducers.origins import apply_with_origins
-from repro.transducers.rhs import Call
+from repro.transducers.dtop import DTOP
+from repro.transducers.origins import apply_with_origins, value_sources
+from repro.transducers.rhs import Call, call, rhs_tree
+from repro.trees.alphabet import RankedAlphabet
 from repro.trees.tree import Tree, parse_term
 from repro.workloads.flip import flip_input, flip_transducer
 
 from tests.fuzz.test_differential import random_forest, random_machine
+from tests.origins_oracle import oracle_sources
 
 
 class TestOrigins:
@@ -112,3 +116,99 @@ def test_wide_cons_list_needs_no_recursion():
     output, origins = apply_with_origins(transformation.transducer, tree)
     assert output == tree
     assert len(origins) == tree.size
+
+
+#: Value slots of the random machines: input ``g``/``c`` and output
+#: ``u``/``d`` nodes, so inner nodes are slots as well as leaves.
+RANDOM_SLOTS = ("c", "g", "d", "u")
+
+
+def test_value_sources_match_the_origin_oracle():
+    """Random machines copy, delete and call bare; the pass over the
+    engine's output must find exactly the oracle's slot pairs, with one
+    slot-count memo per forest, as within a batch."""
+    pairs = 0
+    for seed in range(12):
+        machine, _ = random_machine(seed)
+        forest = random_forest(machine, seed)
+        counts = {}
+        outputs = engine_for(machine).run_batch_outcomes(forest)
+        for tree, output in zip(forest, outputs):
+            if isinstance(output, Exception):
+                continue
+            expected_output, expected = oracle_sources(machine, tree, RANDOM_SLOTS)
+            assert output is expected_output
+            got = value_sources(machine, tree, output, RANDOM_SLOTS, counts)
+            assert got == expected, (seed, str(tree))
+            pairs += len(expected)
+    assert pairs > 100
+
+
+def _spine_machine(rules):
+    """A machine over ``s(head, rest)`` spines ending in ``e(v)``."""
+    return DTOP(
+        RankedAlphabet({"s": 2, "e": 1, "v": 0}),
+        RankedAlphabet({"s": 2, "e": 1, "v": 0, "out": 1}),
+        call("q", 0),
+        {key: rhs_tree(spec) for key, spec in rules.items()},
+    )
+
+
+def _spine(cells):
+    tree = Tree("e", (Tree("v"),))
+    for _ in range(cells):
+        tree = Tree("s", (Tree("v"), tree))
+    return tree
+
+
+SPINE_CELLS = 10_000
+
+
+def test_bare_calls_down_a_long_spine():
+    """Deleting bare calls walk 10,000 cells to copy the last value: the
+    one output slot reads input slot 10,000."""
+    machine = _spine_machine(
+        {
+            ("q", "s"): ("q", 2),
+            ("q", "e"): ("out", ("c", 1)),
+            ("c", "v"): "v",
+        }
+    )
+    source = _spine(SPINE_CELLS)
+    output = engine_for(machine).run(source)
+    assert value_sources(machine, source, output, ("v",)) == {0: SPINE_CELLS}
+    # The oracle agrees: the output slot's origin is the last ``v``.
+    assert apply_with_origins(machine, source) == (
+        output,
+        {(): (2,) * SPINE_CELLS, (1,): (2,) * SPINE_CELLS + (1,)},
+    )
+
+
+def test_copying_a_long_spine():
+    """A copy of 10,000 cells maps every slot to itself; a duplicating
+    copy maps both copies of a head to it."""
+    identity = _spine_machine(
+        {
+            ("q", "s"): ("s", ("c", 1), ("q", 2)),
+            ("q", "e"): ("e", ("c", 1)),
+            ("c", "v"): "v",
+        }
+    )
+    source = _spine(SPINE_CELLS)
+    output = engine_for(identity).run(source)
+    assert output is source
+    assert value_sources(identity, source, output, ("v",)) == {
+        slot: slot for slot in range(SPINE_CELLS + 1)
+    }
+    doubling = _spine_machine(
+        {
+            ("q", "s"): ("s", ("c", 1), ("s", ("c", 1), ("q", 2))),
+            ("q", "e"): ("e", ("c", 1)),
+            ("c", "v"): "v",
+        }
+    )
+    output = engine_for(doubling).run(source)
+    sources = value_sources(doubling, source, output, ("v",))
+    assert sources == {
+        slot: min(slot // 2, SPINE_CELLS) for slot in range(2 * SPINE_CELLS + 1)
+    }

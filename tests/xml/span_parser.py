@@ -307,6 +307,20 @@ def _seq_words(parts, index: int, length: int, memo: Dict) -> set:
     return words
 
 
+def _contexts(model: ContentModel, entered: bool = False):
+    """Every subexpression, and whether it is only entered on a token of
+    its first set: set by ``Opt``, kept by ``Alt``, reset by the rest."""
+    yield model, entered
+    if isinstance(model, Opt):
+        yield from _contexts(model.inner, True)
+    elif isinstance(model, Alt):
+        for part in model.parts:
+            yield from _contexts(part, entered)
+    elif isinstance(model, (Seq, Star, Plus)):
+        for part in model.parts if isinstance(model, Seq) else (model.inner,):
+            yield from _contexts(part)
+
+
 def lookahead_witness(dtd: DTD, name: str, max_length: int = 12) -> Optional[tuple]:
     """What the span parser shows about ``name``'s content model, if anything.
 
@@ -319,9 +333,10 @@ def lookahead_witness(dtd: DTD, name: str, max_length: int = 12) -> Optional[tup
     * ``("nullable loop body", label)``: a ``R*``/``R+`` whose body
       spans the empty word, so an iteration need not consume a token;
     * ``("ambiguous on the empty word", label)``: a subexpression with
-      two parses of the empty word, as ``(a?|b?)`` has (under an ``R?``
-      the span parser never asks it for one, but the one-pass check
-      looks at the subexpression, not at its context);
+      two parses of the empty word, as ``(a?|b?)`` has, that is not
+      only entered on a token of its first set (the body of an ``R?``
+      and the ``Alt`` branches of such a body are: the span parser never
+      asks them for the empty word);
     * ``("ambiguous", word)``: the span parser finds two parses;
     * ``("two-symbol lookahead", word1, word2)``: two words that agree
       on their first ``i + 1`` tokens, and whose encodings differ before
@@ -333,9 +348,11 @@ def lookahead_witness(dtd: DTD, name: str, max_length: int = 12) -> Optional[tup
     names = {sub.name for sub in model.subexpressions() if isinstance(sub, ElementRe)}
     alone = DTD(name, {name: model, **{other: Empty() for other in names}})
     reference = SpanParserEncoder(alone)
-    for sub in model.subexpressions():
+    for sub, entered in _contexts(model):
         if isinstance(sub, (Star, Plus)) and reference._spans(sub.inner, (), 0, 0, {}):
             return ("nullable loop body", sub.label())
+        if entered:
+            continue
         try:
             reference._encode_span(sub, (), 0, 0, {}, [])
         except AmbiguousContentModelError:

@@ -41,15 +41,21 @@ class TestEncoding:
         assert all(n.children[0].label in VALUE_LABELS for n in pcdata_nodes)
 
     def test_values_keyed_by_value_leaf(self):
+        """Ordinal ``k`` is the ``k``-th ``v0``/``v1`` leaf in preorder."""
         encoder = DTDEncoder(
             library_input_dtd(), fuse=True, abstract_values=True
         )
-        tree, values = encoder.encode_with_values(library_document(1))
-        for address in values:
-            node = tree
-            for index in address:
-                node = node.children[index - 1]
-            assert node.label in VALUE_LABELS
+        document = library_document(1)
+        tree, values = encoder.encode_with_values(document)
+        leaves = [
+            node for _, node in tree.subtrees() if node.label in VALUE_LABELS
+        ]
+        texts = [node.text for _, node in document.subtrees() if node.is_text]
+        assert sorted(values) == list(range(len(leaves)))
+        assert [values[slot] for slot in sorted(values)] == texts
+        assert [leaf.label for leaf in leaves] == [
+            abstract_value_of(text) for text in texts
+        ]
 
     def test_roundtrip_with_values(self):
         encoder = DTDEncoder(
@@ -84,3 +90,69 @@ class TestEncoding:
             return Tree(node.label, tuple(flip_values(c) for c in node.children))
 
         assert automaton.accepts(flip_values(tree))
+
+
+def test_an_element_named_like_a_value_leaf_keeps_the_slots_aligned():
+    """``v0`` elements encode to leaves that count as value slots; they
+    carry no value, and the texts after them keep theirs."""
+    from repro.codec import Transformation
+    from repro.transducers.dtop import DTOP
+    from repro.transducers.rhs import call, rhs_tree
+    from repro.xml.dtd import parse_dtd
+    from repro.xml.pipeline import xml_codec
+
+    dtd = parse_dtd(
+        "<!ELEMENT r (v0, t)* > <!ELEMENT v0 EMPTY > <!ELEMENT t #PCDATA >"
+    )
+    encoder = DTDEncoder(dtd, abstract_values=True)
+    document = element(
+        "r", element("v0"), element("t", text("x")), element("v0"), element("t", text("y"))
+    )
+    tree, values = encoder.encode_with_values(document)
+    assert values == {1: "x", 3: "y"}
+    assert encoder.decode(tree, values) == document
+    identity = Transformation(
+        DTOP(
+            encoder.alphabet,
+            encoder.alphabet,
+            call("q", 0),
+            {
+                ("q", label): rhs_tree(
+                    (label, *[("q", index) for index in range(1, rank + 1)])
+                    if rank
+                    else label
+                )
+                for label, rank in encoder.alphabet.items()
+            },
+        ),
+        xml_codec(encoder, encoder),
+    )
+    assert identity.apply(document) == document
+
+
+def test_value_leaves_under_ignored_children_keep_their_ordinals():
+    """A ``#`` with children decodes to nothing, and a ``pcdata`` reads
+    only its first child; the slots they ignore still take ordinals."""
+    from repro.trees.tree import Tree
+    from repro.xml.dtd import parse_dtd
+
+    encoder = DTDEncoder(
+        parse_dtd("<!ELEMENT r (s?, t*) > <!ELEMENT s #PCDATA > <!ELEMENT t #PCDATA >"),
+        abstract_values=True,
+    )
+    v0, v1, end = Tree("v0"), Tree("v1"), Tree("#")
+    t = lambda *children: Tree("t", (Tree("pcdata", children),))
+    tree = Tree(
+        "r",
+        (
+            Tree(
+                "(s?,t*)",
+                (
+                    Tree("s?", (Tree("#", (v0,)),)),
+                    Tree("t*", (t(v0, v1), Tree("t*", (t(v1), Tree("t*", (end, end)))))),
+                ),
+            ),
+        ),
+    )
+    document = encoder.decode(tree, {0: "a", 1: "b", 2: "c", 3: "d"})
+    assert document == element("r", element("t", text("b")), element("t", text("d")))

@@ -251,11 +251,15 @@ class TestOnePassPlans:
         "((a?,b?)|#PCDATA)",
         "((a,b?)*,#PCDATA)",
         "((a)?)?",
+        "(a?|b?)?",
+        "((a?|b?)|c)?",
     ]
     #: Refused models, and the token where one symbol leaves a choice
     #: open.  The first five are not deterministic in the XML sense; the
-    #: last three are, but ``(a?|b?)`` and ``(a+)+`` parse ambiguously
-    #: and ``(a?)*`` has a loop body that matches nothing.
+    #: last four are, but ``(a?|b?)`` parses the empty word two ways
+    #: (also inside a sequence under ``R?``, unlike the eligible
+    #: ``(a?|b?)?``), ``(a+)+`` parses ``aa`` two ways and ``(a?)*`` has
+    #: a loop body that matches nothing.
     REFUSED = {
         "(a*,a*)": "'a'",
         "(a?,a)": "'a'",
@@ -263,6 +267,7 @@ class TestOnePassPlans:
         "((a,b)*,a)": "'a'",
         "((a,b?)+,b)": "'b'",
         "(a?|b?)": "the end of the children",
+        "((a?|b?),c?)?": "'c'",
         "(a+)+": "'a'",
         "(a?)*": "the end of the children",
     }
@@ -270,7 +275,8 @@ class TestOnePassPlans:
     @staticmethod
     def dtd(model):
         return parse_dtd(
-            f"<!ELEMENT r {model} > <!ELEMENT a EMPTY > <!ELEMENT b EMPTY >"
+            f"<!ELEMENT r {model} > <!ELEMENT a EMPTY > <!ELEMENT b EMPTY > "
+            "<!ELEMENT c EMPTY >"
         )
 
     @pytest.mark.parametrize("model", ELIGIBLE)
@@ -329,6 +335,27 @@ class TestOnePassPlans:
                 ),
             )
             assert _outcome(encoder, document) == _outcome(reference, document), word
+
+    @pytest.mark.parametrize(
+        "fuse,compact,abstract", list(itertools.product((False, True), repeat=3))
+    )
+    @pytest.mark.parametrize("model", ["(a?|b?)?", "((a?|b?)|c)?"])
+    def test_optional_choice_of_nullable_branches(self, model, fuse, compact, abstract):
+        """An ``Alt`` under ``R?`` is entered on a token, never on the
+        empty word, so two nullable branches leave no choice open."""
+        flags = dict(fuse=fuse, compact_lists=compact, abstract_values=abstract)
+        encoder = DTDEncoder(self.dtd(model), **flags)
+        reference = SpanParserEncoder(self.dtd(model), **flags)
+        for size in range(4):
+            for word in itertools.product(("a", "b", "c", PCDATA_LABEL), repeat=size):
+                document = element(
+                    "r",
+                    *(
+                        text("x") if token == PCDATA_LABEL else element(token)
+                        for token in word
+                    ),
+                )
+                assert _outcome(encoder, document) == _outcome(reference, document), word
 
     def test_shipped_dtds_are_all_one_pass(self):
         models_dir = Path(__file__).resolve().parents[2] / "models"
