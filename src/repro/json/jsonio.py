@@ -364,7 +364,7 @@ def _render(value: JsonValue, out: List[str]) -> None:
 class JsonLinesParser:
     """Incremental JSON-lines reader with the stream-parser contract.
 
-    Mirrors :class:`repro.serve.stream.StreamParser`: feed byte (or
+    Mirrors :class:`repro.xml.xmlio.StreamParser`: feed byte (or
     str) fragments with :meth:`feed`, drain completed documents with
     :meth:`ready`, finish with :meth:`close`.  One document per
     newline-terminated line; blank lines are skipped; a final line

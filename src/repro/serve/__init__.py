@@ -10,9 +10,11 @@ processes fed by a stream":
     cost-balanced chunking.
 
 :mod:`repro.serve.stream`
-    expat-based streaming XML ingestion — documents are built
-    incrementally and flushed to the service as their end tags arrive,
-    without materializing the stream; depth-100k documents are fine.
+    streaming ingestion — the one XML reader
+    (:class:`~repro.xml.xmlio.StreamParser`) and the JSON-lines reader
+    are fed in chunks from any source, and forest-mode documents are
+    flushed to the service as their end tags arrive, without
+    materializing the stream.
 
 :mod:`repro.serve.service`
     :class:`~repro.serve.service.TransformService` — submit/map/close,
@@ -37,11 +39,7 @@ from repro.serve.shard import (
     pack_engine,
     unpack_engine,
 )
-from repro.serve.stream import (
-    StreamParser,
-    iter_stream_documents,
-    parse_xml_stream,
-)
+from repro.serve.stream import StreamParser, iter_stream_documents
 
 __all__ = [
     "TransformService",
@@ -52,6 +50,5 @@ __all__ = [
     "pack_engine",
     "unpack_engine",
     "StreamParser",
-    "parse_xml_stream",
     "iter_stream_documents",
 ]

@@ -19,12 +19,12 @@ from typing import Iterable, Tuple
 from repro.codec import Codec, Transformation
 from repro.learning.rpni import rpni_dtop
 from repro.learning.sample import Sample
-from repro.serve.stream import StreamParser, iter_stream_documents
+from repro.serve.stream import iter_stream_documents
 from repro.xml.dtd import DTD, parse_dtd
 from repro.xml.encode import DTDEncoder
 from repro.xml.schema import schema_dtta
 from repro.xml.unranked import UTree
-from repro.xml.xmlio import parse_xml, serialize_xml
+from repro.xml.xmlio import StreamParser, parse_xml, serialize_xml
 
 # perfbench's layer recorder wraps this name where it finds it here; no
 # translation calls it (it is the provenance oracle of the tests).

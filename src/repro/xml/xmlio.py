@@ -1,88 +1,41 @@
-"""A small XML reader/writer for the element-and-text subset we model.
+"""The XML reader and writer for the element-and-text subset we model.
 
-Supports elements, character data, comments (skipped), processing
-instructions and declarations (skipped), and the five predefined entities.
-Attributes are not part of the paper's tree model; by default their
-presence raises a :class:`~repro.errors.ParseError` (pass
-``ignore_attributes=True`` to drop them silently).
+There is one reader, :class:`StreamParser`, a push parser over the
+standard library's expat binding.  It reads every XML input: in
+single-document mode behind :func:`parse_xml` (served ``transform``
+requests, ``repro learn``, ``repro apply``, ``Transformation.apply``)
+and in forest mode behind :mod:`repro.serve.stream` (local stream files
+and served ``transform_stream`` bodies), so one document gets one
+answer on every path.
+
+* Elements and character data make the tree.  CDATA sections are
+  character data, line ends are normalized (XML 1.0 §2.11), the
+  surrounding whitespace of character data is stripped and
+  whitespace-only text dropped.
+* Comments, processing instructions and the document type declaration
+  are skipped.  Entities declared in the internal subset are expanded
+  (expat bounds their amplification); a reference to an undeclared or
+  an external entity raises, so no content is dropped or read from
+  elsewhere.
+* Attributes are not part of the paper's tree model: they raise unless
+  ``ignore_attributes=True`` drops them.
+* Element frames live on an explicit stack, so nesting depth is bounded
+  by memory, not by the recursion limit.
+* A ``str`` is read as the text it is, whatever its XML declaration
+  names; ``bytes`` are decoded by the declaration (UTF-8 by default).
+
+Every malformed input raises :class:`~repro.errors.ParseError` reading
+``XML error at line L, column C: reason``; the reason is expat's or the
+reader's own, and columns count from 0 as expat's do.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Union
+from xml.parsers import expat
 
 from repro.errors import ParseError
 from repro.xml.unranked import PCDATA_LABEL, UTree
-
-_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
-
-
-def _charref(digits: str, base: int, offset: int) -> str:
-    """Decode a numeric character reference body (``&#…;`` / ``&#x…;``).
-
-    Every malformed form a hostile document can produce — empty digits,
-    non-digit garbage, code points past U+10FFFF, huge values that would
-    overflow ``chr``, and surrogates — maps to a :class:`ParseError`
-    carrying the reference's offset, never a raw ``ValueError`` or
-    ``OverflowError`` (both were reachable from a live server through
-    ``transform_stream`` with a user-controlled document).
-    """
-    label = "&#x…;" if base == 16 else "&#…;"
-    try:
-        code = int(digits, base)
-    except ValueError:
-        raise ParseError(
-            f"XML error at offset {offset}: malformed numeric character "
-            f"reference {label} with digits {digits!r}"
-        ) from None
-    if code > 0x10FFFF:
-        raise ParseError(
-            f"XML error at offset {offset}: character reference "
-            f"&#{'x' if base == 16 else ''}{digits}; is past U+10FFFF"
-        )
-    if 0xD800 <= code <= 0xDFFF:
-        raise ParseError(
-            f"XML error at offset {offset}: character reference to "
-            f"surrogate U+{code:04X} is not a character"
-        )
-    return chr(code)
-
-
-def _unescape(data: str, base_offset: int = 0) -> str:
-    """Decode entity and character references; errors carry offsets.
-
-    ``base_offset`` is the position of ``data[0]`` in the enclosing
-    document, so every :class:`ParseError` points at the offending
-    reference in the *document*, not in the text slice.
-    """
-    out: List[str] = []
-    i = 0
-    while i < len(data):
-        ch = data[i]
-        if ch == "&":
-            end = data.find(";", i)
-            if end == -1:
-                raise ParseError(
-                    f"XML error at offset {base_offset + i}: "
-                    f"unterminated entity reference"
-                )
-            name = data[i + 1 : end]
-            if name.startswith("#x") or name.startswith("#X"):
-                out.append(_charref(name[2:], 16, base_offset + i))
-            elif name.startswith("#"):
-                out.append(_charref(name[1:], 10, base_offset + i))
-            elif name in _ENTITIES:
-                out.append(_ENTITIES[name])
-            else:
-                raise ParseError(
-                    f"XML error at offset {base_offset + i}: "
-                    f"unknown entity &{name};"
-                )
-            i = end + 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 def _escape(data: str) -> str:
@@ -91,237 +44,153 @@ def _escape(data: str) -> str:
     )
 
 
-class _XmlParser:
-    def __init__(self, source: str, ignore_attributes: bool):
-        self.source = source
-        self.pos = 0
+class StreamParser:
+    """Push parser building :class:`~repro.xml.unranked.UTree` documents.
+
+    Feed byte (or str) fragments with :meth:`feed`, drain completed
+    documents with :meth:`ready`, and finish with :meth:`close`.  In
+    forest mode every direct child element of the stream's single root
+    element is a document (flushed on completion, never retained);
+    otherwise the root element itself is the one document.
+    """
+
+    def __init__(self, ignore_attributes: bool = False, forest: bool = False):
         self.ignore_attributes = ignore_attributes
+        self.forest = forest
+        self.root_label: Optional[str] = None
+        self._parser = expat.ParserCreate()
+        self._parser.buffer_text = True
+        self._parser.StartElementHandler = self._start
+        self._parser.EndElementHandler = self._end
+        self._parser.CharacterDataHandler = self._data
+        self._parser.SkippedEntityHandler = self._skipped_entity
+        self._parser.ExternalEntityRefHandler = self._external_entity
+        # Frames: (label, children list, text buffer), explicit stack.
+        self._frames: List[tuple] = []
+        self._ready: List[UTree] = []
+        self._closed = False
+        self._documents = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(f"XML error at offset {self.pos}: {message}")
+    # -- expat handlers -------------------------------------------------
 
-    def skip_misc(self) -> None:
-        """Skip whitespace, comments, PIs, and declarations."""
-        while self.pos < len(self.source):
-            if self.source[self.pos].isspace():
-                self.pos += 1
-            elif self.source.startswith("<!--", self.pos):
-                end = self.source.find("-->", self.pos)
-                if end == -1:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-            elif self.source.startswith("<?", self.pos):
-                end = self.source.find("?>", self.pos)
-                if end == -1:
-                    raise self.error("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.source.startswith("<!", self.pos):
-                self._skip_declaration()
-            else:
-                return
+    def _error(self, message: str) -> ParseError:
+        return ParseError(
+            f"XML error at line {self._parser.CurrentLineNumber}, "
+            f"column {self._parser.CurrentColumnNumber}: {message}"
+        )
 
-    def _skip_declaration(self) -> None:
-        """Skip one ``<!…>`` declaration, bracket-matching ``[…]``.
-
-        A ``<!DOCTYPE x [ <!ELEMENT a (b)> ]>`` internal subset contains
-        ``>`` characters of its own; skipping to the first ``>`` (the old
-        behavior) left the parser in the middle of the subset and
-        desynced it for the rest of the document.  The subset is skipped
-        as a unit: quoted literals, comments, and processing
-        instructions inside it are opaque, nested declarations may
-        contain ``>``, and the subset ends at the first top-level ``]``
-        which must be followed (after whitespace) by the closing ``>``.
-        """
-        start = self.pos
-        i = self.pos + 2  # past '<!'
-        source = self.source
-
-        def skip_literal(j: int) -> int:
-            quote = source[j]
-            end = source.find(quote, j + 1)
-            if end == -1:
-                self.pos = start
-                raise self.error("unterminated literal in declaration")
-            return end + 1
-
-        while i < len(source):
-            ch = source[i]
-            if ch == ">":
-                self.pos = i + 1
-                return
-            if ch in "\"'":
-                i = skip_literal(i)
-            elif ch == "[":
-                i += 1  # internal subset
-                while i < len(source) and source[i] != "]":
-                    if source[i] in "\"'":
-                        i = skip_literal(i)
-                    elif source.startswith("<!--", i):
-                        end = source.find("-->", i)
-                        if end == -1:
-                            self.pos = start
-                            raise self.error(
-                                "unterminated comment in internal subset"
-                            )
-                        i = end + 3
-                    elif source.startswith("<?", i):
-                        end = source.find("?>", i)
-                        if end == -1:
-                            self.pos = start
-                            raise self.error(
-                                "unterminated processing instruction in "
-                                "internal subset"
-                            )
-                        i = end + 2
-                    elif source.startswith("<!", i):
-                        # A nested markup declaration; its quoted
-                        # literals may themselves contain '>'.
-                        i += 2
-                        while i < len(source) and source[i] != ">":
-                            if source[i] in "\"'":
-                                i = skip_literal(i)
-                            else:
-                                i += 1
-                        if i >= len(source):
-                            self.pos = start
-                            raise self.error(
-                                "unterminated declaration in internal subset"
-                            )
-                        i += 1
-                    else:
-                        i += 1
-                if i >= len(source):
-                    self.pos = start
-                    raise self.error("unterminated internal subset")
-                i += 1  # past ']'
-                while i < len(source) and source[i].isspace():
-                    i += 1
-                if i >= len(source) or source[i] != ">":
-                    self.pos = start
-                    raise self.error(
-                        "malformed declaration: expected '>' after the "
-                        "internal subset"
+    def _flush_text(self) -> None:
+        label, children, buffer = self._frames[-1]
+        if buffer:
+            data = "".join(buffer).strip()
+            buffer.clear()
+            if data:
+                if self.forest and len(self._frames) == 1:
+                    raise self._error(
+                        f"stray character data {data[:30]!r} between "
+                        f"stream documents"
                     )
-                self.pos = i + 1
-                return
-            else:
-                i += 1
-        self.pos = start
-        raise self.error("unterminated declaration")
+                children.append(UTree(PCDATA_LABEL, (), data))
 
-    def parse_name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self.source[self.pos].isalnum() or self.source[self.pos] in "_-.:"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        return self.source[start : self.pos]
+    def _start(self, name: str, attributes: dict) -> None:
+        if attributes and not self.ignore_attributes:
+            raise self._error(
+                f"attributes on <{name}> are not part of the tree model "
+                f"(pass ignore_attributes=True to drop them)"
+            )
+        if not self._frames:
+            self.root_label = name
+        else:
+            self._flush_text()
+        self._frames.append((name, [], []))
 
-    def parse_element(self) -> UTree:
-        if self.pos >= len(self.source):
-            raise self.error("unexpected end of input, expected an element")
-        if self.source[self.pos] != "<":
-            raise self.error("expected '<'")
-        self.pos += 1
-        name = self.parse_name()
-        # Attributes.
-        while True:
-            while self.pos < len(self.source) and self.source[self.pos].isspace():
-                self.pos += 1
-            if self.pos >= len(self.source):
-                raise self.error("unterminated start tag")
-            if self.source[self.pos] in "/>":
-                break
-            if not self.ignore_attributes:
-                raise self.error(
-                    f"attributes on <{name}> are not part of the tree model "
-                    f"(pass ignore_attributes=True to drop them)"
-                )
-            self.parse_name()
-            if self.source[self.pos] != "=":
-                raise self.error("malformed attribute")
-            self.pos += 1
-            quote = self.source[self.pos]
-            if quote not in "\"'":
-                raise self.error("attribute value must be quoted")
-            end = self.source.find(quote, self.pos + 1)
-            if end == -1:
-                raise self.error("unterminated attribute value")
-            self.pos = end + 1
-        if self.source.startswith("/>", self.pos):
-            self.pos += 2
-            return UTree(name, ())
-        self.pos += 1  # consume '>'
-        children = self.parse_content(name)
-        return UTree(name, tuple(children))
+    def _end(self, name: str) -> None:
+        self._flush_text()
+        label, children, _buffer = self._frames.pop()
+        completed = UTree(label, tuple(children))
+        if not self._frames:
+            if not self.forest:
+                self._ready.append(completed)
+                self._documents += 1
+            return
+        if self.forest and len(self._frames) == 1:
+            # A top-level document finished: flush it instead of growing
+            # the root's child list — the root stays permanently empty.
+            self._ready.append(completed)
+            self._documents += 1
+        else:
+            self._frames[-1][1].append(completed)
 
-    def parse_content(self, name: str) -> List[UTree]:
-        children: List[UTree] = []
-        parts: List[str] = []
-        run_start = -1  # start of the current raw text run, -1 if none
+    def _data(self, data: str) -> None:
+        # Expat reports no character data outside the root element.
+        self._frames[-1][2].append(data)
 
-        def end_run() -> None:
-            # Decode the contiguous raw run that ends at self.pos; passing
-            # its document offset keeps _unescape's errors pointing at the
-            # real position of a malformed reference.
-            nonlocal run_start
-            if run_start != -1:
-                raw = self.source[run_start : self.pos]
-                parts.append(_unescape(raw, run_start))
-                run_start = -1
+    def _skipped_entity(self, name: str, _is_parameter_entity: bool) -> None:
+        # Expat skips an undeclared entity when the document has an
+        # external DTD; dropping its text silently would lose content.
+        raise self._error(f"undefined entity &{name};")
 
-        def flush_text() -> None:
-            end_run()
-            data = "".join(parts)
-            parts.clear()
-            if data.strip():
-                children.append(UTree(PCDATA_LABEL, (), data.strip()))
+    def _external_entity(self, _context, _base, system_id, _public_id) -> None:
+        raise self._error(f"external entity {system_id!r} is not read")
 
-        while True:
-            if self.pos >= len(self.source):
-                raise self.error(f"unterminated element <{name}>")
-            if self.source.startswith("</", self.pos):
-                flush_text()
-                self.pos += 2
-                closing = self.parse_name()
-                if closing != name:
-                    raise self.error(f"mismatched tags <{name}> and </{closing}>")
-                while self.pos < len(self.source) and self.source[self.pos].isspace():
-                    self.pos += 1
-                if self.source[self.pos] != ">":
-                    raise self.error("malformed end tag")
-                self.pos += 1
-                return children
-            if self.source.startswith("<!--", self.pos):
-                end_run()
-                end = self.source.find("-->", self.pos)
-                if end == -1:
-                    raise self.error("unterminated comment")
-                self.pos = end + 3
-            elif self.source[self.pos] == "<":
-                flush_text()
-                children.append(self.parse_element())
-            else:
-                if run_start == -1:
-                    run_start = self.pos
-                self.pos += 1
+    def _parse(self, data: Union[str, bytes], final: bool) -> None:
+        try:
+            try:
+                self._parser.Parse(data, final)
+            except UnicodeEncodeError as error:
+                # pyexpat encodes a str as UTF-8 before parsing any of it,
+                # which fails on a lone surrogate.  Parse the text before
+                # it, so an earlier error wins and the position is known.
+                self._parser.Parse(data[: error.start], False)
+                raise self._error(
+                    f"lone surrogate U+{ord(data[error.start]):04X} is not "
+                    f"a character"
+                ) from None
+        except expat.ExpatError as error:
+            raise ParseError(
+                f"XML error at line {error.lineno}, column {error.offset}: "
+                f"{expat.ErrorString(error.code)}"
+            ) from None
+
+    # -- public API -----------------------------------------------------
+
+    def feed(self, fragment: Union[str, bytes]) -> None:
+        """Consume the next fragment of the stream."""
+        if self._closed:
+            raise ParseError("cannot feed a closed stream parser")
+        self._parse(fragment, False)
+
+    def ready(self) -> List[UTree]:
+        """Documents completed since the last call (drains the buffer)."""
+        done = self._ready
+        self._ready = []
+        return done
+
+    def close(self) -> List[UTree]:
+        """Signal end of stream; return the final completed documents."""
+        if not self._closed:
+            self._closed = True
+            self._parse(b"", True)
+        return self.ready()
+
+    @property
+    def documents_seen(self) -> int:
+        """Number of documents completed so far."""
+        return self._documents
 
 
-def parse_xml(source: str, ignore_attributes: bool = False) -> UTree:
+def parse_xml(
+    source: Union[str, bytes], ignore_attributes: bool = False
+) -> UTree:
     """Parse an XML document into an unranked tree.
 
     >>> parse_xml("<a><b/>hi</a>").size
     3
     """
-    parser = _XmlParser(source, ignore_attributes)
-    parser.skip_misc()
-    root = parser.parse_element()
-    parser.skip_misc()
-    if parser.pos != len(source):
-        raise parser.error("trailing content after the root element")
-    return root
+    parser = StreamParser(ignore_attributes=ignore_attributes)
+    parser.feed(source)
+    (document,) = parser.close()
+    return document
 
 
 def serialize_xml(tree: UTree, indent: Optional[int] = 2) -> str:

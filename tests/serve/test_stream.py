@@ -1,5 +1,5 @@
-"""Streaming XML ingestion: equivalence with whole-document parsing,
-forest-mode flushing, deep documents, and the serve-layer wiring."""
+"""Streaming XML ingestion: chunked sources, forest-mode flushing, deep
+documents, and the serve-layer wiring."""
 
 import io
 from pathlib import Path
@@ -10,8 +10,8 @@ from repro.errors import ParseError
 from repro.serve import TransformService
 from repro.serve.stream import (
     StreamParser,
+    iter_parsed,
     iter_stream_documents,
-    parse_xml_stream,
 )
 from repro.workloads.xmlflip import (
     transform_xmlflip,
@@ -24,20 +24,37 @@ from repro.xml.encode import DTDEncoder
 from repro.codec import Transformation
 from repro.xml.pipeline import xml_codec
 from repro.xml.schema import schema_dtta
-from repro.xml.unranked import UTree
+from repro.xml.unranked import UTree, element
+from repro.xml.unranked import text as text_node
 from repro.xml.xmlio import parse_xml, serialize_xml
 
-WELL_FORMED = [
-    "<a/>",
-    "<a><b/>hi</a>",
-    "<r>  <x>1</x><!-- comment --><y/>tail  </r>",
-    "<root><a/><a/><b/><b/><b/></root>",
-    "<a>x &amp; y &#65; &lt;tag&gt; &quot;q&quot; &apos;s&apos;</a>",
-    "<?xml version='1.0' encoding='UTF-8'?><!DOCTYPE a><a>t<b><c>deep</c></b></a>",
-    "<a>\n  leading and trailing   \n</a>",
-    "<a><b>x</b><b>y</b><b>z</b></a>",
-    "<mixed>one<e/>two<e/>three</mixed>",
-]
+#: Well-formed documents and the trees they read as.
+WELL_FORMED = {
+    "<a/>": element("a"),
+    "<a><b/>hi</a>": element("a", element("b"), text_node("hi")),
+    "<r>  <x>1</x><!-- comment --><y/>tail  </r>": element(
+        "r", element("x", text_node("1")), element("y"), text_node("tail")
+    ),
+    "<root><a/><a/><b/><b/><b/></root>": element(
+        "root", *(element(label) for label in "aabbb")
+    ),
+    "<a>x &amp; y &#65; &lt;tag&gt; &quot;q&quot; &apos;s&apos;</a>": element(
+        "a", text_node("x & y A <tag> \"q\" 's'")
+    ),
+    "<?xml version='1.0' encoding='UTF-8'?><!DOCTYPE a><a>t<b><c>deep</c></b></a>": (
+        element("a", text_node("t"), element("b", element("c", text_node("deep"))))
+    ),
+    "<a>\n  leading and trailing   \n</a>": element(
+        "a", text_node("leading and trailing")
+    ),
+    "<a><b>x</b><b>y</b><b>z</b></a>": element(
+        "a", *(element("b", text_node(data)) for data in "xyz")
+    ),
+    "<mixed>one<e/>two<e/>three</mixed>": element(
+        "mixed", text_node("one"), element("e"), text_node("two"), element("e"),
+        text_node("three"),
+    ),
+}
 
 MALFORMED = [
     "",
@@ -47,6 +64,12 @@ MALFORMED = [
     "<a>&undefined;</a>",
     "just text",
 ]
+
+
+def parse_pieces(source, chunk_bytes=1 << 16, **options):
+    """Read one document through the chunked feed loop."""
+    (document,) = iter_parsed(StreamParser(**options), source, chunk_bytes)
+    return document
 
 
 def walk(document):
@@ -60,51 +83,71 @@ def walk(document):
 
 
 class TestDocumentEquivalence:
-    @pytest.mark.parametrize("text", WELL_FORMED)
+    @pytest.mark.parametrize("text", list(WELL_FORMED))
     def test_matches_materialized_parser(self, text):
-        want = parse_xml(text, ignore_attributes=True)
-        assert parse_xml_stream(text, ignore_attributes=True) == want
+        want = WELL_FORMED[text]
+        assert parse_xml(text, ignore_attributes=True) == want
+        assert parse_xml(text.encode(), ignore_attributes=True) == want
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunk_boundaries_are_invisible(self, chunk):
-        for text in WELL_FORMED:
+        for text, want in WELL_FORMED.items():
             pieces = [text[i : i + chunk] for i in range(0, len(text), chunk)]
-            want = parse_xml(text, ignore_attributes=True)
-            assert parse_xml_stream(pieces, ignore_attributes=True) == want
+            assert parse_pieces(pieces, ignore_attributes=True) == want
 
     def test_multibyte_utf8_split_across_chunks(self):
         text = "<a>héllo wörld — ünïcode</a>"
         data = text.encode("utf-8")
         pieces = [data[i : i + 1] for i in range(len(data))]
-        assert parse_xml_stream(pieces) == parse_xml(text)
+        assert parse_pieces(pieces) == element("a", text_node(text[3:-4]))
 
     def test_sources_file_object_and_path(self, tmp_path):
         text = "<a><b>x</b></a>"
-        want = parse_xml(text)
-        assert parse_xml_stream(io.BytesIO(text.encode())) == want
-        assert parse_xml_stream(io.StringIO(text)) == want
+        want = element("a", element("b", text_node("x")))
+        assert parse_pieces(io.BytesIO(text.encode()), chunk_bytes=4) == want
+        assert parse_pieces(io.StringIO(text), chunk_bytes=4) == want
         path = tmp_path / "doc.xml"
         path.write_text(text)
-        assert parse_xml_stream(path) == want
+        assert parse_pieces(path, chunk_bytes=4) == want
 
     @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed_raises_parse_error(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^XML error at line 1, column"):
             parse_xml(text)
-        with pytest.raises(ParseError):
-            parse_xml_stream(text)
+        with pytest.raises(ParseError, match="^XML error at line 1, column"):
+            parse_pieces(list(text))
 
     def test_attributes_rejected_unless_ignored(self):
-        with pytest.raises(ParseError):
-            parse_xml_stream("<a x='1'/>")
-        assert parse_xml_stream("<a x='1'/>", ignore_attributes=True) == UTree("a")
+        with pytest.raises(ParseError, match="attributes on <a>"):
+            parse_xml("<a x='1'/>")
+        assert parse_xml("<a x='1'/>", ignore_attributes=True) == UTree("a")
 
     def test_xmlflip_corpus_equivalence(self):
         documents = [xmlflip_document(n % 5, (3 * n + 1) % 6) for n in range(25)]
         for document in documents:
             for indent in (2, None):
                 text = serialize_xml(document, indent=indent)
-                assert parse_xml_stream(text) == parse_xml(text) == document
+                assert parse_xml(text) == document
+                assert parse_pieces([text[:7], text[7:]]) == document
+
+
+class TestTextDecoding:
+    LATIN1_STREAM = (
+        '<?xml version="1.0" encoding="ISO-8859-1"?><b><a>é</a></b>'
+    )
+
+    def test_text_is_decoded_once(self):
+        (document,) = iter_stream_documents(self.LATIN1_STREAM)
+        assert document == element("a", text_node("é"))
+
+    def test_bytes_honour_the_declared_encoding(self):
+        data = self.LATIN1_STREAM.encode("latin-1")
+        (document,) = iter_stream_documents(data)
+        assert document == element("a", text_node("é"))
+
+    def test_lone_surrogate_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="lone surrogate U[+]D800"):
+            list(iter_stream_documents(["<b><a>x", "\ud800</a></b>"]))
 
 
 class TestForestStreaming:
@@ -171,7 +214,7 @@ class TestForestStreaming:
 
     def test_deep_single_document_stream(self):
         depth = 100_000
-        document = parse_xml_stream(["<d>" * depth, "</d>" * depth])
+        document = parse_pieces(["<d>" * depth, "</d>" * depth])
         assert max(level for _n, level in walk(document)) == depth
 
 

@@ -2,9 +2,11 @@
 hot reload (including mid-stream), and graceful shutdown."""
 
 import json
+import shutil
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +16,18 @@ from repro.errors import (
     OverloadedError,
     ParseError,
     RemoteError,
+    ReproError,
     ServiceError,
     UndefinedTransductionError,
 )
 from repro.server import ServerClient, ServerThread
 from repro.workloads.flip import flip_input, flip_transducer
+from repro.workloads.library import library_document
 from repro.workloads.xmlflip import transform_xmlflip, xmlflip_document
 from repro.xml.xmlio import serialize_xml
+
+
+MODELS_DIR = Path(__file__).resolve().parents[2] / "models"
 
 
 @pytest.fixture
@@ -425,3 +432,101 @@ class TestLargeAndDeepDocuments:
             assert "recursion limit" in str(caught.value)
             # The connection survived the failure.
             assert active.health()["status"] == "serving"
+
+
+@pytest.fixture(scope="module")
+def library_server(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("library-model")
+    shutil.copy(MODELS_DIR / "library@1.json", directory)
+    with ServerThread(directory) as handle:
+        yield handle
+
+
+def _book(author="ada", title="T", attributes=""):
+    return (
+        f"<LIBRARY><BOOK{attributes}><AUTHOR>{author}</AUTHOR>"
+        f"<TITLE>{title}</TITLE><YEAR>1999</YEAR></BOOK></LIBRARY>"
+    )
+
+
+#: ``(prolog, document element, parses)``: the document classes on which
+#: two XML readers once disagreed.  A stream body puts the prolog before
+#: its wrapper element.
+READER_PARITY_CASES = {
+    "crlf": ("", _book(author="x\r\ny"), True),
+    "cdata": ("", _book(title="<![CDATA[<T> & U]]>"), True),
+    "internal-entity": (
+        '<!DOCTYPE LIBRARY [<!ENTITY who "ada">]>',
+        _book(author="&who;"),
+        True,
+    ),
+    "spaced-attribute": ("", _book(attributes=' x = "1"'), True),
+    "bom": ("\ufeff", _book(), True),
+    "digit-name": ("", _book(title="<1a/>"), False),
+    "nul-reference": ("", _book(author="&#0;"), False),
+    "raw-control": ("", _book(author="\x01"), False),
+    "cdata-end-in-text": ("", _book(author="]]>"), False),
+    "duplicate-attribute": ("", _book(attributes=' x="1" x="2"'), False),
+}
+
+
+class TestOneXmlReader:
+    @staticmethod
+    def _outcome(call):
+        try:
+            result = call()
+        except ReproError as error:
+            return type(error).__name__
+        return result if isinstance(result, str) else type(result).__name__
+
+    @pytest.mark.parametrize("case", sorted(READER_PARITY_CASES))
+    def test_transform_and_transform_stream_agree(self, library_server, case):
+        prolog, document, parses = READER_PARITY_CASES[case]
+        body = f"{prolog}<batch>{document}</batch>"
+        with ServerClient(library_server.host, library_server.port) as client:
+            alone = self._outcome(
+                lambda: client.transform("library", prolog + document)
+            )
+            streamed = self._outcome(
+                lambda: client.transform_stream("library", body)[0]
+            )
+        assert alone == streamed
+        if parses:
+            assert alone.startswith("<LIBRARY>")
+        else:
+            assert alone == "ParseError"
+
+    def test_crlf_is_normalized(self, library_server):
+        prolog, document, _parses = READER_PARITY_CASES["crlf"]
+        with ServerClient(library_server.host, library_server.port) as client:
+            out = client.transform("library", document)
+        assert "<AUTHOR>x\ny</AUTHOR>" in out
+
+    def test_lone_surrogate_gets_a_parse_error_and_the_connection_stays(
+        self, library_server
+    ):
+        good = serialize_xml(library_document(1))
+        hostile = good.replace("author1", "\ud800")
+        responses = []
+        with socket.create_connection(
+            (library_server.host, library_server.port)
+        ) as raw:
+            handle = raw.makefile("rwb")
+            for request_id, document in enumerate((hostile, good)):
+                # json.dumps escapes the surrogate as \ud800 on the wire.
+                line = json.dumps(
+                    {
+                        "op": "transform",
+                        "model": "library",
+                        "document": document,
+                        "id": request_id,
+                    }
+                )
+                handle.write(line.encode() + b"\n")
+                handle.flush()
+                responses.append(json.loads(handle.readline()))
+        assert responses[0]["ok"] is False
+        assert responses[0]["error"]["type"] == "ParseError"
+        assert "surrogate U+D800" in responses[0]["error"]["message"]
+        assert responses[1]["ok"] is True
+        assert "author1" in responses[1]["document"]

@@ -45,6 +45,28 @@ class TestParsing:
             "a", element("b")
         )
 
+    def test_cdata_and_line_ends(self):
+        assert parse_xml("<a>x\r\ny <![CDATA[<&>]]></a>") == element(
+            "a", text("x\ny <&>")
+        )
+
+    def test_text_is_read_as_text_and_bytes_by_their_declaration(self):
+        declared = '<?xml version="1.0" encoding="ISO-8859-1"?><a>é</a>'
+        assert parse_xml(declared) == element("a", text("é"))
+        assert parse_xml(declared.encode("latin-1")) == element("a", text("é"))
+        assert parse_xml("<a>é</a>".encode()) == element("a", text("é"))
+
+    def test_lone_surrogate_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="lone surrogate U[+]D800"):
+            parse_xml("<a>\ud800</a>")
+
+    def test_deep_documents_parse(self):
+        depth = 100_000
+        document = parse_xml("<d>" * depth + "</d>" * depth)
+        for _ in range(depth - 1):
+            (document,) = document.children
+        assert document == element("d")
+
     def test_errors(self):
         for bad in ["<a>", "<a></b>", "<a><b></a></b>", "<a/><b/>", "junk"]:
             with pytest.raises(ParseError):
