@@ -98,8 +98,8 @@ def _load_examples(directory: Path) -> List[Tuple[UTree, UTree]]:
             raise ReproError(f"missing output document for {input_path.name}")
         pairs.append(
             (
-                parse_xml(input_path.read_text(), ignore_attributes=True),
-                parse_xml(output_path.read_text(), ignore_attributes=True),
+                parse_xml(input_path.read_bytes(), ignore_attributes=True),
+                parse_xml(output_path.read_bytes(), ignore_attributes=True),
             )
         )
     if not pairs:
@@ -378,7 +378,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         # Single-document mode: errors raise via main().
         trace = new_trace() if args.trace else NULL_TRACE
         with trace.span("decode", format=doc_format):
-            document = codec.parse(paths[0].read_text())
+            document = codec.parse(paths[0].read_bytes())
         (result,) = transformation.apply_batch([document], trace=trace)
         if isinstance(result, Exception):
             raise result
@@ -400,9 +400,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     outcomes: List[object] = [None] * len(paths)
     for index, path in enumerate(paths):
         try:
-            documents.append(codec.parse(path.read_text()))
-        except (OSError, ValueError, ReproError) as error:
-            # ValueError covers UnicodeDecodeError on non-UTF-8 files.
+            documents.append(codec.parse(path.read_bytes()))
+        except (OSError, ReproError) as error:
             outcomes[index] = error
             documents.append(None)
         except RecursionError:

@@ -6,8 +6,8 @@ the same learned DTOPs.  This package is the JSON sibling of
 :mod:`repro.xml`:
 
 * :mod:`repro.json.jsonio` — strict reader/writer for the modeled JSON
-  subset, with offset-carrying parse errors and an incremental
-  JSON-lines stream parser;
+  subset on the stdlib :mod:`json` scanner and encoder, with
+  line/column parse errors and an incremental JSON-lines stream parser;
 * :mod:`repro.json.encode` — the schema-less ranked encoding (cons-list
   containers, key-labeled members, abstracted scalar values with a
   side table for rehydration);

@@ -1,422 +1,227 @@
 """A strict JSON reader/writer for the modeled document subset.
 
-The modeled values are objects, arrays, strings, finite numbers, and the
-three literals — exactly RFC 8259, minus the parts a ranked encoding
-cannot represent faithfully:
+Both directions run on the standard library's :mod:`json` scanner and
+encoder.  The modeled values are RFC 8259 minus what a ranked encoding
+cannot represent faithfully, so the reader also refuses duplicate keys
+(one would silently drop a value), ``NaN``, ``Infinity``, numbers that
+overflow (``1e400``), integers too long for ``int``, lone surrogates,
+raw or escaped (``"\\ud800"``), and nesting past :data:`DEFAULT_MAX_DEPTH`,
+found on the text before the recursive scanner could overflow.
 
-* duplicate object keys are rejected (the encoding keys members by
-  name, so a duplicate would silently drop a value);
-* nesting deeper than ``max_depth`` is rejected with a clear error
-  instead of a :class:`RecursionError` from deep inside the parser;
-* non-finite numbers (``NaN``/``Infinity`` — not JSON anyway) never
-  parse and never serialize.
-
-Every syntax error is a :class:`~repro.errors.ParseError` carrying the
-byte offset of the offending character, mirroring
-:mod:`repro.xml.xmlio`.  The writer is deterministic: object members
-keep their insertion order, numbers render via ``repr`` (round-trips
-exactly), and the output is a single line — which is what makes the
-JSON-lines protocol of :class:`JsonLinesParser` self-framing.
+Every refusal is a :class:`~repro.errors.ParseError` reading ``JSON
+error at line L, column C: reason`` (counting from 1; in a JSON-lines
+stream, L is the stream's line), mirroring :mod:`repro.xml.xmlio`.  The
+writer is deterministic: insertion order, ``repr`` numbers, and one
+line — which makes the protocol of :class:`JsonLinesParser` self-framing.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import List, Optional, Union
+import re
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import EncodingError, ParseError
 
 #: Nesting cap: parse errors beat RecursionErrors from a hostile body.
 DEFAULT_MAX_DEPTH = 200
 
-_WHITESPACE = " \t\n\r"
-_ESCAPES = {
-    '"': '"',
-    "\\": "\\",
-    "/": "/",
-    "b": "\b",
-    "f": "\f",
-    "n": "\n",
-    "r": "\r",
-    "t": "\t",
-}
-_REVERSE_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
 JsonValue = Union[dict, list, str, int, float, bool, None]
 
+_TOO_DEEP = f"nesting depth exceeds the modeled maximum of {DEFAULT_MAX_DEPTH}"
 
-class _JsonParser:
-    def __init__(self, source: str, max_depth: int):
-        self.source = source
-        self.pos = 0
-        self.max_depth = max_depth
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(f"JSON error at offset {self.pos}: {message}")
-
-    def skip_whitespace(self) -> None:
-        while (
-            self.pos < len(self.source)
-            and self.source[self.pos] in _WHITESPACE
-        ):
-            self.pos += 1
-
-    def parse_value(self, depth: int) -> JsonValue:
-        if depth > self.max_depth:
-            raise self.error(
-                f"nesting depth exceeds the modeled maximum of "
-                f"{self.max_depth}"
-            )
-        self.skip_whitespace()
-        if self.pos >= len(self.source):
-            raise self.error("unexpected end of input, expected a value")
-        ch = self.source[self.pos]
-        if ch == "{":
-            return self.parse_object(depth)
-        if ch == "[":
-            return self.parse_array(depth)
-        if ch == '"':
-            return self.parse_string()
-        if ch == "-" or ch.isdigit():
-            return self.parse_number()
-        for literal, value in (("true", True), ("false", False), ("null", None)):
-            if self.source.startswith(literal, self.pos):
-                self.pos += len(literal)
-                return value
-        raise self.error(f"unexpected character {ch!r}")
-
-    def parse_object(self, depth: int) -> dict:
-        start = self.pos
-        self.pos += 1  # consume '{'
-        result: dict = {}
-        self.skip_whitespace()
-        if self.pos < len(self.source) and self.source[self.pos] == "}":
-            self.pos += 1
-            return result
-        while True:
-            self.skip_whitespace()
-            if self.pos >= len(self.source):
-                self.pos = start
-                raise self.error("unterminated object")
-            if self.source[self.pos] != '"':
-                raise self.error("object keys must be strings")
-            key_offset = self.pos
-            key = self.parse_string()
-            if key in result:
-                self.pos = key_offset
-                raise self.error(f"duplicate object key {key!r}")
-            self.skip_whitespace()
-            if self.pos >= len(self.source) or self.source[self.pos] != ":":
-                raise self.error("expected ':' after an object key")
-            self.pos += 1
-            result[key] = self.parse_value(depth + 1)
-            self.skip_whitespace()
-            if self.pos >= len(self.source):
-                self.pos = start
-                raise self.error("unterminated object")
-            if self.source[self.pos] == ",":
-                self.pos += 1
-                continue
-            if self.source[self.pos] == "}":
-                self.pos += 1
-                return result
-            raise self.error("expected ',' or '}' in an object")
-
-    def parse_array(self, depth: int) -> list:
-        start = self.pos
-        self.pos += 1  # consume '['
-        result: list = []
-        self.skip_whitespace()
-        if self.pos < len(self.source) and self.source[self.pos] == "]":
-            self.pos += 1
-            return result
-        while True:
-            result.append(self.parse_value(depth + 1))
-            self.skip_whitespace()
-            if self.pos >= len(self.source):
-                self.pos = start
-                raise self.error("unterminated array")
-            if self.source[self.pos] == ",":
-                self.pos += 1
-                continue
-            if self.source[self.pos] == "]":
-                self.pos += 1
-                return result
-            raise self.error("expected ',' or ']' in an array")
-
-    def parse_string(self) -> str:
-        self.pos += 1  # consume '"'
-        out: List[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise self.error("unterminated string")
-            ch = self.source[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                out.append(self.parse_escape())
-                continue
-            if ord(ch) < 0x20:
-                raise self.error(
-                    f"raw control character U+{ord(ch):04X} in a string"
-                )
-            out.append(ch)
-            self.pos += 1
-
-    def parse_escape(self) -> str:
-        escape_offset = self.pos
-        self.pos += 1  # consume '\'
-        if self.pos >= len(self.source):
-            raise self.error("unterminated escape sequence")
-        ch = self.source[self.pos]
-        if ch in _ESCAPES:
-            self.pos += 1
-            return _ESCAPES[ch]
-        if ch != "u":
-            self.pos = escape_offset
-            raise self.error(f"unknown escape sequence \\{ch}")
-        code = self._hex4(escape_offset)
-        if 0xD800 <= code <= 0xDBFF:
-            # High surrogate: a low surrogate escape must follow.
-            if not self.source.startswith("\\u", self.pos):
-                self.pos = escape_offset
-                raise self.error(
-                    f"unpaired high surrogate \\u{code:04X}"
-                )
-            low_offset = self.pos
-            self.pos += 1
-            low = self._hex4(low_offset)
-            if not 0xDC00 <= low <= 0xDFFF:
-                self.pos = escape_offset
-                raise self.error(
-                    f"high surrogate \\u{code:04X} followed by "
-                    f"\\u{low:04X}, not a low surrogate"
-                )
-            return chr(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
-        if 0xDC00 <= code <= 0xDFFF:
-            self.pos = escape_offset
-            raise self.error(f"unpaired low surrogate \\u{code:04X}")
-        return chr(code)
-
-    def _hex4(self, escape_offset: int) -> int:
-        self.pos += 1  # consume 'u'
-        digits = self.source[self.pos : self.pos + 4]
-        if len(digits) != 4 or any(
-            d not in "0123456789abcdefABCDEF" for d in digits
-        ):
-            self.pos = escape_offset
-            raise self.error(
-                f"\\u escape needs four hex digits, found {digits!r}"
-            )
-        self.pos += 4
-        return int(digits, 16)
-
-    def parse_number(self) -> Union[int, float]:
-        start = self.pos
-        source = self.source
-        if self.pos < len(source) and source[self.pos] == "-":
-            self.pos += 1
-        digits_start = self.pos
-        while self.pos < len(source) and source[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits_start:
-            self.pos = start
-            raise self.error("malformed number")
-        if (
-            source[digits_start] == "0"
-            and self.pos > digits_start + 1
-        ):
-            self.pos = start
-            raise self.error("numbers may not have leading zeros")
-        is_float = False
-        if self.pos < len(source) and source[self.pos] == ".":
-            is_float = True
-            self.pos += 1
-            fraction_start = self.pos
-            while self.pos < len(source) and source[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == fraction_start:
-                self.pos = start
-                raise self.error("number fraction needs digits")
-        if self.pos < len(source) and source[self.pos] in "eE":
-            is_float = True
-            self.pos += 1
-            if self.pos < len(source) and source[self.pos] in "+-":
-                self.pos += 1
-            exponent_start = self.pos
-            while self.pos < len(source) and source[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == exponent_start:
-                self.pos = start
-                raise self.error("number exponent needs digits")
-        text = source[start : self.pos]
-        if not is_float:
-            return int(text)
-        value = float(text)
-        if not math.isfinite(value):
-            self.pos = start
-            raise self.error(f"number {text!r} overflows to infinity")
-        return value
+_SURROGATE = re.compile("[\ud800-\udfff]")
+#: A raw surrogate, or a ``\u`` escape that may name one.
+_SUSPECT = re.compile("[\ud800-\udfff]|\\\\u[dD][89a-fA-F]")
+_TOKEN = re.compile(
+    r'"(?:[^"\\]|\\.)*"|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
+    r"|NaN|-?Infinity|true|false|null|[{}\[\],:]"
+)
 
 
-def parse_json(
-    source: Union[str, bytes], max_depth: int = DEFAULT_MAX_DEPTH
-) -> JsonValue:
+def _error(text: str, position: int, reason: str, line: int) -> ParseError:
+    line += text.count("\n", 0, position)
+    column = position - text.rfind("\n", 0, position)
+    return ParseError(f"JSON error at line {line}, column {column}: {reason}")
+
+
+# Hooks refuse with a bare ValueError, as int() does an overlong integer;
+# _refusal then finds the token and says what is wrong with it.
+def _object(pairs):
+    value = dict(pairs)
+    if len(value) != len(pairs):
+        raise ValueError
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)  # also "NaN", "Infinity" and "-Infinity"
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=_object, parse_float=_finite, parse_constant=_finite
+)
+
+
+def _refusal(text: str) -> Optional[Tuple[int, str]]:
+    """``(position, reason)`` of the first token, in text order, outside
+    the modeled subset; None if there is none before the first syntax
+    error, which the decoder reports."""
+    containers: List[Optional[set]] = []  # per open one: an object's keys
+    key_next = False
+    for match in _TOKEN.finditer(text):
+        token, at = match.group(), match.start()
+        head = token[0]
+        if head in "]}":
+            del containers[-1:]  # unbalanced text is the decoder's to report
+            key_next = False
+            continue
+        if head in ",:":
+            key_next = head == "," and bool(containers) and containers[-1] is not None
+            continue
+        is_key, key_next = key_next and head == '"', False
+        if not is_key and len(containers) > DEFAULT_MAX_DEPTH:
+            return at, _TOO_DEEP
+        if head in "[{":
+            containers.append(set() if head == "{" else None)
+            key_next = head == "{"
+        elif head == '"':
+            try:
+                string = json.loads(token)
+            except ValueError:
+                return None
+            surrogate = _SURROGATE.search(string)
+            if surrogate:
+                code = ord(surrogate.group())
+                return at, f"lone surrogate U+{code:04X} is not a character"
+            if is_key and string in containers[-1]:
+                return at, f"duplicate object key {string!r}"
+            if is_key:
+                containers[-1].add(string)
+        elif token in ("NaN", "Infinity", "-Infinity"):
+            return at, f"non-finite number {token} is outside the modeled JSON subset"
+        elif any(mark in token for mark in ".eE") and token[-1].isdigit():
+            if math.isinf(float(token)):
+                return at, f"number {token!r} overflows to infinity"
+        elif token[-1].isdigit():
+            try:
+                int(token)
+            except ValueError:
+                digits = len(token.lstrip("-"))
+                return at, f"integer of {digits} digits is too long to convert"
+    return None
+
+
+def _parse(text: Union[str, bytes], line: int) -> JsonValue:
+    """One document whose first line is line ``line`` of its input."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as error:
+            prefix = text[: error.start].decode("utf-8")
+            raise _error(prefix, len(prefix), "invalid UTF-8", line) from None
+    # Surrogates and deep nesting are found on the text, the rest by hooks.
+    refusal = None
+    if _SUSPECT.search(text) or text.count("[") + text.count("{") > DEFAULT_MAX_DEPTH:
+        refusal = _refusal(text)
+    if refusal is None:
+        try:
+            return _DECODER.decode(text)
+        except json.JSONDecodeError as error:
+            # Some messages end "... at" before the position json appends.
+            reason = error.msg[:-3] if error.msg.endswith(" at") else error.msg
+            raise _error(text, error.pos, reason, line) from None
+        except ValueError:
+            refusal = _refusal(text)
+    raise _error(text, *refusal, line)
+
+
+def parse_json(source: Union[str, bytes]) -> JsonValue:
     """Parse one JSON document from the modeled subset.
 
     >>> parse_json('{"a": [1, true, null]}')
     {'a': [1, True, None]}
     """
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise ParseError(
-                f"JSON error at offset {error.start}: invalid UTF-8"
-            ) from None
-    parser = _JsonParser(source, max_depth)
-    value = parser.parse_value(0)
-    parser.skip_whitespace()
-    if parser.pos != len(source):
-        raise parser.error("trailing content after the document")
-    return value
+    return _parse(source, 1)
 
 
-def _serialize_string(value: str) -> str:
-    out: List[str] = ['"']
-    for ch in value:
-        if ch in _REVERSE_ESCAPES:
-            out.append(_REVERSE_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+_ENCODER = json.JSONEncoder(
+    ensure_ascii=False, separators=(", ", ": "), allow_nan=False, check_circular=False
+)
+#: Types that need no check (the walk skips the call for them).
+_PLAIN = {str, int, bool, type(None)}
 
 
-def serialize_json(value: JsonValue) -> str:
-    """Render a modeled value as a single-line JSON document.
-
-    Deterministic (insertion order, ``repr`` floats) and iterative over
-    container members, so the output is byte-stable across the local and
-    served paths.
-    """
-    out: List[str] = []
-    _render(value, out)
-    return "".join(out)
-
-
-def _render(value: JsonValue, out: List[str]) -> None:
-    if value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, str):
-        out.append(_serialize_string(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise EncodingError(
-                f"non-finite number {value!r} is outside the modeled "
-                f"JSON subset"
-            )
-        out.append(repr(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for index, (key, member) in enumerate(value.items()):
+def _check(value: JsonValue) -> None:
+    """Refuse non-string keys, non-finite numbers and other types, in order."""
+    if isinstance(value, dict):
+        for key, member in value.items():
             if not isinstance(key, str):
-                raise EncodingError(
-                    f"object key {key!r} is not a string"
-                )
-            if index:
-                out.append(", ")
-            out.append(_serialize_string(key))
-            out.append(": ")
-            _render(member, out)
-        out.append("}")
+                raise EncodingError(f"object key {key!r} is not a string")
+            if type(member) not in _PLAIN:
+                _check(member)
     elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for index, item in enumerate(value):
-            if index:
-                out.append(", ")
-            _render(item, out)
-        out.append("]")
-    else:
+        for item in value:
+            if type(item) not in _PLAIN:
+                _check(item)
+    elif isinstance(value, float) and not math.isfinite(value):
         raise EncodingError(
-            f"value of type {type(value).__name__} is outside the "
-            f"modeled JSON subset"
+            f"non-finite number {value!r} is outside the modeled JSON subset"
+        )
+    elif not isinstance(value, (str, int, float, type(None))):
+        raise EncodingError(
+            f"value of type {type(value).__name__} is outside the modeled JSON subset"
         )
 
 
+def serialize_json(value: JsonValue) -> str:
+    """Render a modeled value as a single-line JSON document."""
+    _check(value)
+    try:
+        return _ENCODER.encode(value)
+    except ValueError as error:  # an int past the str-conversion limit
+        raise EncodingError(f"integer is too long to render: {error}") from None
+
+
 class JsonLinesParser:
-    """Incremental JSON-lines reader with the stream-parser contract.
+    """Incremental JSON-lines reader with the contract of
+    :class:`repro.xml.xmlio.StreamParser`: :meth:`feed` byte (or str)
+    fragments, drain completed documents with :meth:`ready`, finish with
+    :meth:`close`.  One document per line; blank lines are skipped."""
 
-    Mirrors :class:`repro.xml.xmlio.StreamParser`: feed byte (or
-    str) fragments with :meth:`feed`, drain completed documents with
-    :meth:`ready`, finish with :meth:`close`.  One document per
-    newline-terminated line; blank lines are skipped; a final line
-    without a trailing newline completes at :meth:`close`.
-    """
-
-    def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
-        self.max_depth = max_depth
-        self._buffer = b""
+    def __init__(self):
+        self._partial: List[bytes] = []  # the unterminated line so far
         self._ready: List[JsonValue] = []
         self._closed = False
         self._documents = 0
-        self._offset = 0  # bytes consumed before the current buffer
+        self._lines = 0  # lines of the stream read so far
 
     def _parse_line(self, line: bytes) -> None:
-        if not line.strip():
-            return
-        try:
-            self._ready.append(parse_json(line, max_depth=self.max_depth))
-        except ParseError as error:
-            raise ParseError(
-                f"JSON stream error in document "
-                f"{self._documents + len(self._ready) + 1} "
-                f"(near byte {self._offset}): {error}"
-            ) from None
-        except RecursionError:
-            raise ParseError(
-                f"JSON stream error in document "
-                f"{self._documents + len(self._ready) + 1}: nesting "
-                f"exceeded the recursion limit"
-            ) from None
+        self._lines += 1
+        if line.strip():
+            self._ready.append(_parse(line, self._lines))
 
     def feed(self, fragment: Union[str, bytes]) -> None:
         """Consume the next fragment of the stream."""
         if self._closed:
             raise ParseError("cannot feed a closed stream parser")
-        if isinstance(fragment, str):
-            fragment = fragment.encode("utf-8")
-        self._buffer += fragment
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline == -1:
-                return
-            line = self._buffer[:newline]
-            self._buffer = self._buffer[newline + 1 :]
-            self._offset += newline + 1
+        if isinstance(fragment, str):  # a lone surrogate stays refusable
+            fragment = fragment.encode("utf-8", "surrogatepass")
+        *lines, rest = fragment.split(b"\n")
+        if lines:
+            lines[0] = b"".join(self._partial) + lines[0]
+            self._partial = []
+        for line in lines:
             self._parse_line(line)
+        self._partial.append(rest)
 
     def ready(self) -> List[JsonValue]:
         """Documents completed since the last call (drains the buffer)."""
-        done = self._ready
-        self._ready = []
+        done, self._ready = self._ready, []
         self._documents += len(done)
         return done
 
@@ -424,8 +229,7 @@ class JsonLinesParser:
         """Signal end of stream; return the final completed documents."""
         if not self._closed:
             self._closed = True
-            tail, self._buffer = self._buffer, b""
-            self._parse_line(tail)
+            self._parse_line(b"".join(self._partial))
         return self.ready()
 
     @property
@@ -435,14 +239,9 @@ class JsonLinesParser:
 
 
 def iter_json_documents(source, chunk_bytes: Optional[int] = None):
-    """Yield the documents of a JSON-lines stream, incrementally.
-
-    Accepts the same sources as the XML stream readers (str, bytes,
-    path, file object, iterable of fragments); memory is bounded by the
-    largest single line.
-    """
+    """Yield the documents of a JSON-lines stream, incrementally, from any
+    source the XML stream readers take; memory is bounded by the longest
+    line."""
     from repro.serve.stream import DEFAULT_CHUNK_BYTES, iter_parsed
 
-    return iter_parsed(
-        JsonLinesParser(), source, chunk_bytes or DEFAULT_CHUNK_BYTES
-    )
+    return iter_parsed(JsonLinesParser(), source, chunk_bytes or DEFAULT_CHUNK_BYTES)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Callable, Dict, Hashable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Sequence, Tuple, Union
 
 from repro.errors import ParseError, TreeError
 
@@ -382,12 +382,19 @@ class _TermParser:
         return Tree(label, ())
 
 
-def parse_term(text: str) -> Tree:
+def parse_term(text: Union[str, bytes]) -> Tree:
     """Parse the paper's term syntax: ``parse_term("f(a, g(b))")``.
+
+    ``bytes`` are read as UTF-8.
 
     >>> parse_term("root(a(#,#), b)").size
     5
     """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ParseError(f"invalid UTF-8 at byte {error.start}") from None
     parser = _TermParser(text)
     result = parser.parse_tree()
     parser.skip_ws()

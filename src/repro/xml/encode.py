@@ -51,6 +51,7 @@ element name ``pcdata`` is reserved: text children carry that label.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AmbiguousContentModelError, DTDError, EncodingError
@@ -76,6 +77,8 @@ from repro.xml.unranked import PCDATA_LABEL, UTree
 HASH = Tree(HASH_LABEL, ())
 PCDATA_LEAF = Tree(PCDATA_SYMBOL, ())
 
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 #: The two abstract text-value constants used by ``abstract_values`` mode.
 VALUE_LABELS = ("v0", "v1")
 
@@ -94,8 +97,19 @@ def abstract_value_of(text: Optional[str]) -> str:
     counter digit (``title1`` vs ``title2``) land on different values,
     which is what example generators rely on to exhibit both values.
     """
-    data = (text or "").encode("utf-8")
-    return VALUE_LABELS[sum(data) & 1]
+    text = text or ""
+    _refuse_lone_surrogates(text)
+    return VALUE_LABELS[sum(text.encode("utf-8")) & 1]
+
+
+def _refuse_lone_surrogates(text: str) -> None:
+    """A text value holding a lone surrogate is an :class:`EncodingError`:
+    it is not a character, and no UTF-8 output could carry it."""
+    surrogate = _LONE_SURROGATE.search(text)
+    if surrogate:
+        raise EncodingError(
+            f"lone surrogate U+{ord(surrogate.group()):04X} is not a character"
+        )
 
 
 class _Node:
@@ -484,6 +498,7 @@ class DTDEncoder:
         texts.append(item.text)
         if self.abstract_values:
             return Tree(PCDATA_SYMBOL, (Tree(abstract_value_of(item.text), ()),))
+        _refuse_lone_surrogates(item.text or "")
         return PCDATA_LEAF
 
     def _encode_element(self, node: UTree, texts: List[str]) -> Tree:

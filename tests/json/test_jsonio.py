@@ -1,4 +1,6 @@
-"""The strict JSON reader/writer: offsets, hostile inputs, round-trips."""
+"""The strict JSON reader/writer: positions, hostile inputs, round-trips."""
+
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from repro.json.jsonio import (
 )
 
 
-def offset_of(error: ParseError) -> int:
+def position_of(error: ParseError) -> tuple:
+    """The ``(line, column)`` a parse error names."""
     message = str(error)
-    assert "offset" in message, message
-    return int(message.split("offset ")[1].split(":")[0])
+    assert message.startswith("JSON error at line "), message
+    line, column = message.split("line ")[1].split(":")[0].split(", column ")
+    return int(line), int(column)
 
 
 class TestParseBasics:
@@ -28,8 +32,10 @@ class TestParseBasics:
         assert parse_json(b'{"k": "caf\xc3\xa9"}') == {"k": "café"}
 
     def test_invalid_utf8_bytes(self):
-        with pytest.raises(ParseError, match="invalid UTF-8"):
-            parse_json(b'{"k": "\xff"}')
+        with pytest.raises(ParseError, match="invalid UTF-8") as caught:
+            parse_json(b'{"k":\n "caf\xc3\xa9\xff"}')
+        # Columns count characters, not bytes: the é is one.
+        assert position_of(caught.value) == (2, 7)
 
     def test_integers_stay_int_and_floats_float(self):
         value = parse_json("[0, -7, 1.5, 1e3, 0.0]")
@@ -44,57 +50,111 @@ class TestParseRejections:
     @pytest.mark.parametrize(
         "source, fragment",
         [
-            ("", "unexpected end of input"),
-            ("{", "unterminated object"),
-            ('{"a": 1', "unterminated object"),
-            ("[1, 2", "unterminated array"),
-            ('"abc', "unterminated string"),
-            ('{"a" 1}', "expected ':'"),
-            ("{1: 2}", "object keys must be strings"),
-            ("[1 2]", "expected ',' or ']'"),
-            ('{"a": 1 "b": 2}', "expected ',' or '}'"),
-            ("01", "leading zeros"),
-            ("1.", "fraction needs digits"),
-            ("1e", "exponent needs digits"),
-            ("-", "malformed number"),
-            ("1e999", "overflows to infinity"),
-            ("NaN", "unexpected character"),
-            ("Infinity", "unexpected character"),
-            ("{} {}", "trailing content"),
-            ("1 2", "trailing content"),
-            ('"\\x"', "unknown escape"),
-            ('"\\u12"', "four hex digits"),
-            ('"\\ud800"', "unpaired high surrogate"),
-            ('"\\udc00"', "unpaired low surrogate"),
-            ('"\\ud800\\u0041"', "not a low surrogate"),
-            ('"\x01"', "raw control character U+0001"),
+            ("", "1, column 1: Expecting value"),
+            ("{", "1, column 2: Expecting property name enclosed in double quotes"),
+            ('{"a": 1', "1, column 8: Expecting ',' delimiter"),
+            ("[1, 2", "1, column 6: Expecting ',' delimiter"),
+            ('"abc', "1, column 1: Unterminated string starting"),
+            ('{"a" 1}', "1, column 6: Expecting ':' delimiter"),
+            ("{1: 2}", "1, column 2: Expecting property name enclosed in double quotes"),
+            ("[1 2]", "1, column 4: Expecting ',' delimiter"),
+            ('{"a": 1 "b": 2}', "1, column 9: Expecting ',' delimiter"),
+            ("01", "1, column 2: Extra data"),
+            ("1.", "1, column 2: Extra data"),
+            ("1e", "1, column 2: Extra data"),
+            ("-", "1, column 1: Expecting value"),
+            ("1e999", "1, column 1: number '1e999' overflows to infinity"),
+            ("[0, -1e400]", "1, column 5: number '-1e400' overflows to infinity"),
+            ("NaN", "1, column 1: non-finite number NaN is outside the modeled"),
+            ("Infinity", "1, column 1: non-finite number Infinity is outside"),
+            ("[-Infinity]", "1, column 2: non-finite number -Infinity is outside"),
+            ("{} {}", "1, column 4: Extra data"),
+            ("1 2", "1, column 3: Extra data"),
+            ('"\\x"', "1, column 2: Invalid \\escape"),
+            ('"\\u12"', "1, column 3: Invalid \\uXXXX escape"),
+            ('"\\ud800"', "1, column 1: lone surrogate U+D800 is not a character"),
+            ('"\\udc00"', "1, column 1: lone surrogate U+DC00 is not a character"),
+            ('"\\ud800\\u0041"', "1, column 1: lone surrogate U+D800"),
+            ('["ok", "\\uD83D\\uDE00\\udbff"]', "1, column 8: lone surrogate U+DBFF"),
+            ('"\x01"', "1, column 2: Invalid control character"),
+            ('["\x00"]', "1, column 3: Invalid control character"),
+            ('{"k": "\ud800"}', "1, column 7: lone surrogate U+D800 is not a character"),
+            ("\ufeff{}", "1, column 1: Expecting value"),
+            # RFC 8259 digits are ASCII; str.isdigit would take these.
+            ("[\u0663]", "1, column 2: Expecting value"),
+            ("[\u00b2]", "1, column 2: Expecting value"),
         ],
     )
     def test_rejected_with_parse_error(self, source, fragment):
-        with pytest.raises(ParseError, match="JSON error at offset") as caught:
+        with pytest.raises(ParseError) as caught:
             parse_json(source)
-        assert fragment in str(caught.value)
+        assert str(caught.value).startswith("JSON error at line " + fragment)
+
+    def test_escaped_backslash_before_u_is_not_an_escape(self):
+        assert parse_json('"\\\\ud800"') == "\\ud800"
+        assert parse_json('["\\ud83d\\ude00"]') == ["\U0001f600"]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="integer conversion has no digit limit on this Python",
+    )
+    def test_overlong_integer_is_a_parse_error(self):
+        with pytest.raises(ParseError) as caught:
+            parse_json('{"user": ' + "9" * 5000 + "}")
+        assert str(caught.value) == (
+            "JSON error at line 1, column 10: integer of 5000 digits is too "
+            "long to convert"
+        )
+
+    def test_positions_count_lines_and_columns(self):
+        with pytest.raises(ParseError) as caught:
+            parse_json('{\n  "a": [1,\n    2,, 3]}')
+        assert position_of(caught.value) == (3, 7)
 
     def test_duplicate_key_offset_points_at_second_key(self):
         with pytest.raises(ParseError) as caught:
             parse_json('{"a": 1, "a": 2}')
         assert "duplicate object key 'a'" in str(caught.value)
-        assert offset_of(caught.value) == 9
+        assert position_of(caught.value) == (1, 10)
+
+    def test_first_duplicate_in_text_order_is_named(self):
+        # The scanner completes the inner object first; the error still
+        # names the duplicate that comes first in the text.
+        with pytest.raises(ParseError) as caught:
+            parse_json('{"a": 1, "a": {"b": 1, "b": 2}}')
+        assert "duplicate object key 'a'" in str(caught.value)
+        assert position_of(caught.value) == (1, 10)
+
+    def test_escaped_keys_are_the_same_key(self):
+        with pytest.raises(ParseError, match="duplicate object key 'a'"):
+            parse_json('{"a": 1, "\\u0061": 2}')
 
     def test_depth_cap_is_a_parse_error_not_a_recursion_error(self):
         hostile = "[" * 5000
         with pytest.raises(ParseError, match="nesting depth exceeds"):
             parse_json(hostile)
 
-    def test_depth_cap_is_configurable(self):
-        assert parse_json("[[[1]]]", max_depth=3) == [[[1]]]
+    def test_depth_cap_boundary(self):
+        # A value inside 200 containers is modeled, one inside 201 is not.
+        assert parse_json("[" * 200 + "1" + "]" * 200) is not None
+        assert parse_json("[" * 199 + '{"k": {}}' + "]" * 199) is not None
+        assert parse_json("[" * 200 + "{}" + "]" * 200) is not None
+        with pytest.raises(ParseError) as caught:
+            parse_json("[" * 201 + "1" + "]" * 201)
+        assert "nesting depth exceeds the modeled maximum of 200" in str(
+            caught.value
+        )
+        assert position_of(caught.value) == (1, 202)
         with pytest.raises(ParseError, match="nesting depth exceeds"):
-            parse_json("[[[1]]]", max_depth=2)
+            parse_json("[" * 199 + '{"k": {"j": 1}}' + "]" * 199)
 
-    def test_error_offsets_are_exact(self):
+    def test_brackets_inside_strings_do_not_nest(self):
+        assert parse_json('["' + "[" * 300 + '"]') == ["[" * 300]
+
+    def test_error_positions_are_exact(self):
         with pytest.raises(ParseError) as caught:
             parse_json('{"key": bad}')
-        assert offset_of(caught.value) == 8
+        assert position_of(caught.value) == (1, 9)
 
 
 class TestSerialize:
@@ -117,6 +177,14 @@ class TestSerialize:
         with pytest.raises(EncodingError, match="not a string"):
             serialize_json({1: "a"})
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="integer conversion has no digit limit on this Python",
+    )
+    def test_overlong_integer_rejected(self):
+        with pytest.raises(EncodingError, match="integer is too long to render"):
+            serialize_json([10**5000])
+
 
 json_values = st.recursive(
     st.none()
@@ -128,6 +196,26 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=20,
 )
+
+
+hostile_texts = st.lists(
+    st.sampled_from(
+        ["{", "}", "[", "]", ",", ":", '"', "\\", "u", "d8", "dc", "00", "1",
+         "-", ".", "e", " ", "\n", "true", "NaN", "\ud800", "[" * 300]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_texts)
+def test_any_text_is_a_value_or_a_parse_error(source):
+    """The pre-scan and the locator run on arbitrary text: they may only
+    ever answer a value or a ParseError, never crash or recurse."""
+    try:
+        parse_json(source)
+    except ParseError:
+        pass
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,12 +247,28 @@ class TestJsonLinesParser:
         with pytest.raises(ParseError, match="closed stream parser"):
             parser.feed(b"1\n")
 
-    def test_errors_carry_document_number(self):
+    def test_errors_carry_the_stream_line(self):
         parser = JsonLinesParser()
-        parser.feed(b"1\n2\n")
+        parser.feed(b"1\n\n2\n")
         parser.ready()
-        with pytest.raises(ParseError, match="document 3"):
-            parser.feed(b"{bad}\n")
+        with pytest.raises(ParseError) as caught:
+            parser.feed(b'[1]\n{"a": 1, "a": 2}\n')
+        assert str(caught.value) == (
+            "JSON error at line 5, column 10: duplicate object key 'a'"
+        )
+
+    def test_lone_surrogate_in_a_str_fragment_is_a_parse_error(self):
+        parser = JsonLinesParser()
+        with pytest.raises(ParseError, match="line 2, column 3: invalid UTF-8"):
+            parser.feed('1\n["\ud800"]\n')
+
+    def test_invalid_utf8_names_the_stream_line(self):
+        parser = JsonLinesParser()
+        with pytest.raises(ParseError) as caught:
+            parser.feed(b'1\n"ok"\n["\xed\xa0\x80"]\n')
+        assert str(caught.value) == (
+            "JSON error at line 3, column 3: invalid UTF-8"
+        )
 
     def test_split_across_tiny_fragments(self):
         parser = JsonLinesParser()

@@ -363,6 +363,66 @@ class TestSingleDocument:
         assert capsys.readouterr().out == f"{expected}\n"
 
 
+class TestDocumentBytes:
+    """Local documents are read as bytes: XML honours its encoding
+    declaration, JSON and terms are read as UTF-8."""
+
+    LATIN1_BOOK = (
+        '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+        "<LIBRARY><BOOK><AUTHOR>Ren\xe9</AUTHOR><TITLE>T</TITLE>"
+        "<YEAR>1999</YEAR></BOOK></LIBRARY>\n"
+    ).encode("latin-1")
+
+    def test_declared_encoding_matches_the_stream_path(self, tmp_path, capsys):
+        model = str(STOCK_MODELS / "library@1.json")
+        single = tmp_path / "book.xml"
+        single.write_bytes(self.LATIN1_BOOK)
+        assert main(["apply", "--transform", model, str(single)]) == 0
+        alone = capsys.readouterr().out
+        assert "<AUTHOR>René</AUTHOR>" in alone
+
+        stream = tmp_path / "batch.xml"
+        stream.write_bytes(
+            self.LATIN1_BOOK.replace(b"<LIBRARY>", b"<batch><LIBRARY>")
+            + b"</batch>"
+        )
+        out = tmp_path / "streamed"
+        argv = ["apply", "--transform", model, "--stream", str(stream)]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert (out / "doc000001.out.xml").read_text() == alone
+
+        batch = tmp_path / "docs"
+        batch.mkdir()
+        (batch / "book.xml").write_bytes(self.LATIN1_BOOK)
+        argv = ["apply", "--transform", model, "--batch-dir", str(batch)]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "book.out.xml").read_text() == alone
+
+    def test_invalid_utf8_term_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "doc.dtop"
+        path.write_bytes(b"f(a, \xff)")
+        model = str(STOCK_MODELS / "flip@1.json")
+        assert main(["apply", "--transform", model, str(path)]) == 2
+        assert capsys.readouterr().err == "error: invalid UTF-8 at byte 5\n"
+
+    def test_learn_reads_declared_encodings(self, workspace, capsys):
+        for path in (workspace / "examples").glob("*.xml"):
+            text = path.read_text()
+            declaration = '<?xml version="1.0" encoding="UTF-16"?>\n'
+            path.write_bytes((declaration + text).encode("utf-16"))
+        code = main(
+            [
+                "learn",
+                "--input-dtd", str(workspace / "in.dtd"),
+                "--output-dtd", str(workspace / "out.dtd"),
+                "--examples", str(workspace / "examples"),
+                "--compact-lists",
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert "learned" in capsys.readouterr().out
+
+
 class TestNoBackendFlag:
     """No subcommand takes ``--backend``: argparse refuses it."""
 

@@ -101,6 +101,11 @@ class TestTermSyntax:
             with pytest.raises(ParseError):
                 parse_term(bad)
 
+    def test_bytes_are_read_as_utf8(self):
+        assert parse_term('f("é", b)'.encode()) == parse_term('f("é", b)')
+        with pytest.raises(ParseError, match="invalid UTF-8 at byte 2"):
+            parse_term(b"f(\xe9)")
+
     def test_special_chars_in_plain_labels(self):
         # '#', '*', '+', '?', '|' are legal identifier characters here.
         assert parse_term("a*(#, #)").label == "a*"
