@@ -26,6 +26,7 @@ bounded by document *nesting*, never by array length.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -101,9 +102,13 @@ def json_alphabet(keys: Tuple[str, ...] = ()) -> RankedAlphabet:
 
 
 def _scalar_text(value: JsonValue) -> str:
-    """The canonical text a scalar is abstracted through."""
-    if isinstance(value, str):
-        return value
+    """The text :func:`serialize_json` renders a number as (``repr``,
+    where that is the text), or the writer's :class:`EncodingError`."""
+    try:
+        if isinstance(value, int) or math.isfinite(value):
+            return repr(value)
+    except ValueError:  # an int past the str-conversion limit
+        pass
     return serialize_json(value)
 
 

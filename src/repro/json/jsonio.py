@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import EncodingError, ParseError
@@ -34,10 +35,19 @@ _TOO_DEEP = f"nesting depth exceeds the modeled maximum of {DEFAULT_MAX_DEPTH}"
 _SURROGATE = re.compile("[\ud800-\udfff]")
 #: A raw surrogate, or a ``\u`` escape that may name one.
 _SUSPECT = re.compile("[\ud800-\udfff]|\\\\u[dD][89a-fA-F]")
+#: Escaped surrogate pairs, dropped before the search for a lone one; an
+#: escaped backslash is dropped too, so the scan keeps to escape bounds.
+_PAIR = re.compile(r"\\\\|\\u[dD][89abAB]..\\u[dD][c-fC-F]..")
+#: A string that does not close matches the last alternative, a lone
+#: ``"``, so the scan stops there instead of retrying from every later one.
 _TOKEN = re.compile(
-    r'"(?:[^"\\]|\\.)*"|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
-    r"|NaN|-?Infinity|true|false|null|[{}\[\],:]"
+    r'"[^"\\]*(?:\\.[^"\\]*)*"|-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
+    r'|NaN|-?Infinity|true|false|null|[{}\[\],:]|"'
 )
+#: What the depth scan drops: strings (an unclosed one runs to the end)
+#: and runs of other characters, leaving the brackets.
+_NOT_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)|[^][{}"]+', re.DOTALL)
+_DEPTH = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def _error(text: str, position: int, reason: str, line: int) -> ParseError:
@@ -116,6 +126,17 @@ def _refusal(text: str) -> Optional[Tuple[int, str]]:
     return None
 
 
+def _too_deep(text: str) -> bool:
+    """Whether brackets outside strings may nest past the cap: a linear
+    over-estimate (an empty innermost container, invalid text) that
+    :func:`_refusal` settles."""
+    if text.count("[") + text.count("{") <= DEFAULT_MAX_DEPTH:
+        return False
+    brackets = _NOT_BRACKET.sub("", text)
+    depths = accumulate(map(_DEPTH.__getitem__, brackets))
+    return max(depths, default=0) > DEFAULT_MAX_DEPTH
+
+
 def _parse(text: Union[str, bytes], line: int) -> JsonValue:
     """One document whose first line is line ``line`` of its input."""
     if isinstance(text, bytes):
@@ -126,7 +147,7 @@ def _parse(text: Union[str, bytes], line: int) -> JsonValue:
             raise _error(prefix, len(prefix), "invalid UTF-8", line) from None
     # Surrogates and deep nesting are found on the text, the rest by hooks.
     refusal = None
-    if _SUSPECT.search(text) or text.count("[") + text.count("{") > DEFAULT_MAX_DEPTH:
+    if _SUSPECT.search(_PAIR.sub("", text)) or _too_deep(text):
         refusal = _refusal(text)
     if refusal is None:
         try:

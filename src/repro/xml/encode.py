@@ -51,7 +51,6 @@ element name ``pcdata`` is reserved: text children carry that label.
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AmbiguousContentModelError, DTDError, EncodingError
@@ -77,8 +76,6 @@ from repro.xml.unranked import PCDATA_LABEL, UTree
 HASH = Tree(HASH_LABEL, ())
 PCDATA_LEAF = Tree(PCDATA_SYMBOL, ())
 
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
-
 #: The two abstract text-value constants used by ``abstract_values`` mode.
 VALUE_LABELS = ("v0", "v1")
 
@@ -97,19 +94,17 @@ def abstract_value_of(text: Optional[str]) -> str:
     counter digit (``title1`` vs ``title2``) land on different values,
     which is what example generators rely on to exhibit both values.
     """
-    text = text or ""
-    _refuse_lone_surrogates(text)
-    return VALUE_LABELS[sum(text.encode("utf-8")) & 1]
+    return VALUE_LABELS[sum(_utf8(text or "")) & 1]
 
 
-def _refuse_lone_surrogates(text: str) -> None:
-    """A text value holding a lone surrogate is an :class:`EncodingError`:
+def _utf8(text: str) -> bytes:
+    """``text`` in UTF-8.  A lone surrogate is an :class:`EncodingError`:
     it is not a character, and no UTF-8 output could carry it."""
-    surrogate = _LONE_SURROGATE.search(text)
-    if surrogate:
-        raise EncodingError(
-            f"lone surrogate U+{ord(surrogate.group()):04X} is not a character"
-        )
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        code = ord(error.object[error.start])
+        raise EncodingError(f"lone surrogate U+{code:04X} is not a character") from None
 
 
 class _Node:
@@ -498,7 +493,7 @@ class DTDEncoder:
         texts.append(item.text)
         if self.abstract_values:
             return Tree(PCDATA_SYMBOL, (Tree(abstract_value_of(item.text), ()),))
-        _refuse_lone_surrogates(item.text or "")
+        _utf8(item.text or "")  # refuses a lone surrogate
         return PCDATA_LEAF
 
     def _encode_element(self, node: UTree, texts: List[str]) -> Tree:

@@ -38,7 +38,8 @@ VALUES_PER_SEED = 300
 
 #: Fragments a mutation inserts: JSON punctuation, escapes (paired,
 #: lone and broken surrogates), literals, non-finite numbers, control
-#: and non-ASCII characters, a BOM, and a raw lone surrogate.
+#: and non-ASCII characters, a BOM, a raw lone surrogate, and runs of
+#: brackets past the nesting cap.
 FRAGMENTS = [
     '"', "\\", "{", "}", "[", "]", ",", ":", " ", "\n", "\t", "\r",
     "0", "1", "9", "-", "+", ".", "e", "E", "00", "1.5e3", "-0",
@@ -48,6 +49,7 @@ FRAGMENTS = [
     "\\ud83d\\ude00", "\\ud800", "\\udc00", "\\ud800\\u0041", "\\uD800",
     "\\\\ud800", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600",
     "\ufeff", "\ud800", '"k": 1, ', '{"a": 1, "a": 2}', "[" * 3,
+    "[" * 201, "]" * 201, '{"k": ' * 100,
 ]
 
 

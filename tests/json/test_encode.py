@@ -1,5 +1,7 @@
 """The ranked JSON encoding: structure, round-trips, validation."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from repro.json.encode import (
     json_alphabet,
     member_label,
 )
+from repro.json.jsonio import serialize_json
 from repro.trees.tree import Tree
 from repro.xml.encode import VALUE_LABELS, abstract_value_of
 
@@ -45,6 +48,21 @@ class TestEncodeStructure:
             "str", term(abstract_value_of("hi"))
         )
         assert encoder.encode(7) == term("num", term(abstract_value_of("7")))
+
+    @pytest.mark.parametrize(
+        "number", [0, -7, 10**30, 0.0, -0.0, 5e-324, 1.5, 1e16, 1e-7, 1e300]
+    )
+    def test_numbers_abstract_through_their_rendered_text(self, number):
+        text = serialize_json(number)
+        assert JsonEncoder().encode(number) == term("num", term(abstract_value_of(text)))
+
+    def test_unrenderable_numbers_are_encoding_errors(self):
+        numbers = [float("nan"), float("-inf")]
+        if hasattr(sys, "get_int_max_str_digits"):
+            numbers.append(10**5000)
+        for number in numbers:
+            with pytest.raises(EncodingError):
+                JsonEncoder().encode({"n": [number]})
 
     def test_bool_is_not_encoded_as_number(self):
         # bool is an int subclass; True must become the true constant.

@@ -1,6 +1,7 @@
 """The strict JSON reader/writer: positions, hostile inputs, round-trips."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,14 @@ class TestParseRejections:
         assert parse_json('"\\\\ud800"') == "\\ud800"
         assert parse_json('["\\ud83d\\ude00"]') == ["\U0001f600"]
 
+    def test_escaped_backslash_does_not_hide_a_lone_surrogate(self):
+        # The text after an escaped backslash looks like a pair's half.
+        with pytest.raises(ParseError, match="column 1: lone surrogate U[+]DC00"):
+            parse_json(r'"\\uD800\uDC00"')
+        with pytest.raises(ParseError, match="column 1: lone surrogate U[+]D800"):
+            parse_json(r'"\uD800\uD800\uDC00"')
+        assert parse_json(r'"\\\uD83D\uDE00"') == "\\\U0001f600"
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"),
         reason="integer conversion has no digit limit on this Python",
@@ -155,6 +164,51 @@ class TestParseRejections:
         with pytest.raises(ParseError) as caught:
             parse_json('{"key": bad}')
         assert position_of(caught.value) == (1, 9)
+
+    def test_wide_documents_past_the_bracket_count_parse(self):
+        # More than 200 brackets, none deeper than 2: the depth scan
+        # clears them without the token-by-token locator.
+        value = [{"id": index, "tags": ["a", "]"]} for index in range(1000)]
+        assert parse_json(serialize_json(value)) == value
+        text = "[" + "[], " * 300 + r'"\\", "\"[", "]"]'
+        assert parse_json(text) == [[]] * 300 + ["\\", '"[', "]"]
+
+    def test_empty_containers_at_the_cap_parse(self):
+        # 201 containers hold no value inside 201 of them.
+        assert parse_json("[" * 201 + "]" * 201) is not None
+        assert parse_json("[" * 200 + "{}" + "]" * 200) is not None
+
+    def test_deep_nesting_after_escaped_quotes_is_refused(self):
+        with pytest.raises(ParseError) as caught:
+            parse_json('["\\"", ' + "[" * 201 + "1" + "]" * 202)
+        assert "nesting depth exceeds" in str(caught.value)
+        assert position_of(caught.value) == (1, 208)
+
+
+#: Strings that never close, behind each check that sends text to the
+#: token locator: a quadratic scan takes minutes on these, a linear one
+#: milliseconds.
+_UNCLOSED = '"' + '\\"' * 100_000
+_SLOW_PATH_TEXTS = [
+    _UNCLOSED + "\\ud800",
+    "[" * 201 + _UNCLOSED,
+    "[" * 201 + _UNCLOSED + "\\",
+    _UNCLOSED + "[" * 201,
+    "[" + '"\\"", ' * 50_000 + "\ud800" + "[" * 201,
+]
+
+
+@pytest.mark.parametrize("text", _SLOW_PATH_TEXTS, ids=range(len(_SLOW_PATH_TEXTS)))
+def test_hostile_text_is_refused_promptly(text):
+    started = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_json(text)
+    parser = JsonLinesParser()
+    with pytest.raises(ParseError, match="^JSON error at line 2, "):
+        parser.feed(b'{"a": 1}\n' + text.encode("utf-8", "surrogatepass"))
+        parser.close()
+    assert parser.ready() == [{"a": 1}]
+    assert time.perf_counter() - started < 2.0
 
 
 class TestSerialize:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import EncodingError
+
 from repro.workloads.library import (
     library_document,
     library_input_dtd,
@@ -25,6 +27,28 @@ class TestAbstraction:
 
     def test_none_is_stable(self):
         assert abstract_value_of(None) in VALUE_LABELS
+
+    def test_lone_surrogate_is_an_encoding_error(self):
+        with pytest.raises(EncodingError, match="^lone surrogate U[+]DC01 is not"):
+            abstract_value_of("ok \U0001f600 \udc01 \ud800")
+
+    def test_lone_surrogate_in_pcdata_is_refused_without_abstraction(self):
+        encoder = DTDEncoder(library_input_dtd(), fuse=True)
+
+        def book(author):
+            return element(
+                "LIBRARY",
+                element(
+                    "BOOK",
+                    element("AUTHOR", text(author)),
+                    element("TITLE", text("T")),
+                    element("YEAR", text("1999")),
+                ),
+            )
+
+        assert encoder.encode(book("ada")) is not None
+        with pytest.raises(EncodingError, match="lone surrogate U[+]D800"):
+            encoder.encode(book("\ud800"))
 
 
 class TestEncoding:
