@@ -70,13 +70,15 @@ domain automaton, both DTDs, and the encoding flags.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
 from repro.codec import Transformation, compose_transformations, load_transformation
-from repro.errors import ReproError
+from repro.errors import ParseError, ReproError
 from repro.obs.trace import NULL_TRACE, new_trace, render_trace_dict
 from repro.xml.dtd import parse_dtd
 from repro.xml.pipeline import learn_xml_transformation
@@ -291,13 +293,92 @@ def _report(
     return 1 if failures else 0
 
 
+#: The encoding named by an XML declaration at the start of a file
+#: (after an optional UTF-8 byte order mark).
+_DECLARED_ENCODING = re.compile(
+    rb"(?:\xef\xbb\xbf)?<\?xml\s[^>]*?\bencoding\s*=\s*[\"']"
+    rb"([A-Za-z][A-Za-z0-9._-]*)[\"']"
+)
+
+#: Multi-byte encodings expat reads itself.  It reads another Python
+#: codec only when that codec maps every byte to one character.
+_EXPAT_MULTIBYTE = {"utf-8", "utf-16", "utf-16-le", "utf-16-be"}
+
+
+def _xml_encoding(data: bytes) -> Optional[str]:
+    """The encoding expat reads ``data`` in: the XML declaration's (UTF-16
+    by a byte order mark, else UTF-8); ``None`` when expat cannot read
+    the declared one."""
+    declared = _DECLARED_ENCODING.match(data)
+    if declared:
+        encoding = declared.group(1).decode("ascii")
+    elif data.startswith((codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)):
+        return "utf-16"
+    else:
+        return "utf-8"
+    try:
+        name = codecs.lookup(encoding).name
+    except LookupError:
+        return None
+    if name in _EXPAT_MULTIBYTE:
+        return name
+    single_byte = len(bytes(range(256)).decode(name, "replace")) == 256
+    return name if single_byte else None
+
+
+def _served_kind(client, model: str) -> Optional[str]:
+    """The codec name (``xml``, ``json``, ``dtop``) of the served model
+    that ``model`` names, resolved as the registry resolves it; ``None``
+    when the server has no such model."""
+    from repro.server.registry import _version_key
+
+    kinds = {}
+    for info in client.models():
+        name, _at, version = info["model"].partition("@")
+        if info["model"] == model or name == model:
+            kinds[version] = info["kind"]
+    if not kinds:
+        return None
+    return kinds[max(kinds, key=_version_key)]
+
+
+def _document_text(path: Path, kind: Optional[str]) -> str:
+    """A document file as text for a served model of codec ``kind``.
+
+    An XML file is decoded as expat decodes it (by its declaration or
+    byte order mark, else UTF-8), any other as UTF-8.  The server reads
+    the text as it is, so it parses what the local path parses from the
+    same bytes.  Bytes the local path refuses raise its own error: they
+    are parsed here by the codec's reader.
+    """
+    from repro.json.jsonio import parse_json
+    from repro.trees.tree import parse_term
+    from repro.xml import parse_xml
+
+    data = path.read_bytes()
+    encoding = _xml_encoding(data) if kind in ("xml", None) else "utf-8"
+    if encoding is not None:
+        try:
+            return data.decode(encoding)
+        except UnicodeDecodeError:
+            pass
+    if kind == "json":
+        parse_json(data)
+    elif kind == "dtop":
+        parse_term(data)
+    else:
+        parse_xml(data, ignore_attributes=True)
+    raise ParseError(f"{path}: cannot decode as {encoding}")
+
+
 def _apply_remote(args: argparse.Namespace) -> int:
     """Client mode: ship documents to a running ``repro server``.
 
     ``--transform`` names a served model (``name`` or ``name@version``);
-    document payloads pass through verbatim — the server parses and
-    renders in the model's own syntax, so outputs (and error messages)
-    are identical to the local path.
+    each document is sent as its text, decoded as the served model's
+    codec decodes it (:func:`_document_text`), and the server parses
+    and renders in the model's own syntax, so outputs (and error
+    messages) are identical to the local path.
     """
     from repro.server import ServerClient
 
@@ -318,14 +399,14 @@ def _apply_remote(args: argparse.Namespace) -> int:
             return _report(results, out_dir, doc_format)
 
         paths = _collect_documents(args, doc_format)
+        kind = _served_kind(client, model)
         if len(paths) == 1 and not args.batch_dir:
+            text = _document_text(paths[0], kind)
             if args.trace:
-                output, trace = client.transform_traced(
-                    model, paths[0].read_text()
-                )
+                output, trace = client.transform_traced(model, text)
                 print(render_trace_dict(trace), file=sys.stderr)
             else:
-                output = client.transform(model, paths[0].read_text())
+                output = client.transform(model, text)
             if args.output:
                 Path(args.output).write_text(output + "\n")
             else:
@@ -342,8 +423,9 @@ def _apply_remote(args: argparse.Namespace) -> int:
         def results():
             for path in paths:
                 try:
-                    outcome = client.try_transform(model, path.read_text())
-                except OSError as error:
+                    text = _document_text(path, kind)
+                    outcome = client.try_transform(model, text)
+                except (OSError, ReproError) as error:
                     outcome = error
                 yield str(path), path.stem, outcome
 

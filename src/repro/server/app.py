@@ -23,7 +23,9 @@ Protocol — one JSON object per ``\\n``-terminated line, UTF-8:
     incrementally, fed to the micro-batcher as
     their end tags arrive, and answered in order — one
     ``{"seq": i, "ok": ..., ...}`` line each — before a final
-    ``{"done": true, "count": n, "failures": m}`` line.  The model
+    ``{"done": true, "count": n, "failures": m}`` line.  A document
+    that fails to parse ends the stream: every document before it is
+    still answered, and the final line carries the error.  The model
     entry is pinned for the whole stream: a hot reload mid-stream
     affects new requests, never the documents of an open stream.
 
@@ -656,50 +658,57 @@ class TransformServer:
                     )
                 )
 
-        try:
-            while remaining > 0:
-                chunk = await reader.read(min(remaining, STREAM_CHUNK_BYTES))
-                if not chunk:
-                    raise ServiceError(
-                        "connection closed inside a transform_stream body"
-                    )
-                remaining -= len(chunk)
-                parser.feed(chunk)
+        async def read(step, *args) -> None:
+            # On a parse error too, every document completed before the
+            # bad one is submitted, so it is still answered.
+            try:
+                completed = step(*args)
+            finally:
                 await submit(parser.ready())
-                # Answer completed head-of-line documents while the body
-                # is still arriving: bounded memory, ordered responses.
-                while tasks and tasks[0].done():
-                    await answer_head()
-            await submit(parser.close())
+            await submit(completed or ())
+
+        error = None
+        try:
+            try:
+                while remaining > 0:
+                    chunk = await reader.read(
+                        min(remaining, STREAM_CHUNK_BYTES)
+                    )
+                    if not chunk:
+                        raise ServiceError(
+                            "connection closed inside a transform_stream "
+                            "body"
+                        )
+                    remaining -= len(chunk)
+                    await read(parser.feed, chunk)
+                    # Answer completed head-of-line documents while the
+                    # body is still arriving: bounded memory, ordered
+                    # responses.
+                    while tasks and tasks[0].done():
+                        await answer_head()
+                await read(parser.close)
+            except ReproError as failure:
+                error = failure
+                if remaining > 0:
+                    await self._drain_body(
+                        reader, {"content_length": remaining}
+                    )
             while tasks:
                 await answer_head()
-            await self._write(
-                writer,
-                {
-                    "id": request_id,
-                    "ok": failures == 0,
-                    "done": True,
-                    "count": count,
-                    "failures": failures,
-                },
-            )
-        except ReproError as error:
+            done = {
+                "id": request_id,
+                "ok": error is None and failures == 0,
+                "done": True,
+                "count": count,
+                "failures": failures,
+            }
+            if error is not None:
+                done["error"] = _error_payload(error)
+            await self._write(writer, done)
+        finally:
+            # Only a lost connection leaves documents unanswered.
             for task in tasks:
                 task.cancel()
-            if remaining > 0:
-                await self._drain_body(reader, {"content_length": remaining})
-            await self._write(
-                writer,
-                {
-                    "id": request_id,
-                    "ok": False,
-                    "done": True,
-                    "count": count,
-                    "failures": failures,
-                    "error": _error_payload(error),
-                },
-            )
-        finally:
             entry.release()
 
     async def _submit_stream_document(self, entry, document):

@@ -14,8 +14,14 @@ work over the whole batch).  :class:`MicroBatcher` bridges the two:
   runs, join the next batch, which holds at most ``max_batch``
   documents.  A lone request never waits on a clock, and batches grow
   only under load;
-* dispatch runs in a thread-pool executor (the event loop never blocks
-  on engine work);
+* a batch runs on the event loop itself when its entry is unsharded,
+  its engine is already compiled, it empties the entry's queue, and
+  its documents together weigh at most :data:`INLINE_WEIGHT` parsed
+  nodes; every other batch runs in a thread-pool executor.  For a small
+  document the thread hop costs more than the translation (about
+  0.26 ms against 0.04 ms of engine time).  A heavier batch, a sharded
+  entry's pool call, an engine compile and a backlog of batches (a
+  stream of small documents) never hold the loop;
 * outcomes are **per request**: a document outside the domain resolves
   its own request to the engine's exact
   :class:`~repro.errors.UndefinedTransductionError` and never fails the
@@ -44,11 +50,59 @@ from repro.errors import OverloadedError, ServiceError
 from repro.obs.trace import Span, TraceContext
 from repro.server.metrics import ServerMetrics
 from repro.server.registry import ModelEntry
+from repro.trees.tree import Tree
+from repro.xml.unranked import UTree
+
+#: One admitted request: (document, future, admitted-at, trace).
+_Pending = Tuple[object, asyncio.Future, float, Optional[TraceContext]]
 
 #: Default documents per coalesced batch.
 DEFAULT_MAX_BATCH = 32
 #: Default bound on admitted-but-unresolved requests.
 DEFAULT_MAX_PENDING = 1024
+#: Heaviest batch, in parsed document nodes, that runs on the event loop.
+#: Distinct value-bearing JSON documents cost the most per node, about
+#: 35-40 µs in ``run_batch`` on a 2-CPU host, so a batch at this bound
+#: holds the loop for about 5 ms.  That is the interpreter's switch
+#: interval: a pure-Python batch on an executor thread keeps the GIL
+#: about that long before the loop thread can take it back, so an
+#: inline batch delays other connections no longer than a hop would.
+#: Every serve-mixed benchmark document (at most 99 nodes) runs inline.
+#: The weight is counted after parsing, never from the request text: a
+#: 294-byte ``library@1`` request of nested internal-subset entities
+#: expands to 10,000 books and 1.3 s of ``run_batch``.
+INLINE_WEIGHT = 128
+
+
+def document_weight(document) -> int:
+    """The node count of a parsed document, counted only to just past
+    :data:`INLINE_WEIGHT` (a heavier document is over the bound however
+    heavy it is).
+
+    The count is taken after parsing, never from the request text: a
+    few hundred bytes of nested internal-subset entities can expand to
+    thousands of XML elements.  A ranked :class:`Tree` knows its size;
+    a :class:`UTree` or a JSON value is walked.
+    """
+    if isinstance(document, Tree):
+        return document.size
+    count = 1
+    stack = [document]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, UTree):
+            children = node.children
+        elif isinstance(node, dict):
+            children = node.values()
+        elif isinstance(node, (list, tuple)):
+            children = node
+        else:
+            continue
+        count += len(children)
+        if count > INLINE_WEIGHT:
+            break
+        stack.extend(children)
+    return count
 
 
 class MicroBatcher:
@@ -92,10 +146,7 @@ class MicroBatcher:
         #: object, so an old entry's pending batch drains on the machine
         #: it was admitted to).  ``trace`` is ``None`` on untraced
         #: requests — the overwhelmingly common case.
-        self._pending: Dict[
-            ModelEntry,
-            List[Tuple[object, asyncio.Future, float, Optional[TraceContext]]],
-        ] = {}
+        self._pending: Dict[ModelEntry, List[_Pending]] = {}
         #: Entries with a dispatch scheduled or in flight.
         self._busy: Set[ModelEntry] = set()
         self._admitted = 0
@@ -199,21 +250,23 @@ class MicroBatcher:
     # -- batching internals ---------------------------------------------
 
     def _flush(self, entry: ModelEntry) -> None:
-        """Dispatch up to ``max_batch`` of the entry's pending requests;
-        with none pending, the entry goes idle.
+        """Take up to ``max_batch`` of the entry's pending requests and
+        run them; with none pending, the entry goes idle.
 
-        Runs one loop turn after an idle entry's first admission and
-        again when each of its dispatches completes.  Assembly time —
-        first admission to taken for dispatch — is recorded here, per
-        batch.
+        Runs one loop turn after an idle entry's first admission, and
+        again when each executor dispatch completes.  An inline batch
+        empties the queue (nothing is admitted while it runs), so the
+        entry goes idle after it.  Assembly time — first admission to
+        taken for dispatch — is recorded here, per batch.
         """
         queue = self._pending.pop(entry, None)
         if not queue:
             self._busy.discard(entry)
             return
         batch = queue[: self.max_batch]
-        if len(queue) > self.max_batch:
-            self._pending[entry] = queue[self.max_batch :]
+        backlog = queue[self.max_batch :]
+        if backlog:
+            self._pending[entry] = backlog
         labels = {"model": entry.key}
         taken_at = self._clock()
         self.metrics.observe(
@@ -222,22 +275,61 @@ class MicroBatcher:
             max(0.0, taken_at - batch[0][2]),
         )
         self.metrics.observe("repro_batch_documents", labels, len(batch))
+        if not backlog and self._runs_inline(entry, batch):
+            args, batch_trace, started = self._begin(entry, batch)
+            try:
+                outcomes = entry.run_batch(*args)
+            except Exception as error:  # infrastructure, not per-document
+                outcomes = error
+            self._resolve(
+                entry, batch, taken_at, started, batch_trace, outcomes
+            )
+            self._busy.discard(entry)
+            return
         dispatch = asyncio.ensure_future(
             self._dispatch(entry, batch, taken_at)
         )
         # However the dispatch ends, the entry takes its next batch.
         dispatch.add_done_callback(lambda _done: self._flush(entry))
 
+    @staticmethod
+    def _runs_inline(entry: ModelEntry, batch: List[_Pending]) -> bool:
+        """Whether the entry's last queued ``batch`` runs on the event
+        loop: an unsharded entry whose engine is compiled (a first batch
+        compiles it, off the loop), and members that together weigh at
+        most :data:`INLINE_WEIGHT`."""
+        if entry.sharded or entry.peek_engine() is None:
+            return False
+        budget = INLINE_WEIGHT
+        for document, *_rest in batch:
+            budget -= document_weight(document)
+            if budget < 0:
+                return False
+        return True
+
     async def _dispatch(
-        self,
-        entry: ModelEntry,
-        batch: List[
-            Tuple[object, asyncio.Future, float, Optional[TraceContext]]
-        ],
-        taken_at: float,
+        self, entry: ModelEntry, batch: List[_Pending], taken_at: float
     ) -> None:
         """Translate one batch in the executor; resolve its futures."""
-        documents = [document for document, _future, _admitted_at, _t in batch]
+        args, batch_trace, started = self._begin(entry, batch)
+        loop = asyncio.get_running_loop()
+        try:
+            outcomes = await loop.run_in_executor(
+                self._executor, entry.run_batch, *args
+            )
+        except Exception as error:  # infrastructure, not per-document
+            outcomes = error
+        self._resolve(entry, batch, taken_at, started, batch_trace, outcomes)
+
+    def _begin(
+        self, entry: ModelEntry, batch: List[_Pending]
+    ) -> Tuple[tuple, Optional[TraceContext], float]:
+        """Count a batch and record its members' queue waits.
+
+        Returns the ``run_batch`` arguments, the batch's shared trace
+        (``None`` when no member is traced) and the dispatch start.
+        """
+        documents = [document for document, *_rest in batch]
         self._stats["batches"] += 1
         self._stats["documents"] += len(batch)
         if len(batch) > 1:
@@ -245,32 +337,43 @@ class MicroBatcher:
         self._stats["max_batch_seen"] = max(
             self._stats["max_batch_seen"], len(batch)
         )
-        loop = asyncio.get_running_loop()
         labels = {"model": entry.key}
-        # One shared collector for the execute spans of this batch: the
-        # executor thread records into it during ``run_batch``, and its
-        # spans are grafted under every traced member's dispatch span
-        # afterwards (a batch runs once however many members watch it).
-        any_traced = any(trace is not None for *_rest, trace in batch)
+        # One shared collector for the execute spans of this batch:
+        # ``run_batch`` records into it, and its spans are grafted under
+        # every traced member's dispatch span afterwards (a batch runs
+        # once however many members watch it).
+        any_traced = any(item[3] is not None for item in batch)
         batch_trace = TraceContext(name="batch") if any_traced else None
-        dispatch_started = self._clock()
-        for _document, _future, admitted_at, _trace in batch:
+        started = self._clock()
+        for _document, _future, admitted_at, *_rest in batch:
             self.metrics.observe(
                 "repro_queue_wait_seconds",
                 labels,
-                max(0.0, dispatch_started - admitted_at),
+                max(0.0, started - admitted_at),
             )
-        try:
-            if batch_trace is None:
-                outcomes = await loop.run_in_executor(
-                    self._executor, entry.run_batch, documents
-                )
-            else:
-                outcomes = await loop.run_in_executor(
-                    self._executor, entry.run_batch, documents, batch_trace
-                )
-        except Exception as error:  # infrastructure, not per-document
+        args = (documents,)
+        if batch_trace is not None:
+            args = (documents, batch_trace)
+        return args, batch_trace, started
+
+    def _resolve(
+        self,
+        entry: ModelEntry,
+        batch: List[_Pending],
+        taken_at: float,
+        dispatch_started: float,
+        batch_trace: Optional[TraceContext],
+        outcomes,
+    ) -> None:
+        """Record a finished dispatch and resolve its members' futures.
+
+        ``outcomes`` is the ``run_batch`` result, or the exception that
+        failed the whole dispatch: every member then resolves to it as
+        a :class:`ServiceError`.
+        """
+        if isinstance(outcomes, Exception):
             self._stats["dispatch_failures"] += 1
+            error = outcomes
             if not isinstance(error, ServiceError):
                 error = ServiceError(
                     f"batch dispatch failed: {type(error).__name__}: {error}"
@@ -279,13 +382,13 @@ class MicroBatcher:
         dispatch_ended = self._clock()
         self.metrics.observe(
             "repro_dispatch_seconds",
-            labels,
+            {"model": entry.key},
             max(0.0, dispatch_ended - dispatch_started),
         )
         self._stats["errors"] += sum(
             1 for outcome in outcomes if isinstance(outcome, Exception)
         )
-        if any_traced:
+        if batch_trace is not None:
             executed = batch_trace.root.children
             for _document, _future, admitted_at, trace in batch:
                 if trace is None:
@@ -305,8 +408,6 @@ class MicroBatcher:
                     meta={"batch_documents": len(batch)},
                     children=executed,
                 )
-        for (_document, future, _admitted_at, _trace), outcome in zip(
-            batch, outcomes
-        ):
+        for (_document, future, *_rest), outcome in zip(batch, outcomes):
             if not future.done():
                 future.set_result(outcome)

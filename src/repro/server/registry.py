@@ -248,6 +248,12 @@ class ModelEntry:
             self._service.close()
             self._service = None
 
+    @property
+    def sharded(self) -> bool:
+        """Whether batches run on a worker pool (``jobs > 1`` and not
+        quarantined); otherwise they run on the in-process engine."""
+        return self.jobs > 1 and not self._quarantined
+
     def peek_service(self):
         """The live service if one exists — never creates one."""
         return self._service
@@ -270,7 +276,7 @@ class ModelEntry:
         Quarantined entries answer ``None`` — callers fall back to the
         in-process engine exactly as for an unsharded entry.
         """
-        if self.jobs <= 1 or self._quarantined:
+        if not self.sharded:
             return None
         if self._closed:
             # Never resurrect a pool on a torn-down entry: close() has

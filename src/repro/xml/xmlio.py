@@ -151,6 +151,10 @@ class StreamParser:
                 f"XML error at line {error.lineno}, column {error.offset}: "
                 f"{expat.ErrorString(error.code)}"
             ) from None
+        except (LookupError, ValueError) as error:
+            # The declaration names a codec Python does not know, or a
+            # multi-byte one other than UTF-8/16, which expat cannot use.
+            raise self._error(f"unsupported encoding: {error}") from None
 
     # -- public API -----------------------------------------------------
 

@@ -202,6 +202,36 @@ class TestStream:
         # The connection survives for the next request.
         assert client.health()["status"] == "serving"
 
+    def test_documents_before_a_bad_xml_document_are_answered(
+        self, server
+    ):
+        from tests.server.test_overload import stream_over_socket
+
+        good = serialize_xml(xmlflip_document(1, 1), indent=None)
+        body = f"<batch>{good}{good}<root><a/></b></batch>".encode()
+        *answers, done = stream_over_socket(server, "xmlflip", body)
+        expected = serialize_xml(transform_xmlflip(xmlflip_document(1, 1)))
+        assert [(a["seq"], a["ok"], a["document"]) for a in answers] == [
+            (0, True, expected),
+            (1, True, expected),
+        ]
+        assert done["count"] == 2 and done["failures"] == 0
+        assert not done["ok"]
+        assert done["error"]["type"] == "ParseError"
+
+    def test_stream_in_an_unreadable_encoding_answers_its_error(
+        self, server
+    ):
+        from tests.server.test_overload import stream_over_socket
+
+        body = (
+            '<?xml version="1.0" encoding="Shift_JIS"?><batch><root/></batch>'
+        ).encode("shift_jis")
+        (done,) = stream_over_socket(server, "xmlflip", body)
+        assert done["done"] and not done["ok"] and done["count"] == 0
+        assert done["error"]["type"] == "ParseError"
+        assert "unsupported encoding" in done["error"]["message"]
+
     def test_stream_with_bad_documents_reports_per_document(self, client):
         good = serialize_xml(xmlflip_document(1, 1), indent=None)
         bad = "<root><b/><a/></root>"  # b before a: off-schema
@@ -210,6 +240,40 @@ class TestStream:
         assert isinstance(outcomes[0], str)
         assert isinstance(outcomes[1], Exception)
         assert isinstance(outcomes[2], str)
+
+
+class TestJsonStream:
+    @pytest.fixture
+    def json_server(self, tmp_path):
+        directory = tmp_path / "models"
+        directory.mkdir()
+        shutil.copy(MODELS_DIR / "rename-json@1.json", directory)
+        with ServerThread(directory) as handle:
+            yield handle
+
+    def test_documents_before_a_bad_line_are_answered_in_order(
+        self, json_server
+    ):
+        from tests.server.test_overload import stream_over_socket
+
+        body = b'{"user": "a"}\n{"user": "b"}\n{"user": NaN}\n'
+        *answers, done = stream_over_socket(json_server, "rename-json", body)
+        assert [(a["seq"], a["ok"], a["document"]) for a in answers] == [
+            (0, True, '{"username": "a"}'),
+            (1, True, '{"username": "b"}'),
+        ]
+        assert done["done"] and not done["ok"]
+        assert done["count"] == 2 and done["failures"] == 0
+        assert done["error"]["type"] == "ParseError"
+        assert "line 3" in done["error"]["message"]
+
+    def test_lines_after_a_bad_line_are_not_answered(self, json_server):
+        from tests.server.test_overload import stream_over_socket
+
+        body = b'{"user": "a"}\n{"user": \n{"user": "c"}\n'
+        *answers, done = stream_over_socket(json_server, "rename-json", body)
+        assert [a["document"] for a in answers] == ['{"username": "a"}']
+        assert done["count"] == 1 and done["error"]["type"] == "ParseError"
 
 
 class TestOverload:

@@ -23,20 +23,43 @@ from repro.workloads.flip import flip_input, flip_transducer
 
 
 def flip_entry(**kwargs) -> ModelEntry:
-    return ModelEntry(
+    """A served flip entry with its engine compiled, as ``--warm``
+    leaves it: its light batches run on the event loop."""
+    entry = ModelEntry(
         "flip", "1", Path("flip@1.json"), raw_model(), **kwargs
     )
+    entry.ensure_engine()
+    return entry
 
 
 def raw_model() -> Transformation:
     return Transformation(flip_transducer(), TERM_CODEC)
 
 
-class BlockingEntry(ModelEntry):
+class ExecutorEntry(ModelEntry):
+    """A ``jobs=2`` entry that translates in process.
+
+    The batcher never runs a sharded entry's batch on the event loop,
+    so a stub that blocks in ``run_batch`` blocks an executor thread
+    and the loop keeps admitting; translating in process keeps the test
+    free of a worker pool.
+    """
+
+    def __init__(self, name):
+        super().__init__(
+            name, "1", Path(f"{name}@1.json"), raw_model(), jobs=2
+        )
+
+    def run_batch(self, documents, trace=None):
+        self.requests += len(documents)
+        return self.transformation.apply_batch(documents, trace=trace)
+
+
+class BlockingEntry(ExecutorEntry):
     """An entry whose dispatch blocks until the test releases it."""
 
     def __init__(self):
-        super().__init__("slow", "1", Path("slow@1.json"), raw_model())
+        super().__init__("slow")
         self.gate = threading.Event()
         self.entered = threading.Event()
         self.started = []
@@ -50,7 +73,7 @@ class BlockingEntry(ModelEntry):
         return super().run_batch(documents)
 
 
-class TrackingEntry(ModelEntry):
+class TrackingEntry(ExecutorEntry):
     """An entry that records how many of its dispatches overlap.
 
     Its first dispatch meets the other entries' first dispatches at
@@ -58,7 +81,7 @@ class TrackingEntry(ModelEntry):
     """
 
     def __init__(self, name, barrier):
-        super().__init__(name, "1", Path(f"{name}@1.json"), raw_model())
+        super().__init__(name)
         self.barrier = barrier
         self.lock = threading.Lock()
         self.calls = self.in_flight = self.most_in_flight = 0
@@ -154,8 +177,8 @@ class TestCoalescing:
         assert elapsed < 5.0
 
     def test_lone_request_arms_no_timer(self):
-        """The request reaches ``run_batch`` through ``call_soon`` and
-        the executor alone: no positive-delay sleep on the loop."""
+        """The request reaches ``run_batch`` through ``call_soon``
+        alone: no positive-delay sleep on the loop."""
         entry = flip_entry()
         delays = []
 

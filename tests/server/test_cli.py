@@ -3,6 +3,7 @@
 
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -144,6 +145,95 @@ class TestApplyRemote:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err and "missing" in captured.err
+
+    LATIN1_BOOK = (
+        '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+        "<LIBRARY><BOOK><AUTHOR>Ren\xe9</AUTHOR><TITLE>T</TITLE>"
+        "<YEAR>1999</YEAR></BOOK></LIBRARY>\n"
+    ).encode("latin-1")
+
+    @pytest.mark.parametrize(
+        "model, data",
+        [
+            ("library@1", LATIN1_BOOK),
+            ("library@1", LATIN1_BOOK.replace(b"ISO-8859-1", b"UTF-8")),
+            (
+                "library@1",
+                '<?xml version="1.0" encoding="Shift_JIS"?><LIBRARY/>'
+                .encode("shift_jis"),
+            ),
+            ("library@1", b'<?xml version="1.0" encoding="x-no"?><LIBRARY/>'),
+            (
+                "library@1",
+                "<LIBRARY><BOOK><AUTHOR>\u00e9</AUTHOR><TITLE>T</TITLE>"
+                "<YEAR>1</YEAR></BOOK></LIBRARY>".encode("utf-16"),
+            ),
+            ("xmlflip@1", b"<root>\xff</root>"),
+            ("rename-json@1", '{"user": "\u00e9"}'.encode("utf-16")),
+            ("rename-json@1", b'{"user": "\xe9"}'),
+            ("rename-json@1", '{"user": "\u00e9"}'.encode()),
+            ("flip@1", b"root(\xff)"),
+        ],
+        ids=[
+            "latin-1-declared", "latin-1-declared-utf-8", "shift-jis",
+            "unknown-encoding", "xml-utf-16-bom", "xml-bad-utf-8",
+            "json-utf-16-bom", "json-bad-utf-8", "json-utf-8",
+            "term-bad-utf-8",
+        ],
+    )
+    def test_document_bytes_read_the_same_remote_and_local(
+        self, tmp_path, capsys, model, data
+    ):
+        """A file gives the same output, or the same error, through a
+        served model as through the local bundle, in single-document
+        and ``--batch-dir`` mode alike."""
+        models = tmp_path / "models"
+        models.mkdir()
+        stock = Path(repro.__file__).resolve().parents[2] / "models"
+        shutil.copy(stock / f"{model}.json", models)
+        suffix = {"flip@1": "dtop"}.get(
+            model, "json" if "json" in model else "xml"
+        )
+        single = tmp_path / f"doc.{suffix}"
+        single.write_bytes(data)
+        batch = tmp_path / "docs"
+        batch.mkdir()
+        (batch / single.name).write_bytes(data)
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except Exception as error:  # the local path's own traceback
+                code = (type(error).__name__, str(error))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        def outcomes(*target):
+            if suffix == "dtop":
+                # --format has no term choice, and a remote batch dir
+                # globs *.xml without one: single documents only.
+                return outcome(["apply", *target, str(single)])
+            fmt = ["--format", suffix]
+            alone = outcome(["apply", *target, *fmt, str(single)])
+            out_dir = tmp_path / f"out-{len(target)}"
+            batched = outcome(
+                ["apply", *target, *fmt, "--batch-dir", str(batch),
+                 "--output", str(out_dir)]
+            )
+            written = sorted(
+                (path.name, path.read_bytes()) for path in out_dir.iterdir()
+            )
+            return alone, batched, written
+
+        local = outcomes("--transform", str(models / f"{model}.json"))
+        with ServerThread(models) as handle:
+            served = outcomes(
+                "--remote", remote(handle), "--transform", model.split("@")[0]
+            )
+        assert served == local
+        if data is self.LATIN1_BOOK:
+            assert local[0][0] == 0
+            assert "<AUTHOR>René</AUTHOR>" in local[0][1]
 
     def test_bad_hostport_rejected(self, tmp_path, capsys):
         path = tmp_path / "doc.xml"

@@ -125,8 +125,11 @@ class TestWireLevelOverload:
     ):
         total, max_pending = 10, 2
         gate = threading.Event()
+        # A sharded entry (``jobs=2``) never runs a batch on the event
+        # loop, so the held dispatch blocks an executor thread and the
+        # loop keeps admitting and refusing requests.
         with ServerThread(
-            models_dir, max_batch=1, max_pending=max_pending
+            models_dir, max_batch=1, max_pending=max_pending, jobs=2
         ) as handle:
             server = handle.server
             entry = server.registry.get("flip")

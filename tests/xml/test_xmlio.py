@@ -56,6 +56,20 @@ class TestParsing:
         assert parse_xml(declared.encode("latin-1")) == element("a", text("é"))
         assert parse_xml("<a>é</a>".encode()) == element("a", text("é"))
 
+    @pytest.mark.parametrize(
+        "encoding, reason",
+        [
+            ("Shift_JIS", "multi-byte encodings are not supported"),
+            ("x-no", "unknown encoding: x-no"),
+        ],
+    )
+    def test_unreadable_declared_encoding_is_a_parse_error(
+        self, encoding, reason
+    ):
+        declared = f'<?xml version="1.0" encoding="{encoding}"?><a/>'
+        with pytest.raises(ParseError, match=f"unsupported encoding: {reason}"):
+            parse_xml(declared.encode("ascii"))
+
     def test_lone_surrogate_is_a_parse_error(self):
         with pytest.raises(ParseError, match="lone surrogate U[+]D800"):
             parse_xml("<a>\ud800</a>")
