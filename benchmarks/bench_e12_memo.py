@@ -5,12 +5,16 @@ the interned tree core.  (a) Structurally shared inputs are translated
 once — cache misses grow with the number of *distinct* subtrees, not
 with tree size; (b) re-running a transducer over overlapping inputs is
 served by the persistent ``(state, uid)`` memo and is measurably faster
-than cold evaluation; (c) memoized and cold evaluation agree.
+than cold evaluation; (c) memoized and cold evaluation agree; (d) the
+per-node cost of interning: a miss (new node), a hit (rebuilt node) and
+a dict insert keyed by a tree (identity hash).
 """
 
+import gc
+import statistics
 import time
 
-from repro.trees.tree import Tree, leaf, tree
+from repro.trees.tree import Tree, intern_stats, leaf, reset_intern_stats, tree
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import rhs_tree
 from repro.trees.alphabet import RankedAlphabet
@@ -96,4 +100,71 @@ def test_e12_memoized_vs_cold(benchmark):
         "persistent (state, uid) memo beats cold evaluation on overlap",
         f"{len(inputs)} overlapping combs: cold {cold_elapsed * 1e3:.1f} ms, "
         f"memoized {warm_elapsed * 1e3:.1f} ms ({speedup:.1f}×)",
+    )
+
+
+INTERN_NODES = 20_000
+PAD = leaf("e12-pad")
+
+
+def _distinct_nodes(tag: str) -> Tree:
+    """``INTERN_NODES`` constructions of distinct nodes: a leaf, then a
+    spine of binary nodes over it (the second child is ``PAD``)."""
+    node = leaf(tag)
+    for _ in range(INTERN_NODES - 1):
+        node = Tree("f", (node, PAD))
+    return node
+
+
+def _spine(node: Tree):
+    out = [node]
+    while node.children:
+        node = node.children[0]
+        out.append(node)
+    return out
+
+
+def test_e12_intern_per_node_cost(benchmark):
+    misses, hits, inserts = [], [], []
+
+    def once(round_index: int):
+        gc.collect()
+        tag = f"e12-intern-{round_index}"  # fresh nodes every round
+        start = time.perf_counter()
+        built = _distinct_nodes(tag)
+        misses.append((time.perf_counter() - start) / INTERN_NODES)
+        reset_intern_stats()
+        start = time.perf_counter()
+        rebuilt = _distinct_nodes(tag)
+        hits.append((time.perf_counter() - start) / INTERN_NODES)
+        stats = intern_stats()
+        spine = _spine(built)
+        start = time.perf_counter()
+        table = {}
+        for node in spine:
+            table[node] = node.uid
+        inserts.append((time.perf_counter() - start) / len(spine))
+        return built, rebuilt, stats, table
+
+    built, rebuilt, stats, table = benchmark.pedantic(
+        once, args=(0,), rounds=1, iterations=1
+    )
+    # The guard is structural, not a timing: a rebuild of the same
+    # 20,000 nodes returns the same objects and allocates nothing.
+    assert rebuilt is built
+    assert stats["misses"] == 0 and stats["hits"] == INTERN_NODES
+    assert len(_spine(built)) == INTERN_NODES
+    assert all(table[node] == node.uid for node in _spine(rebuilt))
+    del built, rebuilt, table
+    for round_index in range(1, 5):
+        once(round_index)
+    median = statistics.median
+    report(
+        "E12/intern",
+        "hash-consing: a miss allocates once, a hit and a tree-keyed dict "
+        "insert cost a lookup",
+        f"miss {median(misses) * 1e6:.2f} µs/node, hit "
+        f"{median(hits) * 1e6:.2f} µs/node, dict insert "
+        f"{median(inserts) * 1e6:.3f} µs/tree (medians of 5 rounds, "
+        f"{INTERN_NODES} nodes)",
     )

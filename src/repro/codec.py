@@ -7,11 +7,12 @@ lives here once, parametrized by a :class:`Codec`:
 
 * ``parse`` / ``render`` — request text ↔ document;
 * ``input_encoder.encode_with_values(document)`` → ``(ranked tree,
-  {ordinal: value})`` and ``output_encoder.decode(tree, values)`` →
-  document; ``value_labels`` name the value slots, and a value is keyed
-  by the preorder ordinal of its slot among the slots.  An output slot
-  takes the value of the input slot its rule was reading
-  (:func:`~repro.transducers.origins.value_sources`);
+  {ordinal: value})`` and ``output_encoder.decode(tree, values,
+  counts)`` → document; ``value_labels`` name the value slots, and a
+  value is keyed by the preorder ordinal of its slot among the slots.
+  An output slot takes the value of the input slot its rule was reading
+  (:func:`~repro.transducers.origins.value_sources`); ``counts`` is the
+  batch's slot-count memo, which both of them fill and read;
 * ``stream_parser()`` — an incremental ``feed``/``ready``/``close``
   parser for served stream bodies, and ``read_stream(source)`` — the
   documents of a local stream file, read through the same parser class
@@ -92,7 +93,7 @@ class _IdentityEncoder:
         return tree, {}
 
     @staticmethod
-    def decode(tree, values=None):
+    def decode(tree, values=None, counts=None):
         return tree
 
 
@@ -136,7 +137,7 @@ class Transformation:
             labels = self.codec.value_labels
             sources = value_sources(self.transducer, source, output, labels, counts)
             out_values = {o: values[i] for o, i in sources.items() if i in values}
-        return self.codec.output_encoder.decode(output, out_values)
+        return self.codec.output_encoder.decode(output, out_values, counts)
 
     def apply_batch(
         self,

@@ -74,6 +74,13 @@ BASE_RANKS = {
 }
 
 HASH = Tree(HASH_LABEL, ())
+TRUE = Tree(TRUE_LABEL, ())
+FALSE = Tree(FALSE_LABEL, ())
+NULL = Tree(NULL_LABEL, ())
+#: ``str(v)`` / ``num(v)`` by abstract value ``v``: every scalar
+#: encodes to one of these four subtrees.
+STRING_TREES = {v: Tree(STRING_LABEL, (Tree(v, ()),)) for v in VALUE_LABELS}
+NUMBER_TREES = {v: Tree(NUMBER_LABEL, (Tree(v, ()),)) for v in VALUE_LABELS}
 
 #: The rank-0 constants and the values they decode to.
 CONSTANTS = {TRUE_LABEL: True, FALSE_LABEL: False, NULL_LABEL: None}
@@ -161,22 +168,18 @@ class JsonEncoder:
     def _encode_value(self, value: JsonValue, scalars: List[JsonValue]) -> Tree:
         # bool before int: True/False are int instances in Python.
         if value is True:
-            return Tree(TRUE_LABEL, ())
+            return TRUE
         if value is False:
-            return Tree(FALSE_LABEL, ())
+            return FALSE
         if value is None:
-            return Tree(NULL_LABEL, ())
+            return NULL
         if isinstance(value, str):
             scalars.append(value)
-            return Tree(
-                STRING_LABEL, (Tree(abstract_value_of(value), ()),)
-            )
+            return STRING_TREES[abstract_value_of(value)]
         if isinstance(value, (int, float)):
             text = _scalar_text(value)  # also rejects NaN/Infinity
             scalars.append(value)
-            return Tree(
-                NUMBER_LABEL, (Tree(abstract_value_of(text), ()),)
-            )
+            return NUMBER_TREES[abstract_value_of(text)]
         if isinstance(value, dict):
             heads = []
             for key, member in value.items():
@@ -211,7 +214,12 @@ class JsonEncoder:
     # Decoding
     # ------------------------------------------------------------------
 
-    def decode(self, tree: Tree, values: Optional[Values] = None) -> JsonValue:
+    def decode(
+        self,
+        tree: Tree,
+        values: Optional[Values] = None,
+        counts: Optional[Dict[int, int]] = None,
+    ) -> JsonValue:
         """Decode a ranked encoding back to a JSON value.
 
         ``values`` rehydrates scalars by the preorder ordinal of their
@@ -219,16 +227,22 @@ class JsonEncoder:
         no entry (a scalar the machine synthesized rather than copied)
         defaults to ``""`` under ``str`` and ``0`` under ``num``; a value
         that crossed types (a string moved into a ``num`` position, say)
-        is coerced.
+        is coerced.  ``counts`` is a
+        :func:`~repro.transducers.origins.slot_count` memo over
+        ``VALUE_LABELS`` (a batch shares one).
         """
-        return self._decode_value(tree, [0], values or {})
+        return self._decode_value(
+            tree, [0], values or {}, {} if counts is None else counts
+        )
 
-    def _decode_value(self, node: Tree, slot: List[int], values: Values) -> JsonValue:
+    def _decode_value(
+        self, node: Tree, slot: List[int], values: Values, counts: Dict[int, int]
+    ) -> JsonValue:
         """``slot[0]`` is the ordinal of the next value leaf in preorder."""
         label = node.label
         if label in CONSTANTS:
             if node.children:  # ignored children may hold value leaves
-                slot[0] += slot_count(node, VALUE_LABELS)
+                slot[0] += slot_count(node, VALUE_LABELS, counts)
             return CONSTANTS[label]
         if label in (STRING_LABEL, NUMBER_LABEL):
             leaf = node.children[0] if len(node.children) == 1 else node
@@ -260,12 +274,14 @@ class JsonEncoder:
                     raise EncodingError(
                         f"decoded object has duplicate key {key!r}"
                     )
-                result[key] = self._decode_value(head.children[0], slot, values)
+                result[key] = self._decode_value(
+                    head.children[0], slot, values, counts
+                )
             return result
         if label == ARRAY_LABEL:
             self._expect_rank(node, 1)
             return [
-                self._decode_value(head, slot, values)
+                self._decode_value(head, slot, values, counts)
                 for head in self._iter_spine(ITEMS_LABEL, node.children[0])
             ]
         raise EncodingError(

@@ -24,7 +24,12 @@ def slot_count(
 ) -> int:
     """The nodes of ``tree`` labelled in ``labels``; ``counts`` memoizes
     every subtree's count by ``uid`` (one dict serves one ``labels``)."""
-    counts = {} if counts is None else counts
+    if counts is None:
+        counts = {}
+    else:
+        known = counts.get(tree.uid)
+        if known is not None:
+            return known
     stack = [tree]
     while stack:
         node = stack[-1]

@@ -15,8 +15,10 @@ intern table is a weak-value dictionary, so trees are reclaimed as soon as
 no client references them.  Consequences that the rest of the code base
 relies on:
 
-* **O(1) equality** — two live trees are structurally equal iff they are
-  the same object, so ``==`` degenerates to an identity check;
+* **identity equality and hashing** — two live trees are structurally
+  equal iff they are the same object, so :class:`Tree` keeps
+  ``object``'s ``==`` and ``hash`` (both identity, in C) and caches no
+  hash per node;
 * **stable node ids** — every distinct tree carries a monotonically
   increasing :attr:`Tree.uid` that is never reused, safe to use as a memo
   key even after the tree is garbage-collected (unlike ``id()``);
@@ -28,7 +30,7 @@ The non-negotiable caveat: **never mutate a node** (labels included — a
 mutable-but-hashable label object must not be changed after use).  Mutation
 would corrupt every structurally equal tree in the program at once.
 :class:`Tree` enforces immutability of its own attributes by raising
-:class:`~repro.errors.TreeError` from ``__setattr__``.
+:class:`~repro.errors.TreeError` from ``__setattr__`` and ``__delattr__``.
 
 Interning statistics are exposed through :func:`intern_stats` /
 :func:`reset_intern_stats`; :func:`interned_count` reports the number of
@@ -65,6 +67,12 @@ _UID = itertools.count(1)
 
 _STATS: Dict[str, int] = {"hits": 0, "misses": 0}
 
+# Bound once: the miss path allocates and fills a node without a
+# Python-level frame besides ``Tree.__new__`` itself.
+_new_object = object.__new__
+_set = object.__setattr__
+_new_ref = weakref.ref.__new__
+
 
 def _forget(ref: "_InternRef") -> None:
     # The entry may already have been replaced by a re-interned tree;
@@ -75,17 +83,10 @@ def _forget(ref: "_InternRef") -> None:
 
 
 class _InternRef(weakref.ref):
-    """A weak reference remembering its intern-table key."""
+    """A weak reference remembering its intern-table key (made with
+    ``_new_ref(_InternRef, tree, _forget)``, then ``key`` set)."""
 
     __slots__ = ("key",)
-
-    def __new__(cls, tree: "Tree", key: Tuple[Label, Tuple["Tree", ...]]):
-        self = weakref.ref.__new__(cls, tree, _forget)
-        self.key = key
-        return self
-
-    def __init__(self, tree: "Tree", key: Tuple[Label, Tuple["Tree", ...]]):
-        super().__init__(tree, _forget)
 
 
 def intern_stats() -> Dict[str, int]:
@@ -118,23 +119,29 @@ class Tree:
         >>> Tree("f", (Tree("a"), Tree("a"))) is Tree("f", (Tree("a"), Tree("a")))
         True
 
-    Equality and hashing are therefore O(1); size and height are computed
-    once per distinct node.  Trees can be used freely as dictionary keys
-    (the learning algorithm does this heavily for residuals and memoized
-    evaluation) and as memo-cache keys via the never-reused :attr:`uid`.
+    Equality and hashing are therefore object identity (inherited from
+    :class:`object`); size and height are computed once per distinct
+    node.  Trees can be used freely as dictionary keys (the learning
+    algorithm does this heavily for residuals and memoized evaluation)
+    and as memo-cache keys via the never-reused :attr:`uid`.
 
     Never mutate a node or its label object — see the module docstring.
     """
 
-    __slots__ = ("label", "children", "uid", "_hash", "_size", "_height", "__weakref__")
+    __slots__ = ("label", "children", "uid", "size", "height", "__weakref__")
 
     label: Label
     children: Tuple["Tree", ...]
     #: Unique id of this structural value; monotonic, never reused.
     uid: int
+    #: Number of nodes.
+    size: int
+    #: Number of nodes on a longest root-to-leaf branch (leaf = 1).
+    height: int
 
     def __new__(cls, label: Label, children: Sequence["Tree"] = ()):
-        children = tuple(children)
+        if children.__class__ is not tuple:
+            children = tuple(children)
         for child in children:
             if not isinstance(child, Tree):
                 raise TreeError(f"child {child!r} is not a Tree")
@@ -148,18 +155,20 @@ class Tree:
             if cached is not None:
                 _STATS["hits"] += 1
                 return cached
-        self = object.__new__(cls)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "uid", next(_UID))
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_size", 1 + sum(c._size for c in children))
-        object.__setattr__(
-            self,
-            "_height",
-            1 + max((c._height for c in children), default=0),
-        )
-        ref = _InternRef(self, key)
+        size = 1
+        height = 0
+        for child in children:
+            size += child.size
+            if child.height > height:
+                height = child.height
+        self = _new_object(cls)
+        _set(self, "label", label)
+        _set(self, "children", children)
+        _set(self, "uid", next(_UID))
+        _set(self, "size", size)
+        _set(self, "height", height + 1)
+        ref = _new_ref(_InternRef, self, _forget)
+        ref.key = key
         # Publish atomically: another thread may have interned this key
         # since the lookup above, and then its node wins.  A dead entry
         # left for a pending death callback is dropped and the insert
@@ -179,6 +188,9 @@ class Tree:
     def __setattr__(self, name: str, value: object) -> None:
         raise TreeError("Tree instances are immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise TreeError("Tree instances are immutable")
+
     def __reduce__(self):
         # Re-interns on unpickling; also makes copy/deepcopy structural.
         return (Tree, (self.label, self.children))
@@ -195,33 +207,8 @@ class Tree:
         return len(self.children)
 
     @property
-    def size(self) -> int:
-        """Number of nodes."""
-        return self._size
-
-    @property
-    def height(self) -> int:
-        """Number of nodes on a longest root-to-leaf branch (leaf = 1)."""
-        return self._height
-
-    @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def __eq__(self, other: object) -> bool:
-        # Interning makes identity the common case; the structural
-        # fallback only matters for exotic label types where hash-equal
-        # keys compare unequal in the weak table race-free path.
-        if self is other:
-            return True
-        if not isinstance(other, Tree):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return self.label == other.label and self.children == other.children
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Tree({format_term(self)!r})"

@@ -522,20 +522,34 @@ class DTDEncoder:
     # Decoding
     # ------------------------------------------------------------------
 
-    def decode(self, tree: Tree, values: Optional[Values] = None) -> UTree:
+    def decode(
+        self,
+        tree: Tree,
+        values: Optional[Values] = None,
+        counts: Optional[Dict[int, int]] = None,
+    ) -> UTree:
         """Decode a ranked encoding back to an unranked document.
 
         ``values`` optionally rehydrates text content by the preorder
         ordinal of each text's value slot among the value slots.
+        ``counts`` is a :func:`~repro.transducers.origins.slot_count`
+        memo over :attr:`value_labels` (a batch shares one).
         """
         decoded: List[UTree] = []
-        self._decode_items(tree, [0], values or {}, decoded)
+        self._decode_items(
+            tree, [0], values or {}, decoded, {} if counts is None else counts
+        )
         if len(decoded) != 1 or decoded[0].is_text:
             raise EncodingError("the tree does not decode to a single element")
         return decoded[0]
 
     def _decode_items(
-        self, node: Tree, slot: List[int], values: Values, out: List[UTree]
+        self,
+        node: Tree,
+        slot: List[int],
+        values: Values,
+        out: List[UTree],
+        counts: Dict[int, int],
     ) -> None:
         """Append the unranked items ``node`` encodes to ``out``.
 
@@ -548,7 +562,7 @@ class DTDEncoder:
             label = node.label
             if label == HASH_LABEL:
                 if values and node.children:
-                    slot[0] += slot_count(node, labels)
+                    slot[0] += slot_count(node, labels, counts)
                 return
             if label == PCDATA_SYMBOL:
                 text = None
@@ -558,14 +572,14 @@ class DTDEncoder:
                     ordinal = slot[0] + (holder is not node and label in labels)
                     if holder.label in labels:
                         text = values.get(ordinal)
-                    slot[0] += slot_count(node, labels)
+                    slot[0] += slot_count(node, labels, counts)
                 out.append(UTree(PCDATA_LABEL, (), text))
                 return
             if label in self.dtd.elements:
                 slot[0] += label in labels
                 children: List[UTree] = []
                 for child in node.children:
-                    self._decode_items(child, slot, values, children)
+                    self._decode_items(child, slot, values, children, counts)
                 out.append(UTree(str(label), tuple(children)))
                 return
             if label not in self._registry:
@@ -573,7 +587,7 @@ class DTDEncoder:
             if not node.children:
                 return
             for child in node.children[:-1]:
-                self._decode_items(child, slot, values, out)
+                self._decode_items(child, slot, values, out, counts)
             node = node.children[-1]
 
     def roundtrip(self, document: UTree) -> UTree:

@@ -91,7 +91,8 @@ def test_server_replay_byte_identical_under_concurrency(corpus):
         with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
             list(pool.map(worker, range(CLIENTS)))
 
-        stats = ServerClient(handle.host, handle.port).stats()
+        with ServerClient(handle.host, handle.port) as client:
+            stats = client.stats()
 
     for seed, reference in references.items():
         got = [

@@ -105,7 +105,8 @@ class TestTransform:
             thread.join()
         for document, result in zip(documents, results):
             assert result == str(api.run(machine, document))
-        stats = ServerClient(server.host, server.port).stats()
+        with ServerClient(server.host, server.port) as client:
+            stats = client.stats()
         assert stats["batcher"]["documents"] == 48
         # 8 concurrent blocking clients must have produced at least one
         # multi-document batch: requests that arrive while a dispatch

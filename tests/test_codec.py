@@ -121,6 +121,26 @@ class TestContract:
         assert codec.render(document) == text
         assert codec.parse(codec.render(document)) == document
 
+    def test_decoders_read_the_batchs_slot_counts(self, monkeypatch):
+        """Every value slot the XML decoder skips is already counted by
+        the batch's provenance pass: the decoder walks nothing again."""
+        import repro.xml.encode as xml_encode
+
+        calls = []
+        counted = xml_encode.slot_count
+
+        def recording(node, labels, counts=None):
+            calls.append(counts is not None and node.uid in counts)
+            return counted(node, labels, counts)
+
+        monkeypatch.setattr(xml_encode, "slot_count", recording)
+        transformation = load_transformation(MODELS_DIR / "library@1.json")
+        documents = [library_document(count) for count in (1, 3, 3)]
+        outputs = transformation.apply_batch(documents)
+        assert calls and all(calls)
+        monkeypatch.undo()
+        assert outputs == [transformation.apply(d) for d in documents]
+
     def test_term_codec_is_the_identity_encoding(self):
         tree = parse_term("root(a(#, #), #)")
         assert TERM_CODEC.input_encoder.encode_with_values(tree) == (tree, {})

@@ -9,7 +9,11 @@ from repro.codec import load_transformation
 from repro.engine import engine_for
 from repro.errors import UndefinedTransductionError
 from repro.transducers.dtop import DTOP
-from repro.transducers.origins import apply_with_origins, value_sources
+from repro.transducers.origins import (
+    apply_with_origins,
+    slot_count,
+    value_sources,
+)
 from repro.transducers.rhs import Call, call, rhs_tree
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.tree import Tree, parse_term
@@ -142,6 +146,18 @@ def test_value_sources_match_the_origin_oracle():
             assert got == expected, (seed, str(tree))
             pairs += len(expected)
     assert pairs > 100
+
+
+def test_slot_count_memo():
+    """A filled memo answers every subtree of the counted tree; a
+    memoized root is answered from the memo without a walk."""
+    tree = parse_term("f(v, g(v, w), v)")
+    counts = {}
+    assert slot_count(tree, ("v", "w"), counts) == 4
+    for _, subtree in tree.subtrees():
+        assert counts[subtree.uid] == slot_count(subtree, ("v", "w"))
+    counts[tree.uid] = 99
+    assert slot_count(tree, ("v", "w"), counts) == 99
 
 
 def _spine_machine(rules):

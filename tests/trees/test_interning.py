@@ -73,6 +73,26 @@ class TestInterning:
         assert b is a
         assert second["hits"] == first["hits"] + 1
 
+    def test_list_and_generator_children_intern_to_the_tuple_node(self):
+        kids = (leaf("a"), leaf("b"))
+        node = Tree("f", kids)
+        assert Tree("f", list(kids)) is node
+        assert Tree("f", (kid for kid in kids)) is node
+        assert Tree("f", list(kids)).children.__class__ is tuple
+
+    def test_non_tree_child_rejected(self):
+        class Impostor:
+            uid = 1
+            size = 1
+            height = 1
+            label = "a"
+            children = ()
+
+        with pytest.raises(TreeError, match="is not a Tree"):
+            Tree("f", (leaf("a"), Impostor()))
+        with pytest.raises(TreeError, match="is not a Tree"):
+            Tree("f", ["a"])
+
     def test_unhashable_label_rejected(self):
         with pytest.raises(TreeError):
             Tree(["not", "hashable"], ())
@@ -148,7 +168,23 @@ class TestConcurrentInterning:
 
 class TestEqualityStability:
     def test_hash_equals_for_equal_trees(self):
-        assert hash(parse_term("f(a, b)")) == hash(parse_term("f(a, b)"))
+        # Both trees stay alive: identity hashing is only meaningful
+        # between live trees (a dead tree's address may be reused).
+        first = parse_term("f(a, b)")
+        second = parse_term("f(a, b)")
+        assert second is first
+        assert hash(second) == hash(first)
+
+    def test_trees_key_dicts_and_sets_by_structure(self):
+        terms = ["f(a, b)", "f(b, a)", "g(f(a, b))", "a"]
+        table = {parse_term(text): text for text in terms}
+        members = {parse_term(text) for text in terms}
+        for text in terms:
+            reparsed = parse_term(str(parse_term(text)))
+            assert table[reparsed] == text
+            assert reparsed in members
+        assert parse_term("f(a, a)") not in table
+        assert parse_term("f(a, a)") not in members
 
     def test_equality_is_o1_identity(self):
         s = parse_term("f(g(a), g(a))")
@@ -175,6 +211,15 @@ class TestImmutabilityAndCopies:
             node.label = "b"
         with pytest.raises(TreeError):
             node.children = ()
+
+    def test_size_and_height_are_read_only(self):
+        node = parse_term("f(a, g(b))")
+        for name in ("size", "height", "uid"):
+            with pytest.raises(TreeError):
+                setattr(node, name, 1)
+            with pytest.raises(TreeError):
+                delattr(node, name)
+        assert (node.size, node.height) == (4, 3)
 
     def test_copy_and_deepcopy_return_self(self):
         node = parse_term("f(a, g(b))")

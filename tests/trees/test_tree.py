@@ -32,6 +32,8 @@ class TestConstruction:
         assert node.size == 5
         assert node.height == 3
         assert leaf("a").height == 1
+        tallest_last = parse_term("f(a, g(h(b)))")
+        assert (tallest_last.size, tallest_last.height) == (5, 4)
 
     def test_child_is_one_based(self):
         node = tree("f", leaf("a"), leaf("b"))
