@@ -1,11 +1,12 @@
 """E12 — hash-consing and persistent memoization on the evaluation hot path.
 
 Not a paper experiment: this benchmark guards the engineering claims of
-the interned tree core.  (a) Structurally shared inputs are translated
-once — cache misses grow with the number of *distinct* subtrees, not
-with tree size; (b) re-running a transducer over overlapping inputs is
-served by the persistent ``(state, uid)`` memo and is measurably faster
-than cold evaluation; (c) memoized and cold evaluation agree; (d) the
+the interned tree core and the engine's run memo.  (a) Structurally
+shared inputs are translated once — cache misses grow with the number of
+*distinct* subtrees, not with tree size; (b) re-running an engine over
+overlapping inputs is served by its persistent ``(state, uid)`` memo
+and is measurably faster than a cold engine; (c) memoized and cold
+evaluation agree; (d) the
 per-node cost of interning: a miss (new node), a hit (rebuilt node) and
 a dict insert keyed by a tree (identity hash).
 """
@@ -14,6 +15,7 @@ import gc
 import statistics
 import time
 
+from repro.engine import Engine, compile_dtop
 from repro.trees.tree import Tree, intern_stats, leaf, reset_intern_stats, tree
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import rhs_tree
@@ -54,9 +56,9 @@ def _comb(height: int) -> Tree:
 
 def test_e12_shared_subtrees_translated_once(benchmark):
     def run():
-        machine = _flip()
-        output = machine.apply(_full_binary(18))
-        return machine.cache_stats, output.size
+        engine = Engine(compile_dtop(_flip()))
+        output = engine.run(_full_binary(18))
+        return engine.cache_stats, output.size
 
     stats, out_size = benchmark.pedantic(run, rounds=1, iterations=1)
     # 2^18 - 1 logical nodes, but only 18 distinct (state, subtree) pairs.
@@ -72,16 +74,18 @@ def test_e12_shared_subtrees_translated_once(benchmark):
 def test_e12_memoized_vs_cold(benchmark):
     inputs = [_comb(h) for h in range(40, 220, 3)]
 
+    engine = Engine(compile_dtop(_flip()))
+
     def cold():
         results = []
         for s in inputs:
-            machine = _flip()  # fresh memo every time
-            results.append(machine.apply(s))
+            engine.clear_cache()  # fresh memo every time
+            results.append(engine.run(s))
         return results
 
     def warm():
-        machine = _flip()
-        return [machine.apply(s) for s in inputs]
+        engine.clear_cache()
+        return [engine.run(s) for s in inputs]
 
     start = time.perf_counter()
     cold_results = cold()
@@ -94,7 +98,7 @@ def test_e12_memoized_vs_cold(benchmark):
 
     assert cold_results == warm_results == warm_again
     speedup = cold_elapsed / max(warm_elapsed, 1e-9)
-    assert speedup > 1.0, "persistent memo slower than cold evaluation"
+    assert speedup > 1.0, "persistent memo slower than a cold engine"
     report(
         "E12/memo",
         "persistent (state, uid) memo beats cold evaluation on overlap",

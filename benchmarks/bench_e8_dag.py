@@ -4,29 +4,36 @@ Claim: a DTOP can translate a monadic tree of height n into a full
 binary tree of height n; representing outputs as minimal DAGs avoids the
 exponential blow-up, and the DAG is computable in time linear in the
 input size.
+
+Trees are interned, so the engine's output *is* its minimal DAG: its
+distinct nodes (counted by ``uid``) are the DAG, and ``Tree.size`` is
+the unfolded tree's node count.
 """
 
-import sys
+import time
 
-from repro.trees.dag import dag_size, tree_size
+from repro.engine import engine_for
 from repro.trees.generate import monadic_tree
 from repro.workloads.families import exp_full_binary
 
 from benchmarks.conftest import report
-
-# Evaluation recurses once per input level; give deep monadic inputs room.
-sys.setrecursionlimit(100_000)
+from tests.conftest import dag_node_count
 
 
 def test_e8_dag_output(benchmark):
     transducer, _ = exp_full_binary()
+    engine = engine_for(transducer)
     height = 60
     source = monadic_tree(["a"] * height, end="e")
 
-    node = benchmark(lambda: transducer.apply_dag(source))
+    def cold_run():
+        engine.clear_cache()
+        return engine.run(source)
 
-    dag_nodes = dag_size(node)
-    unfolded = tree_size(node)
+    output = benchmark(cold_run)
+
+    dag_nodes = dag_node_count(output)
+    unfolded = output.size
     assert dag_nodes == height + 1
     assert unfolded == 2 ** (height + 1) - 1
     report(
@@ -40,16 +47,16 @@ def test_e8_dag_output(benchmark):
 
 def test_e8_dag_linear_time(benchmark):
     """Evaluation time grows linearly with the input height."""
-    import time
-
     transducer, _ = exp_full_binary()
+    engine = engine_for(transducer)
 
     def sweep():
         rows = []
         for height in [200, 400, 800, 1600]:
             source = monadic_tree(["a"] * height, end="e")
+            engine.clear_cache()
             start = time.perf_counter()
-            transducer.apply_dag(source)
+            engine.run(source)
             rows.append((height, time.perf_counter() - start))
         return rows
 

@@ -32,9 +32,9 @@ Performance notes
 All evaluation in the library runs over interned (hash-consed) trees
 with memo caches owned by the object they serve — see
 ``docs/ARCHITECTURE.md`` for the full map.  :func:`cache_stats`
-aggregates the global counters; per-transducer memos are released with
-the transducer itself (or via ``DTOP.clear_caches``), and learning memos
-with the sample they were computed from.
+aggregates the global counters; a transducer's compiled engine memo is
+released with the transducer itself, and learning memos with the sample
+they were computed from.
 Never mutate a :class:`~repro.trees.tree.Tree` or a label object stored
 in one: nodes are shared program-wide.
 """
@@ -403,9 +403,8 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
     vs. incremental extensions, signature bucket hits) and engine
     compilations.
 
-    Per-transducer run memos are reported by ``DTOP.cache_stats`` and
-    per-sample memos by ``Sample.cache_stats()``; the engine's memo
-    counters by ``engine_for(machine).cache_stats``.  The
+    Per-sample memos are reported by ``Sample.cache_stats()`` and a
+    transducer's run memo by ``engine_for(machine).cache_stats``.  The
     ``engine_artifacts`` entry counts table compilations (``compiles``).
     """
     return {

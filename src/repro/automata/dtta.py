@@ -47,7 +47,6 @@ class DTTA:
         "transitions",
         "_states",
         "_path_cache",
-        "_accept_cache",
         "_allowed_cache",
         "_engine",
         "_canonical",
@@ -77,11 +76,9 @@ class DTTA:
         self.initial = initial
         self.transitions: Dict[Tuple[State, Symbol], Tuple[State, ...]] = checked
         self._states: FrozenSet[State] = frozenset(states)
-        # Memos for state_at_path and accepts_from; sound as long as the
-        # transitions stay frozen (they are — nothing mutates a DTTA
-        # after construction) and because tree uids are never reused.
+        # Memo for state_at_path; sound because nothing mutates a DTTA
+        # after construction.
         self._path_cache: Dict[Path, Optional[State]] = {}
-        self._accept_cache: Dict[Tuple[State, int], bool] = {}
         self._allowed_cache: Dict[State, Tuple[Symbol, ...]] = {}
         # Lazily compiled batch engine (repro.engine.automaton_engine_for).
         self._engine = None
@@ -110,16 +107,12 @@ class DTTA:
     def accepts_from(self, state: State, node: Tree) -> bool:
         """Does the run from ``state`` succeed on ``node``?
 
-        Memoized on ``(state, node.uid)``: membership tests over a batch
-        of overlapping inputs (every sample validation does this) cost
-        one run per distinct subtree.
+        The run is deterministic and top-down, so it visits each input
+        position once; batch membership over overlapping inputs belongs
+        to the compiled :class:`~repro.engine.execute.AutomatonEngine`.
         """
-        key = (state, node.uid)
-        cached = self._accept_cache.get(key)
-        if cached is not None:
-            return cached
         children = self.transitions.get((state, node.label))
-        result = (
+        return (
             children is not None
             and len(children) == len(node.children)
             and all(
@@ -127,8 +120,6 @@ class DTTA:
                 for child_state, child in zip(children, node.children)
             )
         )
-        self._accept_cache[key] = result
-        return result
 
     def accepts(self, node: Tree) -> bool:
         """Membership in ``L(A)``."""

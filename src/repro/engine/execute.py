@@ -20,8 +20,8 @@ one pass, exploiting the global hash-consing of
    demanded pairs failed yield their recorded error instead of a tree.
 
 No step recurses, so input depth is bounded by memory, not by the
-Python stack.  Results are memoized on ``(state_id, uid)`` — like
-:meth:`DTOP.eval_state`, but shared across every entry point of the
+Python stack.  Results are memoized on ``(state_id, uid)`` across calls
+— the one persistent run memo, shared by every entry point of the
 engine (batch runs, single runs, stopped-run off-path translations).
 
 The memo is bounded by :data:`MEMO_LIMIT` entries, in every process: at

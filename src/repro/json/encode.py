@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EncodingError
 from repro.trees.alphabet import RankedAlphabet
@@ -122,31 +122,13 @@ def _scalar_text(value: JsonValue) -> str:
 class JsonEncoder:
     """Encoder/decoder between JSON values and ranked trees.
 
-    Schema-less: any document of the modeled subset encodes; the keys
-    seen so far accumulate into :attr:`alphabet` (the way a
-    :class:`~repro.xml.encode.DTDEncoder` derives its alphabet from the
-    DTD).  Scalar *values* are always abstracted — the encoding is the
+    Schema-less and stateless: any document of the modeled subset
+    encodes, and the encoder keeps nothing from one document to the next
+    (:func:`json_alphabet` builds the alphabet over a chosen key set).
+    Scalar *values* are always abstracted — the encoding is the
     ``abstract_values`` mode of the XML encoder, which is what makes
     copying of values observable and provenance exact.
     """
-
-    def __init__(self) -> None:
-        self._keys: Set[str] = set()
-
-    @property
-    def keys(self) -> Tuple[str, ...]:
-        """Keys registered so far (by encoding or :meth:`register_keys`)."""
-        return tuple(sorted(self._keys))
-
-    @property
-    def alphabet(self) -> RankedAlphabet:
-        """The encoding alphabet over every key seen so far."""
-        return json_alphabet(self.keys)
-
-    def register_keys(self, keys) -> None:
-        for key in keys:
-            member_label(key)  # validates
-            self._keys.add(key)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -188,7 +170,6 @@ class JsonEncoder:
                         f"object key {key!r} is not a string"
                     )
                 label = member_label(key)
-                self._keys.add(key)
                 heads.append(
                     Tree(label, (self._encode_value(member, scalars),))
                 )

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.automata.dtta import State as DState
 from repro.automata.ops import minimal_witness_trees
+from repro.engine import engine_for
 from repro.errors import TransducerError
 from repro.trees.tree import Tree
 from repro.transducers.minimize import CanonicalDTOP
@@ -99,7 +100,7 @@ def witness_pairs(
 
 
 def _output_root(canonical: CanonicalDTOP, state: StateName, tree: Tree) -> str:
-    return canonical.dtop.apply_state(state, tree).label
+    return engine_for(canonical.dtop).eval_state(state, tree).label
 
 
 def _pick_with_root_other_than(

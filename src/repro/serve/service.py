@@ -6,10 +6,11 @@ many input trees, optionally across a pool of worker processes:
 * inputs are grouped into chunks (``chunk_size`` documents, cut further
   by the DAG-aware :func:`~repro.serve.shard.chunk_forest` when a whole
   forest is mapped at once);
-* the compiled engine tables are packed **once**
-  (:func:`~repro.serve.shard.pack_engine`) and shipped to every worker
-  by the pool initializer — workers never re-compile and never see the
-  source machine;
+* the compiled engine tables are packed **once**, when the first pool
+  starts (:func:`~repro.serve.shard.pack_engine`), and shipped to every
+  worker by the pool initializer — workers never re-compile and never
+  see the source machine.  Machines are immutable, so the packed
+  tables never go stale;
 * at most ``max_pending`` chunks are in flight: :meth:`submit` blocks
   once the bound is reached, which is the service's backpressure — a
   slow pool throttles a fast producer instead of buffering the world;
@@ -20,11 +21,7 @@ many input trees, optionally across a pool of worker processes:
 * a worker crash breaks every in-flight chunk; each is retried once on
   a fresh pool, and a chunk that dies twice (it carries the poison
   document) resolves to per-document :class:`~repro.errors.ServiceError`
-  outcomes instead of taking the service down;
-* :meth:`DTOP.clear_caches <repro.transducers.dtop.DTOP.clear_caches>`
-  invalidates the machine's compiled engine; the service notices the
-  stale handle at the next dispatch, re-packs the tables, and restarts
-  the pool, so a live pool can never serve stale tables.
+  outcomes instead of taking the service down.
 
 With ``jobs`` ≤ 1 the service degrades to the in-process engine with
 identical semantics (and zero serialization) — the differential tests
@@ -160,7 +157,6 @@ class TransformService:
         #: the event loop — the swap itself must be atomic.
         self._pool_lock = threading.Lock()
         self._payload: Optional[tuple] = None
-        self._source_engine = None
         self._pending_docs: List[Tree] = []
         self._inflight: Deque[_Chunk] = deque()
         #: Sub-queue of ``_inflight``: chunks whose future is unresolved.
@@ -173,32 +169,19 @@ class TransformService:
             "errors": 0,
             "crashes": 0,
             "pool_restarts": 0,
-            "repacks": 0,
         }
         self._shard_stats: Dict[int, Dict[str, int]] = {}
         _LIVE_SERVICES.add(self)
 
     # -- pool management ------------------------------------------------
 
-    def _ensure_fresh(self) -> None:
-        """(Re)pack tables and (re)start the pool when the machine's
-        engine handle changed — the ``clear_caches`` invalidation path."""
-        engine = engine_for(self._transducer)
-        if engine is self._source_engine:
-            return
-        self._source_engine = engine
-        if self._parallel:
-            self._payload = shard.pack_engine(engine.compiled)
-            self._stats["repacks"] += 1
-            with self._pool_lock:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=True)
-                    self._executor = None
-                    self._stats["pool_restarts"] += 1
-
     def _pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._executor is None:
+                if self._payload is None:
+                    self._payload = shard.pack_engine(
+                        engine_for(self._transducer).compiled
+                    )
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.jobs,
                     mp_context=_pool_context(),
@@ -235,7 +218,6 @@ class TransformService:
         """
         if self._closed or not self._parallel:
             return
-        self._ensure_fresh()
         self._pool()
 
     def restart(self) -> bool:
@@ -262,7 +244,6 @@ class TransformService:
     ) -> None:
         if not trees:
             return
-        self._ensure_fresh()
         chunk = _Chunk(trees, trace if trace else None)
         self._stats["chunks"] += 1
         self._stats["documents"] += len(trees)
@@ -288,15 +269,13 @@ class TransformService:
             chunk.executor = self._executor
             chunk.attempts += 1
             self._unresolved.append(chunk)
-        elif chunk.trace:
-            with chunk.trace.span("execute", documents=len(trees), jobs=1):
-                chunk.outcomes = list(
-                    self._source_engine.run_batch_outcomes(trees)
-                )
         else:
-            chunk.outcomes = list(
-                self._source_engine.run_batch_outcomes(trees)
-            )
+            engine = engine_for(self._transducer)
+            if chunk.trace:
+                with chunk.trace.span("execute", documents=len(trees), jobs=1):
+                    chunk.outcomes = engine.run_batch_outcomes(trees)
+            else:
+                chunk.outcomes = engine.run_batch_outcomes(trees)
         self._inflight.append(chunk)
 
     def _resolve(self, chunk: _Chunk) -> None:

@@ -7,8 +7,7 @@ into an actual multi-tenant network service:
     named, versioned models loaded from a directory of JSON artifacts
     (raw transducers, XML and JSON bundles, fused pipelines — each one
     :class:`~repro.codec.Transformation` with its codec), with hot reload
-    through the library-wide ``clear_caches`` invalidation contract and
-    deferred teardown while requests are in flight.
+    and deferred teardown while requests are in flight.
 
 :mod:`repro.server.batcher`
     load-driven micro-batching — one dispatch in flight per model;

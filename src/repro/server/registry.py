@@ -39,13 +39,12 @@ Hot reload (:meth:`ModelRegistry.reload`) rescans the directory:
 * **kept** — files whose size and mtime are unchanged keep their live
   entry, compiled engines, and worker pool;
 * **reloaded / dropped** — changed or removed files *retire* the old
-  entry: its machine's compiled-engine handle is dropped through the
-  existing :meth:`DTOP.clear_caches
-  <repro.transducers.dtop.DTOP.clear_caches>` invalidation contract and
-  its worker pool is shut down.  Retirement is deferred while requests
-  (or open streams) still hold the entry — in-flight work finishes on
-  the model version it started with; every *new* request resolves to
-  the new entry;
+  entry: its worker pool is shut down, and the machine (with its
+  compiled engine and memo) is freed once nothing holds the entry.
+  Machines are immutable, so nothing is invalidated.  Retirement is
+  deferred while requests (or open streams) still hold the entry —
+  in-flight work finishes on the model version it started with; every
+  *new* request resolves to the new entry;
 * **failed** — a corrupt or half-written file is isolated: the model's
   live entry (if any) keeps serving its old version, every other file's
   change still commits, and the failure is reported per model in the
@@ -108,8 +107,8 @@ class ModelEntry:
     ``codec`` parses request documents and renders outcomes, and
     :meth:`run_batch` translates a batch — the batcher and the protocol
     handlers stay format-agnostic.  ``acquire``/``release`` bracket
-    every use; a retired entry tears down its engine handle and pool as
-    soon as the last holder releases it.
+    every use; a retired entry shuts its pool down as soon as the last
+    holder releases it.
     """
 
     def __init__(
@@ -209,19 +208,13 @@ class ModelEntry:
         return self._retired
 
     def close(self) -> None:
-        """Drop the compiled-engine handle and shut the worker pool down.
-
-        Idempotent.  ``clear_caches`` is the library-wide invalidation
-        contract: any service still pointing at the machine re-packs on
-        its next dispatch instead of serving stale tables.
-        """
+        """Shut the worker pool down.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         if self._service is not None:
             self._service.close()
             self._service = None
-        self.machine.clear_caches()
 
     # -- serving --------------------------------------------------------
 

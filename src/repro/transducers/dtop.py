@@ -1,22 +1,18 @@
 """The deterministic top-down tree transducer (Definition 1).
 
 A :class:`DTOP` is a tuple ``(Q, F, G, ax, rhs)``.  Evaluation follows the
-recursive definition of ``[[M]]_q`` literally, with **persistent**
-memoization on ``(state, input-node uid)``: because trees are interned
-(:mod:`repro.trees.tree`), a subtree shared between two inputs — or
-between two runs — is recognized by identity and translated once over the
-transducer's lifetime.  The learner's inner loops (RPNI merging,
-equivalence checks, characteristic-sample generation) evaluate the same
-machine on heavily overlapping inputs, which is exactly the access
-pattern this cache serves; :attr:`DTOP.cache_stats` exposes the hit/miss
-counters and :meth:`DTOP.clear_caches` drops the memo.
+recursive definition of ``[[M]]_q`` literally: it is the executable spec
+the compiled :class:`~repro.engine.execute.Engine` is tested against.
+Each :meth:`DTOP.apply` / :meth:`DTOP.eval_state` call memoizes on
+``(state, input-node uid)`` for its own duration, so an input with shared
+subtrees (trees are interned, :mod:`repro.trees.tree`) is translated once
+per distinct ``(state, subtree)`` pair, and the interned output is
+already its own minimal DAG: the paper's monadic-to-full-binary example
+runs in time linear in the input.  Nothing outlives the call; the
+engine keeps the persistent, bounded memo.
 
-The cache is sound because a :class:`DTOP` is immutable after
-construction (treat ``rules`` as frozen — mutating it invalidates the
-memo) and tree uids are never reused.  For outputs that are exponentially
-larger than the input (the paper's monadic-to-full-binary example),
-:meth:`DTOP.apply_dag` evaluates straight into a minimal DAG in time
-linear in the input size.
+A :class:`DTOP` is immutable after construction (treat ``rules`` as
+frozen): its compiled engine is built once and never goes stale.
 """
 
 from __future__ import annotations
@@ -25,11 +21,13 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.errors import TransducerError, UndefinedTransductionError
 from repro.trees.alphabet import RankedAlphabet, Symbol
-from repro.trees.dag import Dag, DagNode
 from repro.trees.tree import Tree
 from repro.transducers.rhs import Call, StateName, calls_in, is_call
 
 RuleKey = Tuple[StateName, Symbol]
+
+#: One evaluation's memo: ``(state, input-node uid)`` → output tree.
+Memo = Dict[Tuple[StateName, int], Tree]
 
 
 class DTOP:
@@ -55,8 +53,6 @@ class DTOP:
         "axiom",
         "rules",
         "_states",
-        "_memo",
-        "_memo_stats",
         "_engine",
     )
 
@@ -92,11 +88,6 @@ class DTOP:
                     )
                 found.add(rule_call.state)
         self._states: FrozenSet[StateName] = frozenset(found)
-        # Persistent run memo: (state, input-node uid) → output tree.
-        # Sound because the transducer and the interned trees are
-        # immutable; uids are never reused.
-        self._memo: Dict[Tuple[StateName, int], Tree] = {}
-        self._memo_stats: Dict[str, int] = {"hits": 0, "misses": 0}
         # Lazily compiled batch engine (repro.engine.engine_for).
         self._engine = None
         self._check_output_ranks(axiom)
@@ -138,40 +129,32 @@ class DTOP:
     # ------------------------------------------------------------------
 
     def eval_state(self, state: StateName, node: Tree) -> Tree:
-        """``[[M]]_q(s)`` through the persistent memo; raises when undefined.
+        """``[[M]]_q(s)``; raises when undefined."""
+        return self._eval(state, node, {})
 
-        Results are cached for the lifetime of the transducer, keyed by
-        ``(q, s.uid)`` — repeated evaluation on shared subtrees (across
-        *different* top-level calls) is O(1).  Failures are not cached.
-        """
+    def _eval(self, state: StateName, node: Tree, memo: Memo) -> Tree:
         key = (state, node.uid)
-        cached = self._memo.get(key)
+        cached = memo.get(key)
         if cached is not None:
-            self._memo_stats["hits"] += 1
             return cached
-        self._memo_stats["misses"] += 1
         rhs = self.rules.get((state, node.label))
         if rhs is None:
             raise UndefinedTransductionError(
                 f"no rule for state {state!r} on symbol {node.label!r}"
             )
-        result = self._instantiate(rhs, node)
-        self._memo[key] = result
+        result = self._instantiate(rhs, node, memo)
+        memo[key] = result
         return result
 
-    def apply_state(self, state: StateName, node: Tree) -> Tree:
-        """``[[M]]_q(s)``; raises when undefined.  Alias of :meth:`eval_state`."""
-        return self.eval_state(state, node)
-
-    def _instantiate(self, rhs: Tree, node: Tree) -> Tree:
+    def _instantiate(self, rhs: Tree, node: Tree, memo: Memo) -> Tree:
         label = rhs.label
         if isinstance(label, Call):
-            return self.eval_state(label.state, node.children[label.var - 1])
+            return self._eval(label.state, node.children[label.var - 1], memo)
         if rhs.is_leaf:
             return rhs
         return Tree(
             label,
-            tuple(self._instantiate(child, node) for child in rhs.children),
+            tuple(self._instantiate(child, node, memo) for child in rhs.children),
         )
 
     def apply(self, node: Tree) -> Tree:
@@ -179,43 +162,18 @@ class DTOP:
 
         Raises :class:`UndefinedTransductionError` outside the domain.
         """
-        return self._instantiate_axiom(self.axiom, node)
+        return self._instantiate_axiom(self.axiom, node, {})
 
-    def _instantiate_axiom(self, part: Tree, node: Tree) -> Tree:
+    def _instantiate_axiom(self, part: Tree, node: Tree, memo: Memo) -> Tree:
         label = part.label
         if isinstance(label, Call):
-            return self.eval_state(label.state, node)
+            return self._eval(label.state, node, memo)
         if part.is_leaf:
             return part
         return Tree(
             label,
-            tuple(self._instantiate_axiom(c, node) for c in part.children),
+            tuple(self._instantiate_axiom(c, node, memo) for c in part.children),
         )
-
-    @property
-    def cache_stats(self) -> Dict[str, int]:
-        """Persistent-memo counters: ``hits``, ``misses``, ``entries``."""
-        return {**self._memo_stats, "entries": len(self._memo)}
-
-    def clear_caches(self) -> None:
-        """Drop the persistent run memo and zero its counters.
-
-        Only needed to release memory (long-lived transducers applied to
-        many unrelated inputs) — never for correctness.  Also drops the
-        compiled engine *entirely* (tables and memo): every engine handle
-        derived from this machine — including per-shard engines held by a
-        live :class:`~repro.serve.service.TransformService` pool, which
-        compare the handle at each dispatch — is invalidated, so a
-        machine whose ``rules`` were mutated behind the documented
-        immutability contract can never keep serving stale tables.  The
-        next evaluation recompiles (compilation is linear and cheap).
-        """
-        self._memo.clear()
-        self._memo_stats["hits"] = 0
-        self._memo_stats["misses"] = 0
-        if self._engine is not None:
-            self._engine.clear_cache()
-            self._engine = None
 
     def try_apply(self, node: Tree) -> Optional[Tree]:
         """``[[M]](s)`` or ``None`` when the input is outside the domain."""
@@ -242,52 +200,6 @@ class DTOP:
         )
 
     # ------------------------------------------------------------------
-    # DAG-producing evaluation (linear time in the input size)
-    # ------------------------------------------------------------------
-
-    def apply_dag(self, node: Tree, pool: Optional[Dag] = None) -> DagNode:
-        """``[[M]](s)`` as a hash-consed DAG node.
-
-        Runs in time O(|s| · |M|): each (state, input-subtree) pair is
-        translated once and shared, so outputs exponentially larger than
-        the input stay polynomial in memory.
-        """
-        pool = pool if pool is not None else Dag()
-        memo: Dict[Tuple[StateName, int], DagNode] = {}
-
-        def eval_state(state: StateName, current: Tree) -> DagNode:
-            key = (state, current.uid)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            rhs = self.rules.get((state, current.label))
-            if rhs is None:
-                raise UndefinedTransductionError(
-                    f"no rule for state {state!r} on symbol {current.label!r}"
-                )
-            result = instantiate(rhs, current)
-            memo[key] = result
-            return result
-
-        def instantiate(rhs: Tree, current: Tree) -> DagNode:
-            label = rhs.label
-            if isinstance(label, Call):
-                return eval_state(label.state, current.children[label.var - 1])
-            return pool.make(
-                label, tuple(instantiate(child, current) for child in rhs.children)
-            )
-
-        def instantiate_axiom(part: Tree) -> DagNode:
-            label = part.label
-            if isinstance(label, Call):
-                return eval_state(label.state, node)
-            return pool.make(
-                label, tuple(instantiate_axiom(child) for child in part.children)
-            )
-
-        return instantiate_axiom(self.axiom)
-
-    # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
 
@@ -295,7 +207,7 @@ class DTOP:
         """Isomorphic copy with states renamed by ``mapping``.
 
         Renaming cannot invalidate a well-formed machine, so the copy is
-        built directly (no re-validation) with a fresh run memo.
+        built directly (no re-validation).
         """
 
         def rename_tree(node: Tree) -> Tree:
@@ -313,8 +225,6 @@ class DTOP:
             for (q, f), rhs in self.rules.items()
         }
         clone._states = frozenset(mapping.get(q, q) for q in self._states)
-        clone._memo = {}
-        clone._memo_stats = {"hits": 0, "misses": 0}
         clone._engine = None
         return clone
 

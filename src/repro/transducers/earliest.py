@@ -242,7 +242,7 @@ def _out_table_reference(
     pairs = reachable_pairs(transducer, domain)
     witnesses = minimal_witness_trees(domain)
     table: Dict[Pair, Tree] = {
-        (q, d): transducer.apply_state(q, witnesses[d]) for q, d in pairs
+        (q, d): transducer.eval_state(q, witnesses[d]) for q, d in pairs
     }
     changed = True
     while changed:

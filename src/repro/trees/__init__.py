@@ -1,15 +1,15 @@
-"""Ranked trees, paths, prefixes, and DAG compression.
+"""Ranked trees, paths and prefixes.
 
 This package is the foundational substrate of the reproduction: ordered
 ranked trees exactly as in Section 2 of the paper, the labeled-path
-machinery (``F``-paths and npaths), the largest-common-prefix operator
-``⊔`` with the special symbol ``⊥``, and the minimal-DAG representation the
-paper recommends for exponential outputs.
+machinery (``F``-paths and npaths), and the largest-common-prefix
+operator ``⊔`` with the special symbol ``⊥``.
 
 Trees are globally **hash-consed** (see :mod:`repro.trees.tree`):
-structurally equal trees are the same object, equality is O(1), every
-node has a stable never-reused ``uid``, and the binary ``⊔`` is memoized
-on uid pairs.  The one obligation this places on callers: never mutate a
+structurally equal trees are the same object, so every tree is its own
+minimal DAG (the paper's representation for exponential outputs).
+Equality is O(1), every node has a stable never-reused ``uid``, and the
+binary ``⊔`` is memoized on uid pairs.  The one obligation this places on callers: never mutate a
 node or a label object stored in one.
 """
 
@@ -51,7 +51,6 @@ from repro.trees.substitution import (
     replace_at_node,
     replace_at_path,
 )
-from repro.trees.dag import Dag, DagNode, dag_of_tree, dag_size, tree_size
 from repro.trees.generate import all_trees_up_to, random_tree
 
 __all__ = [
@@ -85,11 +84,6 @@ __all__ = [
     "substitute_leaves",
     "replace_at_node",
     "replace_at_path",
-    "Dag",
-    "DagNode",
-    "dag_of_tree",
-    "dag_size",
-    "tree_size",
     "all_trees_up_to",
     "random_tree",
 ]

@@ -23,7 +23,7 @@ class UTree:
     ``text`` is only meaningful on :data:`PCDATA_LABEL` leaves.
     """
 
-    __slots__ = ("label", "children", "text", "_hash")
+    __slots__ = ("label", "children", "text")
 
     def __init__(
         self,
@@ -39,7 +39,6 @@ class UTree:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "text", text)
-        object.__setattr__(self, "_hash", hash((label, children, text)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise TreeError("UTree instances are immutable")
@@ -56,14 +55,13 @@ class UTree:
         if not isinstance(other, UTree):
             return NotImplemented
         return (
-            self._hash == other._hash
-            and self.label == other.label
+            self.label == other.label
             and self.text == other.text
             and self.children == other.children
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.label, self.children, self.text))
 
     def __repr__(self) -> str:
         return f"UTree({self!s})"

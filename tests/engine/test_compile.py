@@ -135,13 +135,14 @@ class TestEngineCaching:
         engine.run(deep)
         assert engine.cache_stats["hits"] >= 1
 
-    def test_dtop_clear_caches_clears_engine(self):
+    def test_engine_clear_cache_empties_the_memo(self):
         machine = flip()
         engine = engine_for(machine)
         engine.run(parse_term("f(a, b)"))
         assert engine.cache_stats["entries"] > 0
-        machine.clear_caches()
+        engine.clear_cache()
         assert engine.cache_stats["entries"] == 0
+        assert engine_for(machine) is engine  # the tables never go stale
 
     def test_rename_clone_gets_fresh_engine(self):
         machine = flip()
@@ -152,7 +153,6 @@ class TestEngineCaching:
 
     def test_compile_counter_counts_compilations(self):
         machine, _domain = cycle_relabel(3)
-        machine.clear_caches()
         reset_artifact_stats()
         engine_for(machine)
         assert artifact_stats()["compiles"] == 1

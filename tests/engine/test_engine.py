@@ -475,16 +475,16 @@ class TestEngineCache:
         assert clone._engine.memo_size() == 0  # the memo is not pickled
         assert engine_for(clone).run(source) is expected
 
-    def test_clear_caches_drops_the_engine(self):
+    def test_clear_cache_keeps_the_engine(self):
         machine, _domain = cycle_relabel(2)
         source = monadic_tree(["a"] * 10)
         engine = engine_for(machine)
-        engine.run(source)
+        expected = engine.run(source)
         assert engine.memo_size() > 0
-        machine.clear_caches()
+        engine.clear_cache()
         assert engine.memo_size() == 0
-        assert machine._engine is None
-        assert engine_for(machine) is not engine
+        assert machine._engine is engine
+        assert engine.run(source) is expected
 
     def test_concurrent_first_use_compiles_once(self, monkeypatch):
         machine, _domain = random_total_dtop(num_states=4, seed=3)

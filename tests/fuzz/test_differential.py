@@ -42,6 +42,8 @@ from repro.trees.tree import Tree
 from repro.transducers.minimize import canonicalize
 from repro.workloads.families import random_total_dtop
 
+from tests.conftest import without_rules
+
 #: Seed budget; the CI fuzz-smoke job raises it via the environment.
 FUZZ_SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "6")))
 
@@ -53,10 +55,10 @@ def random_machine(seed: int):
         num_states=rng.randint(1, 5), seed=seed
     )
     if seed % 2:
-        for key in sorted(machine.rules, key=repr):
-            if rng.random() < 0.3:
-                del machine.rules[key]
-        machine.clear_caches()
+        machine = without_rules(
+            machine,
+            [key for key in sorted(machine.rules, key=repr) if rng.random() < 0.3],
+        )
     return machine, domain
 
 
@@ -76,15 +78,14 @@ def outcome_bytes(outcome):
 
 
 def interpreter_outcomes(machine, forest):
-    """Reference outcomes from a *fresh* recursive interpreter."""
+    """Reference outcomes from the recursive interpreter, which keeps
+    nothing between calls: every input is translated cold."""
     results = []
     for source in forest:
-        machine.clear_caches()
         try:
             results.append(machine.apply(source))
         except UndefinedTransductionError as error:
             results.append(error)
-    machine.clear_caches()
     return results
 
 

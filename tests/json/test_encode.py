@@ -82,11 +82,12 @@ class TestEncodeStructure:
             "obj", term("mems", term("m:a", term("true")), term("#"))
         )
 
-    def test_keys_accumulate_into_alphabet(self):
+    def test_encoder_holds_nothing_after_distinct_keys(self):
         encoder = JsonEncoder()
-        encoder.encode({"user": {"tags": []}})
-        assert encoder.keys == ("tags", "user")
-        assert "m:user" in encoder.alphabet
+        for index in range(1000):
+            tree = encoder.encode({f"k{index}": {"tags": []}})
+            assert tree.children[0].children[0].label == f"m:k{index}"
+        assert vars(encoder) == {}
 
     def test_long_array_is_iterative(self):
         # Far past the interpreter recursion limit: the cons spines are

@@ -27,15 +27,15 @@ class TestRootRealizers:
         realizers = root_realizers(flip_canonical)
         for state, by_root in realizers.items():
             for root, source in by_root.items():
-                output = flip_canonical.dtop.apply_state(state, source)
+                output = flip_canonical.dtop.eval_state(state, source)
                 assert output.label == root
 
 
 class TestWitnessPairs:
     def test_outputs_differ_at_root(self, flip_canonical):
         for state, (s1, s2) in witness_pairs(flip_canonical).items():
-            o1 = flip_canonical.dtop.apply_state(state, s1)
-            o2 = flip_canonical.dtop.apply_state(state, s2)
+            o1 = flip_canonical.dtop.eval_state(state, s1)
+            o2 = flip_canonical.dtop.eval_state(state, s2)
             assert o1.label != o2.label
 
     def test_witnesses_typed_by_domain(self, flip_canonical):
@@ -55,8 +55,8 @@ class TestDistinguishingInputs:
                 if state_domain[a] != state_domain[b]:
                     continue
                 source = separators[(a, b)]
-                out_a = flip_canonical.dtop.apply_state(a, source)
-                out_b = flip_canonical.dtop.apply_state(b, source)
+                out_a = flip_canonical.dtop.eval_state(a, source)
+                out_b = flip_canonical.dtop.eval_state(b, source)
                 assert out_a != out_b, (a, b)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -69,9 +69,9 @@ class TestDistinguishingInputs:
         for i, a in enumerate(states):
             for b in states[i + 1 :]:
                 source = separators[(a, b)]
-                assert canonical.dtop.apply_state(
+                assert canonical.dtop.eval_state(
                     a, source
-                ) != canonical.dtop.apply_state(b, source)
+                ) != canonical.dtop.eval_state(b, source)
 
     def test_deep_separation_through_dependencies(self):
         """rotate_lists(3) needs the fixpoint (rules diverge only deeper)."""

@@ -1,5 +1,5 @@
 """TransformService: parity, determinism, backpressure, crash recovery,
-and the clear_caches → live-pool invalidation contract."""
+and tables packed once per service."""
 
 import random
 
@@ -17,6 +17,8 @@ from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import rhs_tree
 from repro.workloads.families import random_total_dtop
 
+from tests.conftest import without_rules
+
 
 def fingerprint(outcomes):
     return [(type(o).__name__, str(o)) for o in outcomes]
@@ -25,11 +27,14 @@ def fingerprint(outcomes):
 def partial_machine(seed=3, knockout=0.3):
     machine, _ = random_total_dtop(4, seed=seed)
     rng = random.Random(seed + 40)
-    for key in sorted(machine.rules, key=repr):
-        if rng.random() < knockout:
-            del machine.rules[key]
-    machine.clear_caches()
-    return machine
+    return without_rules(
+        machine,
+        [
+            key
+            for key in sorted(machine.rules, key=repr)
+            if rng.random() < knockout
+        ],
+    )
 
 
 def forest_for(machine, seed=11, count=30):
@@ -193,10 +198,12 @@ class TestCrashRecovery:
         assert len(failed) <= 3  # at most the poison document's chunk
 
 
-class TestStaleTableInvalidation:
-    def _relabel_machine(self):
+class TestPackedOnce:
+    def test_pool_serves_tables_packed_once(self):
+        # Machines are immutable, so a service packs its tables when the
+        # first pool starts and never again.
         alphabet = RankedAlphabet({"g": 1, "a": 0, "b": 0})
-        return DTOP(
+        machine = DTOP(
             alphabet,
             alphabet,
             rhs_tree(("q", 0)),
@@ -206,44 +213,15 @@ class TestStaleTableInvalidation:
                 ("q", "b"): rhs_tree("b"),
             },
         )
-
-    def test_clear_caches_drops_engine_handle(self):
-        machine = self._relabel_machine()
-        engine = engine_for(machine)
-        engine.run(tree("g", leaf("a")))
-        machine.clear_caches()
-        assert machine._engine is None
-        assert engine.cache_stats["entries"] == 0  # old handle emptied too
-        assert engine_for(machine) is not engine  # fresh tables next use
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_live_service_repacks_after_clear_caches(self, jobs):
-        machine = self._relabel_machine()
-        document = tree("g", leaf("a"))
-        with TransformService(machine, jobs=jobs, chunk_size=1) as service:
-            before = list(service.map([document]))
-            # Mutation is outside the documented immutability contract —
-            # clear_caches is the hook that makes it safe anyway.
-            machine.rules[("q", "a")] = rhs_tree("b")
-            machine.clear_caches()
-            after = list(service.map([document]))
-            stats = service.stats
-        assert str(before[0]) == "g(a)"
-        assert str(after[0]) == "g(b)"
-        if jobs > 1:
-            assert stats["repacks"] == 2
-            assert stats["pool_restarts"] >= 1
-
-    def test_without_clear_caches_pool_serves_compiled_tables(self):
-        # The contract cuts the other way too: machines are immutable,
-        # so an *unmutated* machine must not repack between batches.
-        machine = self._relabel_machine()
         document = tree("g", leaf("b"))
         with TransformService(machine, jobs=2, chunk_size=1) as service:
             list(service.map([document]))
-            list(service.map([document]))
-            assert service.stats["repacks"] == 1
+            payload = service._payload
+            assert payload is not None
+            assert [str(o) for o in service.map([document])] == ["g(b)"]
+            assert service._payload is payload
             assert service.stats["pool_restarts"] == 0
+            assert "repacks" not in service.stats
 
 
 class TestCloseLifecycle:

@@ -22,6 +22,8 @@ from repro.trees.generate import monadic_tree, random_tree
 from repro.trees.tree import Tree, leaf, tree
 from repro.workloads.families import cycle_relabel, random_total_dtop
 
+from tests.conftest import without_rules
+
 
 def legacy_payload(machine):
     """A valid ``repro/engine-payload@2`` tuple, built by hand: it also
@@ -112,10 +114,14 @@ class TestEnginePayload:
         machine, _ = random_total_dtop(4, seed=seed)
         if seed % 2:  # partial machines must ship their undefinedness too
             rng = random.Random(seed)
-            for key in sorted(machine.rules, key=repr):
-                if rng.random() < 0.3:
-                    del machine.rules[key]
-            machine.clear_caches()
+            machine = without_rules(
+                machine,
+                [
+                    key
+                    for key in sorted(machine.rules, key=repr)
+                    if rng.random() < 0.3
+                ],
+            )
         rng = random.Random(seed + 100)
         forest = [
             random_tree(machine.input_alphabet, max_height=6, rng=rng)

@@ -2,6 +2,7 @@
 ``repro/pipeline@1`` artifacts, and warm boots that read and write
 nothing but the model JSON."""
 
+import gc
 import json
 import os
 import pickle
@@ -23,6 +24,7 @@ from repro.server.registry import (
 )
 from repro.trees.alphabet import RankedAlphabet
 from repro.transducers.compose import compose_chain
+from repro.transducers.dtop import DTOP
 from repro.workloads.flip import FLIP_ALPHABET, flip_input, flip_transducer
 from repro.workloads.xmlflip import transform_xmlflip, xmlflip_document
 from repro.xml.xmlio import serialize_xml
@@ -145,15 +147,17 @@ class TestHotReload:
             assert summary["reloaded"] == [] and summary["dropped"] == []
             assert registry.get("flip@1") is before
 
-    def test_changed_file_swaps_entry_and_drops_old_engine(
+    def test_changed_file_swaps_entry_and_frees_old_machine(
         self, models_dir, flip_identity
     ):
         with ModelRegistry(models_dir) as registry:
             old = registry.get("flip@1")
-            old_machine = old.machine
-            # Touch the machine so it owns a compiled-engine handle.
+            # Touch the machine so it owns a compiled engine and memo.
             assert old.run_batch([flip_input(1, 1)])
-            assert old_machine._engine is not None
+            assert old.machine._engine is not None
+            # Hold the machine's rules, not the machine: a DTOP that
+            # still points at them is the old machine, alive.
+            old_rules = old.machine.rules
 
             time.sleep(0.01)  # ensure a distinct mtime_ns
             api.save(flip_identity, str(models_dir / "flip@1.json"))
@@ -163,8 +167,12 @@ class TestHotReload:
             new = registry.get("flip@1")
             assert new is not old
             assert old.retired
-            # clear_caches contract: the retired entry dropped its handle.
-            assert old_machine._engine is None
+            del old
+            gc.collect()
+            assert not any(
+                isinstance(obj, DTOP) and obj.rules is old_rules
+                for obj in gc.get_objects()
+            )
             document = flip_input(2, 0)
             assert str(new.run_batch([document])[0]) == str(document)
 

@@ -2,15 +2,17 @@
 
 import pytest
 
+from repro.engine import engine_for
 from repro.errors import TransducerError, UndefinedTransductionError
 from repro.trees.alphabet import RankedAlphabet
-from repro.trees.dag import dag_size, dag_to_tree, tree_size
 from repro.trees.tree import Tree, parse_term
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import call, rhs_tree
 from repro.workloads.constants import constant_m1, constant_m2, constant_m3
 from repro.workloads.families import exp_full_binary
 from repro.workloads.flip import flip_input, flip_output, flip_transducer
+
+from tests.conftest import dag_node_count
 
 
 class TestValidation:
@@ -79,11 +81,11 @@ class TestEvaluation:
         assert constant_m2().apply(tree) == parse_term("b")
         assert constant_m3().apply(tree) == parse_term("b")
 
-    def test_apply_state(self):
+    def test_eval_state(self):
         transducer = flip_transducer()
         from repro.workloads.flip import b_list
 
-        got = transducer.apply_state("q3", b_list(2))
+        got = transducer.eval_state("q3", b_list(2))
         assert got == b_list(2)
 
 
@@ -113,11 +115,10 @@ class TestCopying:
 
 
 class TestDagEvaluation:
-    def test_matches_tree_evaluation(self):
+    def test_matches_engine_evaluation(self):
         transducer = flip_transducer()
         source = flip_input(2, 3)
-        node = transducer.apply_dag(source)
-        assert dag_to_tree(node) == transducer.apply(source)
+        assert engine_for(transducer).run(source) is transducer.apply(source)
 
     def test_exponential_output_linear_dag(self):
         """Section 1: height-n monadic input → full binary tree, DAG linear."""
@@ -125,14 +126,15 @@ class TestDagEvaluation:
         from repro.trees.generate import monadic_tree
 
         source = monadic_tree(["a"] * 40, end="e")
-        node = transducer.apply_dag(source)
-        assert dag_size(node) == 41
-        assert tree_size(node) == 2 ** 41 - 1
+        output = transducer.apply(source)
+        assert dag_node_count(output) == 41
+        assert output.size == 2 ** 41 - 1
+        assert engine_for(transducer).run(source) is output
 
     def test_undefined_raises(self):
         transducer = flip_transducer()
         with pytest.raises(UndefinedTransductionError):
-            transducer.apply_dag(parse_term("#"))
+            engine_for(transducer).run(parse_term("#"))
 
 
 class TestStructure:

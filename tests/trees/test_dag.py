@@ -1,81 +1,49 @@
-"""Tests for the minimal-DAG representation (Section 1 DAG remark)."""
+"""Interned trees are minimal DAGs (Section 1 DAG remark)."""
 
 from hypothesis import given, settings
 
-from repro.trees.dag import (
-    Dag,
-    dag_of_tree,
-    dag_size,
-    dag_to_tree,
-    tree_size,
-)
 from repro.trees.generate import full_binary_tree
 from repro.trees.tree import Tree, parse_term
 
-from tests.conftest import BINARY_ALPHABET, trees_over
+from tests.conftest import BINARY_ALPHABET, dag_node_count, trees_over
 
 
 class TestHashConsing:
     def test_equal_subtrees_shared(self):
-        pool = Dag()
-        a1 = pool.make("a")
-        a2 = pool.make("a")
+        a1 = Tree("a", ())
+        a2 = Tree("a", ())
         assert a1 is a2
-        f1 = pool.make("f", (a1, a2))
-        f2 = pool.make("f", (a1, a1))
+        f1 = Tree("f", (a1, a2))
+        f2 = Tree("f", (a1, a1))
         assert f1 is f2
 
-    def test_add_tree(self):
-        pool = Dag()
-        node = pool.add_tree(parse_term("f(g(a), g(a))"))
+    def test_repeated_subtree_counts_once(self):
         # f, g(a), a → 3 distinct nodes.
-        assert dag_size(node) == 3
+        assert dag_node_count(parse_term("f(g(a), g(a))")) == 3
 
     def test_distinct_labels_not_shared(self):
-        pool = Dag()
-        node = pool.add_tree(parse_term("f(a, b)"))
-        assert dag_size(node) == 3
+        assert dag_node_count(parse_term("f(a, b)")) == 3
 
 
 class TestSizes:
     def test_tree_size_matches_unfolding(self):
-        tree = parse_term("f(g(a), g(a))")
-        _, node = dag_of_tree(tree)
-        assert tree_size(node) == tree.size
+        assert parse_term("f(g(a), g(a))").size == 5
 
     def test_full_binary_tree_is_linear_as_dag(self):
         """The paper's point: exponential tree, linear DAG."""
         height = 20
         tree = full_binary_tree("f", "l", height)
-        _, node = dag_of_tree(tree)
-        assert tree_size(node) == 2 ** height - 1
-        assert dag_size(node) == height
-
-    def test_roundtrip(self):
-        tree = parse_term("f(g(f(a, b)), f(a, b))")
-        _, node = dag_of_tree(tree)
-        assert dag_to_tree(node) == tree
+        assert tree.size == 2 ** height - 1
+        assert dag_node_count(tree) == height
 
 
 class TestProperties:
     @given(trees_over(BINARY_ALPHABET))
     @settings(max_examples=80)
-    def test_dag_roundtrip_identity(self, tree):
-        _, node = dag_of_tree(tree)
-        assert dag_to_tree(node) == tree
+    def test_dag_never_larger_than_tree(self, tree):
+        assert dag_node_count(tree) <= tree.size
 
     @given(trees_over(BINARY_ALPHABET))
-    @settings(max_examples=80)
-    def test_dag_never_larger_than_tree(self, tree):
-        _, node = dag_of_tree(tree)
-        assert dag_size(node) <= tree.size
-        assert tree_size(node) == tree.size
-
-    @given(trees_over(BINARY_ALPHABET), trees_over(BINARY_ALPHABET))
     @settings(max_examples=60)
-    def test_shared_pool_deduplicates(self, s, t):
-        pool = Dag()
-        node_s = pool.add_tree(s)
-        node_t = pool.add_tree(t)
-        if s == t:
-            assert node_s is node_t
+    def test_rebuilt_tree_is_the_same_node(self, tree):
+        assert parse_term(str(tree)) is tree
