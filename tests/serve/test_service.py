@@ -199,20 +199,24 @@ class TestCrashRecovery:
 
 
 class TestPackedOnce:
-    def test_pool_serves_tables_packed_once(self):
-        # Machines are immutable, so a service packs its tables when the
-        # first pool starts and never again.
+    @staticmethod
+    def _relabel_machine(a_output="a"):
         alphabet = RankedAlphabet({"g": 1, "a": 0, "b": 0})
-        machine = DTOP(
+        return DTOP(
             alphabet,
             alphabet,
             rhs_tree(("q", 0)),
             {
                 ("q", "g"): rhs_tree(("g", ("q", 1))),
-                ("q", "a"): rhs_tree("a"),
+                ("q", "a"): rhs_tree(a_output),
                 ("q", "b"): rhs_tree("b"),
             },
         )
+
+    def test_pool_serves_tables_packed_once(self):
+        # Machines are immutable, so a service packs its tables when the
+        # first pool starts and never again.
+        machine = self._relabel_machine()
         document = tree("g", leaf("b"))
         with TransformService(machine, jobs=2, chunk_size=1) as service:
             list(service.map([document]))
@@ -222,6 +226,24 @@ class TestPackedOnce:
             assert service._payload is payload
             assert service.stats["pool_restarts"] == 0
             assert "repacks" not in service.stats
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_new_rules_are_a_new_machine_and_service(self, jobs):
+        # Changed rules make a new DTOP with its own service; the live
+        # service keeps answering with the machine it was built for.
+        document = tree("g", leaf("a"))
+        with TransformService(
+            self._relabel_machine(), jobs=jobs, chunk_size=1
+        ) as old, TransformService(
+            self._relabel_machine("b"), jobs=jobs, chunk_size=1
+        ) as new:
+            before = [str(o) for o in old.map([document])]
+            changed = [str(o) for o in new.map([document])]
+            after = [str(o) for o in old.map([document])]
+            assert old.stats["pool_restarts"] == 0
+            assert new.stats["pool_restarts"] == 0
+        assert before == after == ["g(a)"]
+        assert changed == ["g(b)"]
 
 
 class TestCloseLifecycle:

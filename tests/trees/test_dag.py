@@ -8,6 +8,16 @@ from repro.trees.tree import Tree, parse_term
 from tests.conftest import BINARY_ALPHABET, dag_node_count, trees_over
 
 
+def unfold(tree):
+    """The tree as nested ``(label, children)`` tuples, sharing nothing."""
+    return (tree.label, tuple(unfold(child) for child in tree.children))
+
+
+def refold(unfolded):
+    label, children = unfolded
+    return Tree(label, tuple(refold(child) for child in children))
+
+
 class TestHashConsing:
     def test_equal_subtrees_shared(self):
         a1 = Tree("a", ())
@@ -36,8 +46,22 @@ class TestSizes:
         assert tree.size == 2 ** height - 1
         assert dag_node_count(tree) == height
 
+    def test_roundtrip(self):
+        # Folding an unshared copy back through the intern table gives the
+        # same minimal DAG: f(g(f(a, b)), f(a, b)), g(...), f(a, b), a, b.
+        tree = parse_term("f(g(f(a, b)), f(a, b))")
+        rebuilt = refold(unfold(tree))
+        assert rebuilt is tree
+        assert dag_node_count(rebuilt) == 5
+        assert rebuilt.size == 8
+
 
 class TestProperties:
+    @given(trees_over(BINARY_ALPHABET))
+    @settings(max_examples=80)
+    def test_dag_roundtrip_identity(self, tree):
+        assert refold(unfold(tree)) is tree
+
     @given(trees_over(BINARY_ALPHABET))
     @settings(max_examples=80)
     def test_dag_never_larger_than_tree(self, tree):
