@@ -6,15 +6,16 @@ compilation layer (`repro.engine.sample_tables` + the rewired
 
 (a) **cold sweep**: on the E6 families (monadic state cycles, k-ary list
     rotations), a single cold `rpni_dtop` on the compiled substrate is
-    at least competitive with the interpreted pre-PR path at every
-    sweep size, with identical results;
+    at least competitive with the interpreted pre-compilation path (the
+    test reference `tests.learning.reference_sample.rpni_reference`) at
+    every sweep size, with identical results;
 (b) **incremental re-learning** (the acceptance gate): on the largest
     E6 configurations (cycle n=16, rotate k=6), a growing-sample
     re-learning workload — the shape of every active-learning session —
     is ≥ 3× faster when each round *extends* the sample
     (`Sample.extended_with`, tables reused copy-on-write) than the
-    pre-PR path that rebuilds the sample and re-derives everything per
-    round (`Sample(...)` + `rpni_dtop(compiled=False)`), again with
+    pre-compilation path that rebuilds the sample and re-derives
+    everything per round (`Sample(...)` + `rpni_reference`), again with
     identical learned machines every round.  It must also be ≥ 3× faster
     than rebuilding the sample per round for the compiled learner
     (`Sample(...)` + the default `rpni_dtop`), so the gate measures what
@@ -44,6 +45,7 @@ from repro.transducers.minimize import canonicalize
 from repro.workloads.families import cycle_relabel, rotate_lists
 
 from benchmarks.conftest import report
+from tests.learning.reference_sample import rpni_reference
 
 _RESULTS_PATH = os.environ.get("BENCH_LEARNING_JSON", "BENCH_learning.json")
 _RESULTS = {}
@@ -88,7 +90,7 @@ def _cold_sweep(family, parameters):
     for parameter in parameters:
         canonical, base_pairs, _ = _learning_setup(family, parameter, 0)
         start = time.perf_counter()
-        interpreted = rpni_dtop(Sample(base_pairs), canonical.domain, compiled=False)
+        interpreted = rpni_reference(Sample(base_pairs), canonical.domain)
         interpreted_s = time.perf_counter() - start
         start = time.perf_counter()
         compiled = rpni_dtop(Sample(base_pairs), canonical.domain)
@@ -160,9 +162,7 @@ def _relearning_speedup(family, parameter):
         start = time.perf_counter()
         for index in range(rounds):
             pairs.append(extras[index])
-            outcome.append(
-                rpni_dtop(Sample(pairs), canonical.domain, compiled=False)
-            )
+            outcome.append(rpni_reference(Sample(pairs), canonical.domain))
         return time.perf_counter() - start, outcome
 
     def rebuilt():

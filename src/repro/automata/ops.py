@@ -14,7 +14,6 @@ import heapq
 import itertools
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import AutomatonError
 from repro.automata.dtta import DTTA, State
 from repro.trees.alphabet import Symbol
 from repro.trees.tree import Tree
@@ -123,7 +122,7 @@ def minimize(automaton: DTTA) -> DTTA:
     return DTTA(trimmed.alphabet, block[trimmed.initial], transitions)
 
 
-def canonical_form(automaton: DTTA, memoize: bool = True) -> DTTA:
+def canonical_form(automaton: DTTA) -> DTTA:
     """Minimize and rename states ``0, 1, 2, …`` in deterministic BFS order.
 
     Two DTTAs accept the same language iff their canonical forms are equal
@@ -132,12 +131,10 @@ def canonical_form(automaton: DTTA, memoize: bool = True) -> DTTA:
     Memoized per instance (DTTAs are immutable): repeated learning runs
     over the same domain automaton — every active-learning round calls
     this — canonicalize once and share the result, which also shares the
-    result's compiled membership engine and path caches.  Pass
-    ``memoize=False`` to force a fresh computation (the uncompiled
-    learner path uses this to reproduce the pre-compilation cost model).
+    result's compiled membership engine and path caches.
     """
     cached = automaton._canonical
-    if memoize and cached is not None:
+    if cached is not None:
         return cached
     minimal = minimize(automaton)
     order: Dict[State, int] = {minimal.initial: 0}
@@ -150,9 +147,8 @@ def canonical_form(automaton: DTTA, memoize: bool = True) -> DTTA:
                     order[child] = len(order)
                     queue.append(child)
     result = minimal.rename(order)
-    if memoize:
-        result._canonical = result
-        automaton._canonical = result
+    result._canonical = result
+    automaton._canonical = result
     return result
 
 

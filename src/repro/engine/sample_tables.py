@@ -22,8 +22,8 @@ their residual-map entries are inverted, so the candidate set for a
 border state is computed from its *own* residual entries — no pairwise
 scan over the OK states.  The candidate set is provably identical to the
 pairwise Definition 30 scan (see :meth:`MergeIndex.candidates`), so the
-learner's decisions — including merge-ambiguity failures — are
-byte-identical to the interpreted path.
+learner's decisions — including merge-ambiguity failures — are those of
+the paper's algorithm.
 
 Extension is copy-on-write: :meth:`SampleTables.extended` returns a new
 tables object sharing all untouched structure with its parent, touching
@@ -109,10 +109,8 @@ class SampleTables:
     """A sample compiled into flat, incrementally extensible indexes.
 
     Build with :meth:`build`; extend with :meth:`extended` (returns a new
-    object, the parent stays valid).  All query methods mirror the
-    interpreted reference implementations on
-    :class:`~repro.learning.sample.Sample` exactly — the Sample methods
-    remain the differential-testing oracle for these tables.
+    object, the parent stays valid).  The queries are the paper's
+    definitions on the finite sample, answered from the indexes.
     """
 
     __slots__ = (
@@ -121,7 +119,6 @@ class SampleTables:
         "_out",
         "_out_npath",
         "_residual",
-        "_residual_pairs",
         "_io",
         "_symcount",
         "_alpha_ranks",
@@ -139,9 +136,6 @@ class SampleTables:
         self._out_npath: Dict[Tuple[Path, object], Tuple[Optional[Tree], int]] = {}
         self._residual: Dict[
             PathPair, Tuple[Optional[Dict[int, Tree]], int, int]
-        ] = {}
-        self._residual_pairs: Dict[
-            PathPair, Tuple[Tuple[Tuple[Tree, Tree], ...], int]
         ] = {}
         self._io: Dict[PathPair, Tuple[bool, int]] = {}
         # (u, symbol) → (count of u-entries labeled symbol, upto):
@@ -195,7 +189,6 @@ class SampleTables:
         child._out = dict(self._out)
         child._out_npath = dict(self._out_npath)
         child._residual = dict(self._residual)
-        child._residual_pairs = dict(self._residual_pairs)
         child._io = dict(self._io)
         child._symcount = dict(self._symcount)
         child._alpha_ranks = dict(self._alpha_ranks)
@@ -242,19 +235,12 @@ class SampleTables:
         return index
 
     # ------------------------------------------------------------------
-    # Queries (semantics identical to repro.learning.sample.Sample)
+    # Queries
     # ------------------------------------------------------------------
 
-    def entries_at(self, u: Path) -> Sequence[Entry]:
-        """The inverted-index entries for ``u`` (possibly empty)."""
-        return self._by_path.get(u, ())
-
-    def inputs_containing(self, u: Path) -> List[Tuple[Tree, Tree]]:
-        """All sample pairs whose input contains the labeled path ``u``."""
-        return [(s, t) for s, t, _ in self.entries_at(u)]
-
     def out(self, u: Path) -> Optional[Tree]:
-        """``out_S(u)`` — see :meth:`repro.learning.sample.Sample.out`."""
+        """``out_S(u) = ⊔ {S(s) | u =| s}`` (Section 3's maximal output on
+        the finite sample) — ``None`` when no input has ``u``."""
         entries = self._by_path.get(u, ())
         cached = self._out.get(u)
         if cached is not None:
@@ -414,35 +400,6 @@ class SampleTables:
                 return None, 0
         return uid_map, signature
 
-    def residual(self, p: PathPair) -> Tuple[Tuple[Tree, Tree], ...]:
-        """Definition 5: the residual pair list, deduplicated on uids."""
-        u, v = p
-        entries = self._by_path.get(u, ())
-        cached = self._residual_pairs.get(p)
-        if cached is not None:
-            items, upto = cached
-            if upto == len(entries):
-                self._stats["hits"] += 1
-                return items
-            self._stats["refreshes"] += 1
-            _GLOBAL_STATS["entry_refreshes"] += 1
-            start, existing = upto, list(items)
-        else:
-            self._stats["misses"] += 1
-            start, existing = 0, []
-        seen = {(sub_in.uid, sub_out.uid) for sub_in, sub_out in existing}
-        for _, t, sub_in in entries[start:]:
-            sub_out = self._path_index(t).get(v)
-            if sub_out is None:
-                continue
-            key = (sub_in.uid, sub_out.uid)
-            if key not in seen:
-                seen.add(key)
-                existing.append((sub_in, sub_out))
-        result = tuple(existing)
-        self._residual_pairs[p] = (result, len(entries))
-        return result
-
     def is_io_path(self, p: PathPair) -> bool:
         """Definition 10 on the sample: ``out_S(u)[v] = ⊥`` and functionality."""
         u, _v = p
@@ -539,8 +496,8 @@ def tables_for(sample) -> SampleTables:
 class MergeIndex:
     """Signature-bucketed index of RPNI's OK states for one learning run.
 
-    Replaces the border×OK pairwise :func:`repro.learning.merge.mergeable`
-    scan.  OK states are indexed two ways:
+    Replaces the border×OK pairwise scan of the mergeability test
+    (Definition 30).  OK states are indexed two ways:
 
     * ``_by_domain``: restricted-domain state → OK states, in promotion
       order, with their (precomputed, warm) residual uid maps.  A state
@@ -557,10 +514,10 @@ class MergeIndex:
     map-equality check, no entry probing.  The remaining group members
     are screened by probing the *smaller* of the two residual maps
     against the larger with an early exit on the first disagreeing
-    input uid — exactly the conflict test of
-    :func:`~repro.learning.merge.mergeable` (both maps are functional,
-    and agreement is symmetric), so the candidate list is provably the
-    one the pairwise scan produces, in the same promotion order.
+    input uid — exactly Definition 30's conflict test (both maps are
+    functional, and agreement is symmetric), so the candidate list is
+    provably the one the pairwise scan produces, in the same promotion
+    order.
 
     The index is valid for a fixed sample (RPNI never grows the sample
     mid-run); build a fresh one per :func:`~repro.learning.rpni.rpni_dtop`

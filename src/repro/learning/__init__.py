@@ -3,8 +3,9 @@
 The package provides:
 
 * :class:`~repro.learning.sample.Sample` — a finite sub-relation of the
-  target translation, with the semantic operations the learner needs
-  (``out_S``, residuals, io-paths of ``S``);
+  target translation; the learner answers its semantic operations
+  (``out_S``, residuals, io-paths of ``S``) from the sample's compiled
+  tables (:mod:`repro.engine.sample_tables`);
 * :func:`~repro.learning.rpni.rpni_dtop` — the paper's Figure 1
   algorithm: identifies ``min(τ)`` from a characteristic sample and a
   domain DTTA;
@@ -14,7 +15,6 @@ The package provides:
 """
 
 from repro.learning.sample import Sample
-from repro.learning.merge import mergeable
 from repro.learning.rpni import LearnedDTOP, rpni_dtop
 from repro.learning.charset import characteristic_sample
 from repro.learning.iopaths import state_io_paths, trans_io_paths
@@ -22,7 +22,6 @@ from repro.learning.oracle import learn_from_transducer, sample_of_transducer
 
 __all__ = [
     "Sample",
-    "mergeable",
     "LearnedDTOP",
     "rpni_dtop",
     "characteristic_sample",

@@ -42,7 +42,7 @@ def learn_from_transducer(
     """
     sample, canonical = sample_of_transducer(transducer, inspection)
     if extra_examples:
-        sample = sample.merged_with(extra_examples)
+        sample = sample.extended_with(extra_examples)
     learned = rpni_dtop(sample, canonical.domain)
     if verify:
         relearned = canonicalize(learned.dtop, canonical.domain)

@@ -14,23 +14,17 @@ to an OK state otherwise, which materializes its rules from
 Failures raise :class:`~repro.errors.InsufficientSampleError` with a
 description of the missing evidence, rather than guessing.
 
-Performance: by default (``compiled=True``) the learner runs on the
-compiled sample tables of :mod:`repro.engine.sample_tables` — flat
-uid-keyed indexes with precomputed residual signatures — and replaces
-the quadratic border×OK merge scan with :class:`~repro.engine.MergeIndex`
-lookups driven by the border state's own residual entries.  Rule
-materialization and final assembly memoize on interned-node uids in
-memos that live on the sample's tables lineage
-(:attr:`~repro.engine.SampleTables.memos`): re-learning from an extended
-sample (the active learner's round loop) re-derives only what the new
-pairs changed, and the memos are released with the samples.  With
-``compiled=False`` the pre-compilation path runs instead: the
-interpreted, per-sample memoized methods of
-:class:`~repro.learning.sample.Sample` and the pairwise
-:func:`~repro.learning.merge.mergeable` scan.  Both paths make the
-byte-identical decisions (states, rules, trace, and errors); property
-tests diff them, and :attr:`LearnedDTOP.stats` records which path ran
-with its timing and cache counters.
+Performance: the learner runs on the compiled sample tables of
+:mod:`repro.engine.sample_tables` — flat uid-keyed indexes with
+precomputed residual signatures — and replaces the quadratic border×OK
+merge scan with :class:`~repro.engine.MergeIndex` lookups driven by the
+border state's own residual entries.  Rule materialization and final
+assembly memoize on interned-node uids in memos that live on the
+sample's tables lineage (:attr:`~repro.engine.SampleTables.memos`):
+re-learning from an extended sample (the active learner's round loop)
+re-derives only what the new pairs changed, and the memos are released
+with the samples.  :attr:`LearnedDTOP.stats` records the run's timing
+and cache counters.
 """
 
 from __future__ import annotations
@@ -43,14 +37,12 @@ from repro.automata.dtta import DTTA
 from repro.automata.ops import canonical_form
 from repro.engine import MergeIndex, automaton_engine_for, tables_for
 from repro.errors import InconsistentSampleError, InsufficientSampleError
-from repro.trees.alphabet import RankedAlphabet
 from repro.trees.lcp import BOTTOM_SYMBOL
 from repro.trees.paths import Path, pair_order_key
 from repro.trees.tree import Tree
 from repro.transducers.dtop import DTOP
 from repro.transducers.minimize import _document_order_rename
 from repro.transducers.rhs import Call, StateName
-from repro.learning.merge import mergeable
 from repro.learning.sample import Sample
 
 PathPair = Tuple[Path, Path]
@@ -90,17 +82,13 @@ def _subtree_at_labeled(root: Tree, v: Path) -> Optional[Tree]:
 
 
 def _bottoms_with_paths(
-    node: Tree, memo: Optional[Dict[int, List]] = None
+    node: Tree, memo: Dict[int, List]
 ) -> List[Tuple[Path, Tuple[int, ...]]]:
-    """All ``⊥`` leaves as (labeled path, Dewey address), document order.
-
-    ``memo`` (``tree uid → result``) is the lineage memo of the compiled
-    path; ``None`` walks every time.
-    """
-    if memo is not None:
-        cached = memo.get(node.uid)
-        if cached is not None:
-            return cached
+    """All ``⊥`` leaves as (labeled path, Dewey address), document order;
+    ``memo`` maps tree uids to results."""
+    cached = memo.get(node.uid)
+    if cached is not None:
+        return cached
     found: List[Tuple[Path, Tuple[int, ...]]] = []
 
     def visit(current: Tree, lpath: Path, dewey: Tuple[int, ...]) -> None:
@@ -111,23 +99,21 @@ def _bottoms_with_paths(
             visit(child, lpath + ((current.label, i),), dewey + (i,))
 
     visit(node, (), ())
-    if memo is not None:
-        memo[node.uid] = found
+    memo[node.uid] = found
     return found
 
 
 def _tree_with_calls(
     node: Tree,
     calls: Dict[Tuple[int, ...], Tree],
-    memo: Optional[Dict[Tuple, Tree]] = None,
+    memo: Dict[Tuple, Tree],
 ) -> Tree:
     """Replace the ``⊥`` leaves at the given Dewey addresses by call trees."""
-    if memo is not None:
-        # Call trees are interned, so their uid determines (target, var).
-        key = (node.uid, tuple(sorted((d, c.uid) for d, c in calls.items())))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    # Call trees are interned, so their uid determines (target, var).
+    key = (node.uid, tuple(sorted((d, c.uid) for d, c in calls.items())))
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
 
     def visit(current: Tree, dewey: Tuple[int, ...]) -> Tree:
         if dewey in calls:
@@ -143,29 +129,36 @@ def _tree_with_calls(
         )
 
     result = visit(node, ())
-    if memo is not None:
-        memo[key] = result
+    memo[key] = result
     return result
 
 
-def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> LearnedDTOP:
+def rpni_dtop(sample: Sample, domain: DTTA) -> LearnedDTOP:
     """Learn ``min(τ)`` from a characteristic sample and the domain DTTA.
 
     Runs in time polynomial in ``|S|`` (Theorem 38).  The ``domain``
     automaton may be any DTTA for ``dom(τ)``; it is canonicalized
     internally so that equal restricted domains become equal states.
+    """
+    tables = tables_for(sample)
+    return _learn(sample, domain, tables, MergeIndex(tables))
 
-    ``compiled`` selects the execution substrate — the compiled sample
-    tables with signature-indexed merging (default), or the interpreted
-    per-sample reference path.  The learned transducer, trace, and error
-    behavior are identical; only the cost model differs.
+
+def _learn(sample: Sample, domain: DTTA, ops, merges) -> LearnedDTOP:
+    """The body of :func:`rpni_dtop` on a given substrate.
+
+    ``ops`` answers the sample queries (``out``, ``out_npath``,
+    ``is_io_path``, ``output_alphabet()``) and carries ``memos`` and
+    ``stats``; ``merges`` indexes the OK states (``add_ok``,
+    ``candidates``, ``stats``).  :func:`rpni_dtop` passes the compiled
+    tables and a :class:`~repro.engine.MergeIndex`; the parameters exist
+    so that the differential tests can run the same loop on an
+    interpreted reference substrate.
     """
     total_start = perf_counter()
     if not len(sample):
         raise InsufficientSampleError("the sample is empty")
-    # The uncompiled path recomputes the canonical domain every call —
-    # the pre-compilation cost model the benchmarks baseline against.
-    domain = canonical_form(domain, memoize=compiled)
+    domain = canonical_form(domain)
     # One compiled batch sweep validates every sample input (shared
     # subtrees are checked once; deep inputs don't hit recursion limits).
     validate_start = perf_counter()
@@ -179,17 +172,11 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
             )
     validate_elapsed = perf_counter() - validate_start
 
-    # The query substrate: compiled tables and the interpreted Sample
-    # expose the same out/out_npath/is_io_path surface.
-    ops = tables_for(sample) if compiled else sample
-    merge_index = MergeIndex(ops) if compiled else None
-    scan_probes = 0
-    # Memos of pure functions of interned uids.  The compiled path keeps
-    # them on the tables lineage, so re-learning from an extension reuses
-    # them; the reference path memoizes nothing across calls.
-    memos = ops.memos if compiled else {}
-    bottoms_memo = memos.setdefault("bottoms", {}) if compiled else None
-    calls_memo = memos.setdefault("calls", {}) if compiled else None
+    # Memos of pure functions of interned uids; the compiled tables keep
+    # them on their lineage, so re-learning from an extension reuses them.
+    memos = ops.memos
+    bottoms_memo = memos.setdefault("bottoms", {})
+    calls_memo = memos.setdefault("calls", {})
 
     out_axiom = ops.out(())
     assert out_axiom is not None  # sample is non-empty
@@ -296,11 +283,7 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
     while border:
         p = min(border, key=border_key)
         border.remove(p)
-        if merge_index is not None:
-            candidates = merge_index.candidates(p, domain.state_at_path(p[0]))
-        else:
-            scan_probes += len(ok)
-            candidates = [q for q in ok if mergeable(sample, domain, p, q)]
+        candidates = merges.candidates(p, domain.state_at_path(p[0]))
         if len(candidates) > 1:
             raise InsufficientSampleError(
                 f"border state {p} is mergeable with {len(candidates)} OK "
@@ -317,8 +300,7 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
             ok.append(p)
             trace.append(f"promote {p}")
             build_rules_for(p)
-            if merge_index is not None:
-                merge_index.add_ok(p, domain.state_at_path(p[0]))
+            merges.add_ok(p, domain.state_at_path(p[0]))
     loop_elapsed = perf_counter() - loop_start
 
     def resolve(target: PathPair) -> PathPair:
@@ -333,10 +315,7 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
             return node
         return Tree(node.label, tuple(resolve_tree(c) for c in node.children))
 
-    if compiled:
-        output_alphabet = ops.output_alphabet()
-    else:
-        output_alphabet = RankedAlphabet.from_trees([t for _, t in sample])
+    output_alphabet = ops.output_alphabet()
     # Final assembly: resolving µ, constructing (and re-validating) the
     # DTOP, and the document-order rename depend only on the raw
     # artifacts — all interned — so a re-learning round that derived the
@@ -363,17 +342,13 @@ def rpni_dtop(sample: Sample, domain: DTTA, *, compiled: bool = True) -> Learned
         results[result_key] = (renamed, order)
     state_paths = {order[p]: p for p in ok if p in order}
     stats: Dict[str, object] = {
-        "compiled": compiled,
         "total_s": perf_counter() - total_start,
         "validate_s": validate_elapsed,
         "loop_s": loop_elapsed,
         "ok_states": len(ok),
         "merges": len(mu),
         "sample": sample.cache_stats(),
+        "merge_index": merges.stats,
+        "tables": ops.stats,
     }
-    if merge_index is not None:
-        stats["merge_index"] = merge_index.stats
-        stats["tables"] = ops.stats
-    else:
-        stats["merge_scan_probes"] = scan_probes
     return LearnedDTOP(renamed, domain, state_paths, trace, stats)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.automata.dtta import DTTA, State as DState
 from repro.automata.ops import minimal_witness_trees
 from repro.errors import TransducerError
-from repro.trees.lcp import is_bottom, lcp, lcp_many
+from repro.trees.lcp import is_bottom, lcp
 from repro.trees.tree import Tree
 from repro.transducers.domain import effective_domain
 from repro.transducers.dtop import DTOP
@@ -178,8 +178,8 @@ def out_table(transducer: DTOP, domain: Optional[DTTA] = None) -> Dict[Pair, Tre
     calls address table slots directly), and a worklist then re-evaluates
     only the pairs whose dependencies actually changed — chaotic
     iteration of a monotone decreasing operator, whose limit is
-    order-independent and equal to the round-based Kleene sweep the
-    interpreted reference (:func:`_out_table_reference`) computes.
+    order-independent and equal to the limit of the round-based Kleene
+    sweep.
     """
     # Imported here: this module is pulled in by the package __init__,
     # before repro.engine (which imports repro.transducers.rhs) exists.
@@ -226,52 +226,6 @@ def out_table(transducer: DTOP, domain: Optional[DTTA] = None) -> Dict[Pair, Tre
                     queued.add(dependent)
                     pending.append(dependent)
     return table
-
-
-def _out_table_reference(
-    transducer: DTOP, domain: Optional[DTTA] = None
-) -> Dict[Pair, Tree]:
-    """The round-based Kleene iteration of ``out(q, d)``, uncompiled.
-
-    Kept as the differential-testing reference for :func:`out_table`:
-    recursive ``_subst_calls`` substitution, full sweeps until
-    stabilization, interpreter-evaluated seeds.
-    """
-    if domain is None:
-        domain = effective_domain(transducer)
-    pairs = reachable_pairs(transducer, domain)
-    witnesses = minimal_witness_trees(domain)
-    table: Dict[Pair, Tree] = {
-        (q, d): transducer.eval_state(q, witnesses[d]) for q, d in pairs
-    }
-    changed = True
-    while changed:
-        changed = False
-        for q, d in pairs:
-            candidates = [table[(q, d)]]
-            for symbol in domain.allowed_symbols(d):
-                children = domain.transitions[(d, symbol)]
-                rhs = transducer.rules[(q, symbol)]
-                candidates.append(_subst_calls(rhs, children, table))
-            updated = lcp_many(candidates)
-            if updated is not table[(q, d)]:
-                table[(q, d)] = updated
-                changed = True
-    return table
-
-
-def _subst_calls(
-    rhs: Tree, children: Tuple[DState, ...], table: Dict[Pair, Tree]
-) -> Tree:
-    """Replace every ``⟨q', x_i⟩`` in ``rhs`` by ``out(q', d_i)``."""
-    label = rhs.label
-    if isinstance(label, Call):
-        return table[(label.state, children[label.var - 1])]
-    if rhs.is_leaf:
-        return rhs
-    return Tree(
-        label, tuple(_subst_calls(c, children, table) for c in rhs.children)
-    )
 
 
 def is_earliest(transducer: DTOP, domain: Optional[DTTA] = None) -> bool:

@@ -3,8 +3,8 @@
 Codecs key document values by the preorder ordinal of their *value slot*
 (a node labelled with one of the codec's ``value_labels``); an output
 slot takes the value of the input node its rule was reading (§10).
-:func:`apply_with_origins`, the Dewey-keyed origin-tracking interpreter,
-is the test oracle of :func:`value_sources`.
+:func:`apply_with_origins`, the origin-tracking interpreter, is the test
+oracle of :func:`value_sources`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,11 @@ from repro.trees.tree import Tree
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import Call
 
-Address = Tuple[int, ...]
+#: A parent-linked node address: ``()`` for the root, else
+#: ``(parent address, 1-based child index)``.  One pair per node keeps a
+#: deep tree's addresses linear in its size, where Dewey tuples would
+#: grow with the square of its depth.
+Address = tuple
 
 
 def slot_count(
@@ -105,8 +109,9 @@ def apply_with_origins(
 ) -> Tuple[Tree, Dict[Address, Address]]:
     """``[[M]](s)`` plus a map «output address → originating input address».
 
-    The origin of an output node is the input node whose rule emitted it
-    (for axiom-emitted output, the root).  Raises
+    Addresses are parent-linked (:data:`Address`).  The origin of an
+    output node is the input node whose rule emitted it (for
+    axiom-emitted output, the root).  Raises
     :class:`UndefinedTransductionError` outside the domain; the first
     undefined call in left-to-right pre-order is the one reported.
     It runs on an explicit stack: a long cons list needs no recursion.
@@ -132,7 +137,7 @@ def apply_with_origins(
         while isinstance(label, Call):
             if label.var:  # x0 (axiom calls only) reads the node itself
                 node = node.children[label.var - 1]
-                in_addr = in_addr + (label.var,)
+                in_addr = (in_addr, label.var)
             part = rhs_of(label.state, node.label)
             if part is None:
                 raise UndefinedTransductionError(
@@ -147,6 +152,6 @@ def apply_with_origins(
         pending.append((label, len(children)))
         for index in range(len(children), 0, -1):
             pending.append(
-                (children[index - 1], node, in_addr, out_addr + (index,))
+                (children[index - 1], node, in_addr, (out_addr, index))
             )
     return built[0], origins

@@ -1,7 +1,7 @@
 """Tests for the compiled sample tables (repro.engine.sample_tables).
 
-The interpreted methods of :class:`repro.learning.sample.Sample` are the
-reference implementation; every table query must agree with them, both
+:class:`tests.learning.reference_sample.ReferenceSample` is the
+reference implementation; every table query must agree with it, both
 on a freshly built table and across incremental extensions.
 """
 
@@ -9,22 +9,27 @@ import pytest
 
 from repro.engine.sample_tables import (
     MergeIndex,
-    SampleTables,
     path_index,
     residual_signature,
     sample_tables_stats,
     tables_for,
 )
 from repro.errors import InconsistentSampleError
-from repro.learning.merge import mergeable
 from repro.learning.sample import Sample
 from repro.trees.tree import parse_term
 from repro.workloads.flip import flip_domain, flip_paper_sample
+
+from tests.learning.reference_sample import ReferenceSample, mergeable
 
 
 @pytest.fixture
 def flip_sample():
     return Sample(flip_paper_sample())
+
+
+@pytest.fixture
+def flip_reference():
+    return ReferenceSample(flip_paper_sample())
 
 
 def _probe_paths(sample):
@@ -43,33 +48,34 @@ def _probe_pairs(sample):
 
 
 class TestQueriesMatchReference:
-    def test_out_and_out_npath(self, flip_sample):
+    def test_out_and_out_npath(self, flip_sample, flip_reference):
         tables = tables_for(flip_sample)
         for u in _probe_paths(flip_sample):
-            assert tables.out(u) == flip_sample.out(u)
+            assert tables.out(u) == flip_reference.out(u)
             prefix = u[:-1] if u else ()
             symbol = u[-1][0] if u else "root"
-            assert tables.out_npath(prefix, symbol) == flip_sample.out_npath(
+            assert tables.out_npath(prefix, symbol) == flip_reference.out_npath(
                 prefix, symbol
             )
         assert tables.out((("zzz", 1),)) is None
 
-    def test_residuals_and_io_paths(self, flip_sample):
+    def test_residuals_and_io_paths(self, flip_sample, flip_reference):
         tables = tables_for(flip_sample)
         for p in _probe_pairs(flip_sample):
-            assert tables.residual_uid_map(p) == flip_sample.residual_uid_map(p)
-            assert tables.residual(p) == flip_sample.residual(p)
-            assert tables.is_io_path(p) == flip_sample.is_io_path(p)
+            assert tables.residual_uid_map(p) == flip_reference.residual_uid_map(p)
+            assert tables.is_io_path(p) == flip_reference.is_io_path(p)
             uid_map = tables.residual_uid_map(p)
             if uid_map is None:
                 assert tables.signature(p) == 0
             else:
                 assert tables.signature(p) == residual_signature(uid_map)
 
-    def test_inputs_containing(self, flip_sample):
+    def test_inputs_containing(self, flip_sample, flip_reference):
+        """The inverted input-path index lists the reference's pairs."""
         tables = tables_for(flip_sample)
         for u in _probe_paths(flip_sample):
-            assert tables.inputs_containing(u) == flip_sample.inputs_containing(u)
+            entries = tables._by_path.get(u, ())
+            assert [(s, t) for s, t, _ in entries] == flip_reference.inputs_containing(u)
 
     def test_tables_cached_on_sample(self, flip_sample):
         assert tables_for(flip_sample) is tables_for(flip_sample)
@@ -128,9 +134,9 @@ class TestIncrementalExtension:
 
 
 class TestSampleExtension:
-    def test_merged_with_noop_returns_self(self, flip_sample):
-        assert flip_sample.merged_with([]) is flip_sample
-        assert flip_sample.merged_with(list(flip_sample)[:2]) is flip_sample
+    def test_extended_with_known_pairs_returns_self(self, flip_sample):
+        assert flip_sample.extended_with([]) is flip_sample
+        assert flip_sample.extended_with(list(flip_sample)[:2]) is flip_sample
 
     def test_extended_with_noop_returns_self(self, flip_sample):
         assert flip_sample.extended_with([]) is flip_sample
@@ -163,7 +169,7 @@ class TestSampleExtension:
 
 
 class TestMergeIndex:
-    def test_candidates_match_pairwise_scan(self, flip_sample):
+    def test_candidates_match_pairwise_scan(self, flip_sample, flip_reference):
         domain = flip_domain()
         from repro.automata.ops import canonical_form
 
@@ -174,7 +180,7 @@ class TestMergeIndex:
         ok = []
         for p in probes:
             dstate = domain.state_at_path(p[0])
-            expected = [q for q in ok if mergeable(flip_sample, domain, p, q)]
+            expected = [q for q in ok if mergeable(flip_reference, domain, p, q)]
             assert index.candidates(p, dstate) == expected
             ok.append(p)
             index.add_ok(p, dstate)

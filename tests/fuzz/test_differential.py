@@ -9,9 +9,11 @@ maintains:
 * execution — recursive interpreter vs. compiled batch engine vs.
   per-tree engine runs vs. the sharded parallel service (jobs > 1):
   identical output terms and identical error type + message, per input;
-* learning — ``rpni_dtop(compiled=True)`` vs. ``compiled=False``:
-  identical serialized DTOP, state-io-paths, and trace; identical error
-  type/message on malformed samples (truncated → insufficient,
+* learning — ``rpni_dtop`` (compiled sample tables, merge index) vs.
+  :func:`tests.learning.reference_sample.rpni_reference` (the
+  interpreted substrate, pairwise merge scan): identical serialized
+  DTOP, state-io-paths, and trace; identical error type/message and
+  structured fields on malformed samples (truncated → insufficient,
   corrupted → inconsistent);
 * acceptance — compiled DTTA engine vs. the recursive automaton runs.
 
@@ -43,6 +45,7 @@ from repro.transducers.minimize import canonicalize
 from repro.workloads.families import random_total_dtop
 
 from tests.conftest import without_rules
+from tests.learning.reference_sample import rpni_reference
 
 #: Seed budget; the CI fuzz-smoke job raises it via the environment.
 FUZZ_SEEDS = range(int(os.environ.get("REPRO_FUZZ_SEEDS", "6")))
@@ -201,6 +204,11 @@ def test_acceptance_paths_agree(seed):
         assert compiled == recursive
 
 
+def learning_error(error):
+    """Type, message and structured fields of a learning failure."""
+    return (type(error).__name__, str(error), vars(error))
+
+
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_learning_substrates_byte_identical(seed):
     target, domain = random_total_dtop(
@@ -208,8 +216,8 @@ def test_learning_substrates_byte_identical(seed):
     )
     canonical = canonicalize(target, domain)
     pairs = list(characteristic_sample(canonical))
-    compiled = rpni_dtop(Sample(pairs), canonical.domain, compiled=True)
-    interpreted = rpni_dtop(Sample(pairs), canonical.domain, compiled=False)
+    compiled = rpni_dtop(Sample(pairs), canonical.domain)
+    interpreted = rpni_reference(Sample(pairs), canonical.domain)
     assert api.serialize(compiled) == api.serialize(interpreted)
     assert compiled.state_paths == interpreted.state_paths
     assert compiled.trace == interpreted.trace
@@ -228,12 +236,12 @@ def test_learning_error_parity_on_malformed_samples(seed):
     # Truncation: drop a random fraction of the characteristic sample.
     truncated = [p for p in pairs if rng.random() < 0.5]
     outcomes = []
-    for compiled in (True, False):
+    for learn in (rpni_dtop, rpni_reference):
         try:
-            learned = rpni_dtop(Sample(truncated), canonical.domain, compiled=compiled)
+            learned = learn(Sample(truncated), canonical.domain)
             outcomes.append(("ok", api.serialize(learned)))
         except LearningError as error:
-            outcomes.append((type(error).__name__, str(error)))
+            outcomes.append(learning_error(error))
     assert outcomes[0] == outcomes[1]
     if outcomes[0][0] not in ("ok", "InsufficientSampleError"):
         raise AssertionError(f"unexpected failure mode {outcomes[0]}")
@@ -242,10 +250,10 @@ def test_learning_error_parity_on_malformed_samples(seed):
     source, output = pairs[0]
     corrupted = pairs + [(source, Tree("u", (output,)))]
     failures = []
-    for compiled in (True, False):
+    for learn in (rpni_dtop, rpni_reference):
         with pytest.raises(InconsistentSampleError) as caught:
-            rpni_dtop(Sample(corrupted), canonical.domain, compiled=compiled)
-        failures.append(str(caught.value))
+            learn(Sample(corrupted), canonical.domain)
+        failures.append(learning_error(caught.value))
     assert failures[0] == failures[1]
 
 
@@ -258,9 +266,9 @@ def test_insufficient_error_structure_matches():
     pairs.sort(key=lambda p: p[0].size)
     kept = pairs[: max(1, len(pairs) // 4)]
     errors = []
-    for compiled in (True, False):
+    for learn in (rpni_dtop, rpni_reference):
         try:
-            rpni_dtop(Sample(kept), canonical.domain, compiled=compiled)
+            learn(Sample(kept), canonical.domain)
             errors.append(None)
         except InsufficientSampleError as error:
             errors.append((str(error), error.kind, error.u, error.symbol, error.v))

@@ -10,12 +10,7 @@ included: ``1``, ``1.0`` and ``true`` differ) or both raise
 value byte for byte, refusals included.
 
 The one allowed difference: a ``str`` holding a raw lone surrogate is
-refused by the new reader, which the reference accepts.  Two inputs are
-left out of the mutants because the reference does not raise a
-``ParseError`` on them (see ``tests/json/test_jsonio.py`` for how the
-new reader answers): integers longer than Python's str-conversion limit
-(``ValueError``) and non-ASCII digits, which ``str.isdigit`` lets into
-its number scanner.
+refused by the new reader, which the reference accepts.
 
 ``REPRO_FUZZ_SEEDS`` widens the seed budget as for the other harnesses.
 """
@@ -37,14 +32,16 @@ MUTANTS_PER_SEED = 1000
 VALUES_PER_SEED = 300
 
 #: Fragments a mutation inserts: JSON punctuation, escapes (paired,
-#: lone and broken surrogates), literals, non-finite numbers, control
-#: and non-ASCII characters, a BOM, a raw lone surrogate, and runs of
+#: lone and broken surrogates), literals, non-finite numbers, non-ASCII
+#: digits, an integer past the str-conversion limit, control and
+#: non-ASCII characters, a BOM, a raw lone surrogate, and runs of
 #: brackets past the nesting cap.
 FRAGMENTS = [
     '"', "\\", "{", "}", "[", "]", ",", ":", " ", "\n", "\t", "\r",
     "0", "1", "9", "-", "+", ".", "e", "E", "00", "1.5e3", "-0",
     "true", "false", "null", "tru", "nul", "NaN", "Infinity", "-Infinity",
     "1e400", "-1e999", "2e-400", "12345678901234567890123456789",
+    "\u0661", "-\u0663", "1\u0660", "\uff11", "9" * 5000,
     "\\n", "\\/", '\\"', "\\\\", "\\x", "\\u", "\\u00e9", "\\u0000",
     "\\ud83d\\ude00", "\\ud800", "\\udc00", "\\ud800\\u0041", "\\uD800",
     "\\\\ud800", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001f600",

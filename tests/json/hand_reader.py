@@ -6,9 +6,7 @@ character-by-character reader and the writer it replaced, unchanged but
 for the names and docstrings of the two entry points (:func:`parse`,
 :func:`serialize`); ``tests/fuzz/test_json_differential.py`` checks that
 both readers agree on every document and both writers byte for byte on
-every value.  It reads non-ASCII digits through ``str.isdigit`` and
-raises ``ValueError`` on an integer past the str-conversion limit, so
-the differential feeds it neither.
+every value.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from repro.errors import EncodingError, ParseError
 from repro.json.jsonio import DEFAULT_MAX_DEPTH, JsonValue
 
 _WHITESPACE = " \t\n\r"
+_DIGITS = frozenset("0123456789")
 _ESCAPES = {
     '"': '"',
     "\\": "\\",
@@ -72,7 +71,7 @@ class _JsonParser:
             return self.parse_array(depth)
         if ch == '"':
             return self.parse_string()
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch in _DIGITS:
             return self.parse_number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.source.startswith(literal, self.pos):
@@ -213,7 +212,7 @@ class _JsonParser:
         if self.pos < len(source) and source[self.pos] == "-":
             self.pos += 1
         digits_start = self.pos
-        while self.pos < len(source) and source[self.pos].isdigit():
+        while self.pos < len(source) and source[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits_start:
             self.pos = start
@@ -229,7 +228,7 @@ class _JsonParser:
             is_float = True
             self.pos += 1
             fraction_start = self.pos
-            while self.pos < len(source) and source[self.pos].isdigit():
+            while self.pos < len(source) and source[self.pos] in _DIGITS:
                 self.pos += 1
             if self.pos == fraction_start:
                 self.pos = start
@@ -240,14 +239,20 @@ class _JsonParser:
             if self.pos < len(source) and source[self.pos] in "+-":
                 self.pos += 1
             exponent_start = self.pos
-            while self.pos < len(source) and source[self.pos].isdigit():
+            while self.pos < len(source) and source[self.pos] in _DIGITS:
                 self.pos += 1
             if self.pos == exponent_start:
                 self.pos = start
                 raise self.error("number exponent needs digits")
         text = source[start : self.pos]
         if not is_float:
-            return int(text)
+            try:
+                return int(text)
+            except ValueError:  # past the int str-conversion limit
+                self.pos = start
+                raise self.error(
+                    f"integer of {len(text.lstrip('-'))} digits is too long"
+                ) from None
         value = float(text)
         if not math.isfinite(value):
             self.pos = start

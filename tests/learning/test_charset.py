@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import tables_for
 from repro.learning.charset import characteristic_sample
 from repro.learning.rpni import rpni_dtop
 from repro.learning.sample import Sample
@@ -9,6 +10,8 @@ from repro.transducers.minimize import canonicalize
 from repro.trees.lcp import BOTTOM_SYMBOL
 from repro.workloads.families import cycle_relabel, rotate_lists
 from repro.workloads.flip import flip_domain, flip_transducer
+
+from tests.learning.reference_sample import ReferenceSample
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +38,11 @@ class TestConsistency:
 class TestAxiomCondition:
     def test_out_s_epsilon_matches_target(self, flip_canonical, flip_charset):
         """(A): out_S(ε) equals the canonical axiom shape."""
-        out = flip_charset.out(())
-        assert out.label == "root"
-        assert out.children[0].label is BOTTOM_SYMBOL
-        assert out.children[1].label is BOTTOM_SYMBOL
+        for ops in (ReferenceSample(flip_charset), tables_for(flip_charset)):
+            out = ops.out(())
+            assert out.label == "root"
+            assert out.children[0].label is BOTTOM_SYMBOL
+            assert out.children[1].label is BOTTOM_SYMBOL
 
 
 class TestLearnability:

@@ -1,16 +1,17 @@
-"""Compiled-vs-interpreted learning equivalence (the PR-3 contract).
+"""Compiled learning against the interpreted reference.
 
-``rpni_dtop`` runs on two substrates — the compiled sample tables with
-signature-indexed merging (``compiled=True``, default) and the
-interpreted per-sample reference path (``compiled=False``).  These tests
-pin the contract that both make byte-identical decisions: same learned
-transducer, same state-io-paths, same trace, and the same errors (type,
-message, and structured fields) on insufficient or inconsistent samples.
+``rpni_dtop`` runs on the compiled sample tables with signature-indexed
+merging; :func:`tests.learning.reference_sample.rpni_reference` runs the
+same loop on the interpreted substrate with the pairwise merge scan.
+These tests pin the contract that both make byte-identical decisions:
+same learned transducer, same state-io-paths, same trace, and the same
+errors (type, message, and structured fields) on insufficient or
+inconsistent samples.
 
 Also covered: the incremental-sample contract of the active learner
 (indexes are extended, never rebuilt, across counterexample rounds —
 proved by the ``tables_*`` counters in ``Sample.cache_stats``) and the
-compiled worklist fixpoint of the earliest normal form against its
+compiled worklist fixpoint of the earliest normal form against the
 round-based Kleene reference.
 """
 
@@ -22,15 +23,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata.ops import enumerate_language
 from repro.engine import engine_for, tables_for
-from repro.errors import InsufficientSampleError, LearningError
+from repro.errors import LearningError
 from repro.learning.active import learn_actively
 from repro.learning.charset import characteristic_sample
 from repro.learning.rpni import rpni_dtop
 from repro.learning.sample import Sample
-from repro.transducers.earliest import _out_table_reference, out_table
+from repro.transducers.earliest import out_table
 from repro.transducers.minimize import canonicalize
 from repro.trees.tree import intern_stats
 from repro.workloads.families import cycle_relabel, random_total_dtop, rotate_lists
+
+from tests.learning.reference_sample import out_table_reference, rpni_reference
 
 
 def _learned_fingerprint(learned):
@@ -51,10 +54,10 @@ def test_compiled_learning_identical_on_random_targets(num_states, seed):
     target, domain = random_total_dtop(num_states, seed)
     canonical = canonicalize(target, domain)
     pairs = list(characteristic_sample(canonical))
-    compiled = rpni_dtop(Sample(pairs), canonical.domain, compiled=True)
-    interpreted = rpni_dtop(Sample(pairs), canonical.domain, compiled=False)
+    compiled = rpni_dtop(Sample(pairs), canonical.domain)
+    interpreted = rpni_reference(Sample(pairs), canonical.domain)
     assert _learned_fingerprint(compiled) == _learned_fingerprint(interpreted)
-    assert compiled.stats["compiled"] and not interpreted.stats["compiled"]
+    assert "scan_probes" in interpreted.stats["merge_index"]
     # One lookup per border state; a constant-axiom target has none.
     assert compiled.stats["merge_index"]["lookups"] == compiled.stats[
         "ok_states"
@@ -74,15 +77,15 @@ def test_error_parity_on_truncated_samples(num_states, seed, cut):
     pairs = list(characteristic_sample(canonical))
     truncated = pairs[: 1 + cut % len(pairs)]
 
-    def outcome(compiled):
+    def outcome(learn):
         try:
-            learned = rpni_dtop(Sample(truncated), canonical.domain, compiled=compiled)
+            learned = learn(Sample(truncated), canonical.domain)
         except LearningError as error:
             kind = getattr(error, "kind", None)
             return (type(error).__name__, str(error), kind)
         return _learned_fingerprint(learned)
 
-    assert outcome(True) == outcome(False)
+    assert outcome(rpni_dtop) == outcome(rpni_reference)
 
 
 @pytest.mark.parametrize(
@@ -92,8 +95,8 @@ def test_compiled_learning_identical_on_families(family, parameter):
     target, domain = family(parameter)
     canonical = canonicalize(target, domain)
     pairs = list(characteristic_sample(canonical))
-    compiled = rpni_dtop(Sample(pairs), canonical.domain, compiled=True)
-    interpreted = rpni_dtop(Sample(pairs), canonical.domain, compiled=False)
+    compiled = rpni_dtop(Sample(pairs), canonical.domain)
+    interpreted = rpni_reference(Sample(pairs), canonical.domain)
     assert _learned_fingerprint(compiled) == _learned_fingerprint(interpreted)
 
 
@@ -210,10 +213,10 @@ class TestCharsetBuilderIncremental:
 )
 def test_out_table_matches_kleene_reference(num_states, seed):
     target, _domain = random_total_dtop(num_states, seed)
-    assert out_table(target) == _out_table_reference(target)
+    assert out_table(target) == out_table_reference(target)
 
 
 @pytest.mark.parametrize("family,parameter", [(cycle_relabel, 6), (rotate_lists, 3)])
 def test_out_table_matches_reference_on_families(family, parameter):
     target, domain = family(parameter)
-    assert out_table(target, None) == _out_table_reference(target, None)
+    assert out_table(target, None) == out_table_reference(target, None)

@@ -1,11 +1,21 @@
-"""Tests for the mergeability criterion (Definition 30)."""
+"""Tests for the mergeability criterion (Definition 30).
+
+The pairwise test lives with the interpreted reference; Example 7's
+merges are checked on its residuals and on the compiled tables'.
+"""
 
 import pytest
 
 from repro.automata.ops import canonical_form
-from repro.learning.merge import mergeable, same_restricted_domain
+from repro.engine import tables_for
 from repro.learning.sample import Sample
 from repro.workloads.flip import flip_domain, flip_paper_sample
+
+from tests.learning.reference_sample import (
+    ReferenceSample,
+    mergeable,
+    same_restricted_domain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -13,9 +23,11 @@ def domain():
     return canonical_form(flip_domain())
 
 
-@pytest.fixture(scope="module")
-def sample():
-    return Sample(flip_paper_sample())
+@pytest.fixture(scope="module", params=["reference", "tables"])
+def sample(request):
+    if request.param == "reference":
+        return ReferenceSample(flip_paper_sample())
+    return tables_for(Sample(flip_paper_sample()))
 
 
 class TestRestrictedDomains:
@@ -60,7 +72,7 @@ class TestMergeable:
     def test_non_functional_residual_blocks_merge(self, domain):
         from repro.trees.tree import parse_term
 
-        bad = Sample(
+        bad = ReferenceSample(
             [
                 (parse_term("root(#, #)"), parse_term("root(#, #)")),
                 (

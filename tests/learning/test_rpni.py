@@ -122,7 +122,7 @@ class TestSupersetLearning:
             (flip_input(4, 1), flip_output(4, 1)),
             (flip_input(1, 4), flip_output(1, 4)),
         ]
-        learned = rpni_dtop(sample.merged_with(extra), flip_domain())
+        learned = rpni_dtop(sample.extended_with(extra), flip_domain())
         assert canonicalize(learned.dtop, flip_domain()).same_translation(
             canonical
         )

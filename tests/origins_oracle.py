@@ -5,8 +5,10 @@ compiled engine and recovers provenance from the engine's output with
 :func:`~repro.transducers.origins.value_sources`.  The oracle takes the
 independent road: the origin-tracking interpreter
 :func:`~repro.transducers.origins.apply_with_origins` maps every output
-node to the Dewey address of the input node its rule read, and each
-output value slot takes the value found at that address.  Only the
+node to the address of the input node its rule read, and each output
+value slot takes the value found at that address.  Addresses are
+parent-linked, as the interpreter's are, and flattened to Dewey tuples
+only where two of them are compared.  Only the
 encoders and the decoders are shared with the production path.
 """
 
@@ -14,9 +16,26 @@ from repro.errors import ReproError
 from repro.transducers.origins import apply_with_origins
 
 
+def dewey(address):
+    """The Dewey tuple (1-based; root ``()``) of a parent-linked address."""
+    path = []
+    while address:
+        address, index = address
+        path.append(index)
+    return tuple(reversed(path))
+
+
 def slot_addresses(tree, labels):
-    """Dewey addresses of the value slots of ``tree``, in preorder."""
-    return [address for address, node in tree.subtrees() if node.label in labels]
+    """Parent-linked addresses of the value slots of ``tree``, in preorder."""
+    found = []
+    stack = [((), tree)]
+    while stack:
+        address, node = stack.pop()
+        if node.label in labels:
+            found.append(address)
+        for index in range(len(node.children), 0, -1):
+            stack.append(((address, index), node.children[index - 1]))
+    return found
 
 
 def oracle_sources(transducer, source, labels):
@@ -24,14 +43,21 @@ def oracle_sources(transducer, source, labels):
     both from :func:`apply_with_origins` (raises outside the domain)."""
     output, origins = apply_with_origins(transducer, source)
     in_ordinal = {
-        address: ordinal
+        dewey(address): ordinal
         for ordinal, address in enumerate(slot_addresses(source, labels))
     }
-    sources = {
-        ordinal: in_ordinal[origins[address]]
+    out_ordinal = {
+        dewey(address): ordinal
         for ordinal, address in enumerate(slot_addresses(output, labels))
-        if origins[address] in in_ordinal
     }
+    sources = {}
+    for out_address, in_address in origins.items():
+        ordinal = out_ordinal.get(dewey(out_address))
+        if ordinal is None:
+            continue
+        copied = in_ordinal.get(dewey(in_address))
+        if copied is not None:
+            sources[ordinal] = copied
     return output, sources
 
 
