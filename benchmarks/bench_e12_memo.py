@@ -8,14 +8,20 @@ overlapping inputs is served by its persistent ``(state, uid)`` memo
 and is measurably faster than a cold engine; (c) memoized and cold
 evaluation agree; (d) the
 per-node cost of interning: a miss (new node), a hit (rebuilt node) and
-a dict insert keyed by a tree (identity hash).
+a dict insert keyed by a tree (identity hash); (e) the slot-map memo of
+value provenance: a repeated value-bearing document fills no slot map,
+and 100,000 distinct ones leave the resident set flat.
 """
 
 import gc
+import resource
 import statistics
 import time
+from pathlib import Path
 
-from repro.engine import Engine, compile_dtop
+from repro.codec import load_transformation
+from repro.engine import Engine, compile_dtop, engine_for, execute
+from repro.workloads.library import library_document
 from repro.trees.tree import Tree, intern_stats, leaf, reset_intern_stats, tree
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import rhs_tree
@@ -171,4 +177,113 @@ def test_e12_intern_per_node_cost(benchmark):
         f"{median(hits) * 1e6:.2f} µs/node, dict insert "
         f"{median(inserts) * 1e6:.3f} µs/tree (medians of 5 rounds, "
         f"{INTERN_NODES} nodes)",
+    )
+
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
+
+#: The provenance soak: distinct value-bearing JSON documents, after a
+#: warm-up that fills the memos to their bound once.
+SOAK_DOCUMENTS = 100_000
+SOAK_WARMUP = 5_000
+SOAK_BATCH = 64
+#: Resident-set growth allowed over the soak.  The memos hold at most
+#: ``MEMO_LIMIT`` entries (a few MB); without the bound the slot maps
+#: of 100,000 documents would retain hundreds of MB.
+SOAK_RSS_BOUND_MB = 32
+
+
+def _distinct_json(index: int):
+    """A value-bearing document whose encoding differs for every
+    ``index``: its items spell ``index`` in binary."""
+    return {
+        "user": f"u{index}",
+        "tags": [
+            f"t{bit}" if (index >> bit) & 1 else bit
+            for bit in range(index.bit_length())
+        ],
+    }
+
+
+def _resident_mb() -> float:
+    """Current resident set size (peak where ``/proc`` is missing)."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * resource.getpagesize() / 2**20
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def test_e12_repeated_document_fills_no_slot_map(benchmark):
+    documents = {
+        "library@1": library_document(4),
+        "rename-json@1": _distinct_json(2**12 - 7),
+    }
+
+    def run():
+        fills = {}
+        for model, document in documents.items():
+            transformation = load_transformation(MODELS_DIR / f"{model}.json")
+            engine = engine_for(transformation.transducer)
+            first = transformation.apply(document)
+            filled = engine.slot_stats["fills"]
+            assert transformation.apply(document) == first
+            fills[model] = (filled, engine.slot_stats["fills"] - filled)
+        return fills
+
+    fills = benchmark.pedantic(run, rounds=1, iterations=1)
+    for model, (first, second) in fills.items():
+        assert first > 0, model
+        assert second == 0, model
+    report(
+        "E12/provenance",
+        "slot maps are memoized per (state, subtree): a repeated "
+        "value-bearing document fills none",
+        ", ".join(
+            f"{model}: {first} pairs filled, then {second}"
+            for model, (first, second) in fills.items()
+        ),
+    )
+
+
+def test_e12_distinct_documents_keep_the_heap_flat(benchmark):
+    transformation = load_transformation(MODELS_DIR / "rename-json@1.json")
+    engine = engine_for(transformation.transducer)
+
+    def feed(start: int, stop: int) -> None:
+        for first in range(start, stop, SOAK_BATCH):
+            batch = [
+                _distinct_json(index)
+                for index in range(first, min(first + SOAK_BATCH, stop))
+            ]
+            for outcome in transformation.apply_batch(batch):
+                assert not isinstance(outcome, Exception), outcome
+
+    feed(1, 1 + SOAK_WARMUP)
+    gc.collect()
+    before = _resident_mb()
+    start = time.perf_counter()
+    benchmark.pedantic(
+        feed,
+        args=(1 + SOAK_WARMUP, 1 + SOAK_WARMUP + SOAK_DOCUMENTS),
+        rounds=1,
+        iterations=1,
+    )
+    elapsed = time.perf_counter() - start
+    gc.collect()
+    growth = _resident_mb() - before
+    evictions = engine.cache_stats["evictions"]
+    stats = engine.slot_stats
+    assert evictions > 0
+    assert stats["entries"] <= execute.MEMO_LIMIT
+    assert growth < SOAK_RSS_BOUND_MB, f"resident set grew {growth:.1f} MB"
+    report(
+        "E12/provenance-soak",
+        "the slot-map memo is bounded with the run memo: distinct "
+        "value-bearing documents keep the heap flat",
+        f"{SOAK_DOCUMENTS} distinct rename-json@1 documents in "
+        f"{elapsed:.1f} s: resident set {growth:+.1f} MB (bound "
+        f"{SOAK_RSS_BOUND_MB} MB), {stats['fills']} slot-map pairs "
+        f"filled, {evictions} memo clears",
     )

@@ -10,9 +10,11 @@ lives here once, parametrized by a :class:`Codec`:
   {ordinal: value})`` and ``output_encoder.decode(tree, values,
   counts)`` → document; ``value_labels`` name the value slots, and a
   value is keyed by the preorder ordinal of its slot among the slots.
-  An output slot takes the value of the input slot its rule was reading
-  (:func:`~repro.transducers.origins.value_sources`); ``counts`` is the
-  batch's slot-count memo, which both of them fill and read;
+  An output slot takes the value of the input slot its rule was reading,
+  found in the machine's slot-map memo
+  (:meth:`~repro.engine.execute.Engine.slot_sources`, memoized per
+  ``(state, input subtree)``); ``counts`` is the batch's slot-count memo
+  of the decoder, which counts the value slots of the subtrees it skips;
 * ``stream_parser()`` — an incremental ``feed``/``ready``/``close``
   parser for served stream bodies, and ``read_stream(source)`` — the
   documents of a local stream file, read through the same parser class
@@ -48,7 +50,6 @@ from repro.serialize import (
     shape_errors,
 )
 from repro.transducers.dtop import DTOP
-from repro.transducers.origins import value_sources
 from repro.trees.tree import parse_term
 
 
@@ -131,11 +132,13 @@ class Transformation:
         return outcome
 
     def _decode_with_values(self, source, output, values: Dict, counts: Dict):
-        """Decode ``output = [[M]](source)`` with the ``values`` it copies."""
+        """Decode ``output = [[M]](source)`` with the ``values`` it copies;
+        ``counts`` is the batch's slot-count memo for the decoder."""
         out_values = {}
         if values:
-            labels = self.codec.value_labels
-            sources = value_sources(self.transducer, source, output, labels, counts)
+            sources = engine_for(self.transducer).slot_sources(
+                source, self.codec.value_labels
+            )
             out_values = {o: values[i] for o, i in sources.items() if i in values}
         return self.codec.output_encoder.decode(output, out_values, counts)
 
@@ -151,8 +154,8 @@ class Transformation:
         Every encoded document is translated through the compiled batch
         engine in **one** bottom-up sweep (:mod:`repro.engine`), so
         structure shared between them is paid for once.  Values stay in
-        the side tables while the engine runs; one pass per document
-        then finds which input slot each output slot copies.  All
+        the side tables while the engine runs; the machine's slot-map
+        memo then says which input slot each output slot copies.  All
         failures (non-conforming, out-of-domain, or nested too deeply
         for the encoders and decoders, which recurse once per nesting
         level) are reported per document without aborting the batch.

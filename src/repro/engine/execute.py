@@ -24,10 +24,13 @@ Python stack.  Results are memoized on ``(state_id, uid)`` across calls
 — the one persistent run memo, shared by every entry point of the
 engine (batch runs, single runs, stopped-run off-path translations).
 
-The memo is bounded by :data:`MEMO_LIMIT` entries, in every process: at
-a batch boundary — before a sweep's demand pass, never between a sweep
-and the replay that reads it — a memo past the limit is cleared
-wholesale and ``cache_stats["evictions"]`` counts it.  A clear is
+The engine also holds the machine's value provenance memo
+(:mod:`repro.engine.provenance`, entry point :meth:`Engine.slot_sources`).
+Both memos are bounded together by :data:`MEMO_LIMIT` entries, in every
+process: at a batch boundary — before a sweep's demand pass, after a
+provenance call, never between a sweep and the replay that reads it —
+memos past the limit are cleared wholesale and
+``cache_stats["evictions"]`` counts it.  A clear is
 always sound (uids are never reused and the memo is a pure cache), so a
 stream of distinct documents runs on a flat heap while any working set
 below the limit stays warm.  Each engine serializes its entry points
@@ -52,6 +55,7 @@ from repro.trees.tree import Tree
 from repro.transducers.rhs import StateName
 
 from repro.engine.profile import clear_profile, new_profile, profile_snapshot
+from repro.engine.provenance import SlotMaps
 from repro.engine.compile import (
     OP_CALL,
     OP_CONST,
@@ -68,13 +72,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 PairKey = Tuple[int, int]  # (state_id, tree uid)
 Outcome = Union[Tree, UndefinedTransductionError]
 
-#: Bound on an engine's memoized ``(state, subtree)`` pairs plus the
-#: subtrees they key.  The memo holds strong references to every subtree
-#: it keys and every output it built, so unbounded distinct traffic would
-#: otherwise grow the heap (and the cost of every full collection)
-#: without limit.  Measured warm working sets sit far below it: at most
-#: 622 pairs per served stock model, 8,214 for the 24-state validator
-#: forest of E15.
+#: Bound on an engine's memoized ``(state, subtree)`` pairs, run and
+#: slot-map, plus the subtrees they key and the input slot counts.  The
+#: memo holds strong references to every subtree it keys and every
+#: output it built, so unbounded distinct traffic would otherwise grow
+#: the heap (and the cost of every full collection) without limit.
+#: Measured warm working sets sit far below it: at most 622 pairs per
+#: served stock model, 8,214 for the 24-state validator forest of E15.
 MEMO_LIMIT = 1 << 14
 
 
@@ -96,13 +100,22 @@ def serialized(method):
 class Engine:
     """Iterative batch executor for one compiled DTOP.
 
-    Holds the ``(state_id, uid) → Tree`` memo, bounded by
-    :data:`MEMO_LIMIT`; failures are never cached (matching the
-    interpreter).  Obtain the per-transducer shared instance with
-    :func:`engine_for`.
+    Holds the ``(state_id, uid) → Tree`` memo and the slot-map memo,
+    bounded together by :data:`MEMO_LIMIT`; failures are never cached
+    (matching the interpreter).  Obtain the per-transducer shared
+    instance with :func:`engine_for`.
     """
 
-    __slots__ = ("compiled", "_memo", "_pins", "_stats", "_profile", "_lock")
+    __slots__ = (
+        "compiled",
+        "_memo",
+        "_pins",
+        "_slot_maps",
+        "_slot_fills",
+        "_stats",
+        "_profile",
+        "_lock",
+    )
 
     def __init__(self, compiled: CompiledDTOP):
         self.compiled = compiled
@@ -110,6 +123,9 @@ class Engine:
         # uid → keyed subtree, kept alive (and counted toward MEMO_LIMIT)
         # so that a document encoded again gets the same uids and hits.
         self._pins: Dict[int, Tree] = {}
+        # value labels → the provenance memo (:mod:`repro.engine.provenance`).
+        self._slot_maps: Dict[Tuple, SlotMaps] = {}
+        self._slot_fills = 0
         self._stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "batches": 0, "evictions": 0
         }
@@ -348,25 +364,55 @@ class Engine:
             raise error
         return self._memo[key]
 
+    @serialized
+    def slot_sources(self, source: Tree, labels: Tuple) -> Dict[int, int]:
+        """«output slot ordinal → input slot ordinal» for ``[[M]](source)``.
+
+        A value slot is a node labelled in ``labels``, on either side;
+        an output slot copies the input slot its rule was reading.  The
+        maps are memoized per ``(state, subtree)`` for this machine and
+        ``labels`` (:mod:`repro.engine.provenance`); :attr:`slot_stats`
+        counts the pairs filled.  Raises
+        :class:`UndefinedTransductionError` outside the domain.  The
+        memo bound is checked here too, because a sharded machine's
+        engine decodes in this process but never sweeps in it.
+        """
+        maps = self._slot_maps.get(labels)
+        if maps is None:
+            maps = self._slot_maps[labels] = SlotMaps(self.compiled, labels)
+        sources, fills = maps.sources(source, self._pins)
+        self._slot_fills += fills
+        self._bound_memo()
+        return sources
+
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
 
     def memo_size(self) -> int:
-        """Number of memoized pairs (what :data:`MEMO_LIMIT` bounds)."""
+        """Number of memoized run pairs."""
         return len(self._memo)
 
-    def _bound_memo(self) -> None:
-        """Batch-boundary eviction: clear a memo past :data:`MEMO_LIMIT`.
+    def _slot_entries(self) -> int:
+        return sum(len(maps.entries) for maps in self._slot_maps.values())
 
-        Unlike :meth:`clear_cache` the cumulative counters survive (hit
-        ratios are computed from their deltas); ``evictions`` counts the
-        clears.
+    def _bound_memo(self) -> None:
+        """Batch-boundary eviction: clear the memos past :data:`MEMO_LIMIT`.
+
+        The run pairs, their pinned subtrees and the slot-map entries
+        count together and are cleared together.  Unlike
+        :meth:`clear_cache` the cumulative counters survive (hit ratios
+        are computed from their deltas); ``evictions`` counts the clears.
         """
-        if len(self._memo) + len(self._pins) > MEMO_LIMIT:
-            self._memo.clear()
-            self._pins.clear()
+        if len(self._memo) + len(self._pins) + self._slot_entries() > MEMO_LIMIT:
+            self._clear_memos()
             self._stats["evictions"] += 1
+
+    def _clear_memos(self) -> None:
+        self._memo.clear()
+        self._pins.clear()
+        for maps in self._slot_maps.values():
+            maps.entries.clear()
 
     @property
     def cache_stats(self) -> Dict[str, int]:
@@ -374,11 +420,17 @@ class Engine:
         ``evictions`` (memo clears at :data:`MEMO_LIMIT`) and ``entries``."""
         return {**self._stats, "entries": len(self._memo)}
 
+    @property
+    def slot_stats(self) -> Dict[str, int]:
+        """The slot-map memo: ``fills`` (pairs filled, cumulative) and
+        ``entries`` (pair maps and input slot counts held)."""
+        return {"fills": self._slot_fills, "entries": self._slot_entries()}
+
     @serialized
     def clear_cache(self) -> None:
-        """Drop the pair memo and zero the counters (explicit invalidation)."""
-        self._memo.clear()
-        self._pins.clear()
+        """Drop the memos and zero the counters (explicit invalidation)."""
+        self._clear_memos()
+        self._slot_fills = 0
         for counter in self._stats:
             self._stats[counter] = 0
 

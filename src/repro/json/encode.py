@@ -17,7 +17,7 @@ same learned DTOPs.  JSON lowers with a fixed, schema-less alphabet:
   — the raw scalar goes into a side table keyed by the preorder ordinal
   of the abstract leaf among the value leaves, exactly the XML
   contract, so transformation results re-hydrate through provenance
-  (:func:`repro.transducers.origins.value_sources`);
+  (:meth:`repro.engine.execute.Engine.slot_sources`);
 * ``true`` / ``false`` / ``null`` as rank-0 constants.
 
 List spines are built and consumed iteratively, so recursion depth is

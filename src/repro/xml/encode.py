@@ -21,7 +21,7 @@ node encodes to the constant ``pcdata``); the encoder returns them in a
 side table keyed by the preorder ordinal of the text's value slot (the
 ``pcdata`` leaf, or its ``v0``/``v1`` child with ``abstract_values``)
 among the value slots, so that a transformation result can be
-re-hydrated (see :func:`repro.transducers.origins.value_sources`).
+re-hydrated (see :meth:`repro.engine.execute.Engine.slot_sources`).
 
 **Parsing child words.**  ``enc_D`` needs the unique parse of each
 child word, and the encoder finds it in one left-to-right pass with one

@@ -6,7 +6,7 @@ mutated, and outside the machine's domain) through
 workers, which receive value-bearing documents like any other.  Each
 outcome, rendered output or error type + message, must equal the
 oracle's byte for byte (:mod:`tests.origins_oracle`: the origin-tracking
-interpreter and Dewey addresses, no engine and no slot ordinals).
+interpreter and preorder node indexes, no engine and no slot-map memo).
 
 ``REPRO_FUZZ_SEEDS`` widens the seed budget as for the other harnesses.
 """

@@ -21,16 +21,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.automata.dtta import DTTA
 from repro.automata.ops import enumerate_language
 from repro.engine import engine_for, tables_for
-from repro.errors import LearningError
+from repro.errors import InsufficientSampleError, LearningError
 from repro.learning.active import learn_actively
 from repro.learning.charset import characteristic_sample
 from repro.learning.rpni import rpni_dtop
 from repro.learning.sample import Sample
 from repro.transducers.earliest import out_table
 from repro.transducers.minimize import canonicalize
-from repro.trees.tree import intern_stats
+from repro.trees.alphabet import RankedAlphabet
+from repro.trees.tree import intern_stats, parse_term
 from repro.workloads.families import cycle_relabel, random_total_dtop, rotate_lists
 
 from tests.learning.reference_sample import out_table_reference, rpni_reference
@@ -86,6 +88,36 @@ def test_error_parity_on_truncated_samples(num_states, seed, cut):
         return _learned_fingerprint(learned)
 
     assert outcome(rpni_dtop) == outcome(rpni_reference)
+
+
+#: Six pairs of the characteristic sample of
+#: ``canonicalize(*random_total_dtop(4, 17))``, a random sub-sample that
+#: violates condition (N): a border state merges with two OK states.
+AMBIGUOUS_PAIRS = [
+    ("g(f(g(f(c, c)), c))", "h(h(u(e), d), u(u(d)))"),
+    ("g(c)", "u(d)"),
+    ("g(f(g(g(f(c, c))), c))", "h(h(h(e, e), d), h(h(u(e), d), u(u(d))))"),
+    ("f(c, c)", "u(e)"),
+    ("g(g(c))", "u(h(e, e))"),
+    ("c", "e"),
+]
+
+
+def test_merge_ambiguity_fails_identically_on_both_substrates():
+    alphabet = RankedAlphabet({"c": 0, "f": 2, "g": 1})
+    universal = DTTA(alphabet, 0, {(0, "c"): (), (0, "f"): (0, 0), (0, "g"): (0,)})
+    pairs = [(parse_term(i), parse_term(o)) for i, o in AMBIGUOUS_PAIRS]
+    failures = []
+    for learn in (rpni_dtop, rpni_reference):
+        with pytest.raises(InsufficientSampleError) as caught:
+            learn(Sample(pairs), universal)
+        error = caught.value
+        failures.append(
+            (type(error), str(error), error.kind, error.u, error.v, error.candidates)
+        )
+    assert failures[0][2] == "merge-ambiguity"
+    assert len(failures[0][5]) >= 2
+    assert failures[0] == failures[1]
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,13 @@
 """Translation of value-bearing documents by origin tracking: a test oracle.
 
 ``Transformation.apply_batch`` runs every encoded document on the
-compiled engine and recovers provenance from the engine's output with
-:func:`~repro.transducers.origins.value_sources`.  The oracle takes the
-independent road: the origin-tracking interpreter
+compiled engine and recovers provenance from the machine's slot-map
+memo (:meth:`~repro.engine.execute.Engine.slot_sources`).  The oracle
+takes the independent road: the origin-tracking interpreter
 :func:`~repro.transducers.origins.apply_with_origins` maps every output
-node to the address of the input node its rule read, and each output
-value slot takes the value found at that address.  Addresses are
-parent-linked, as the interpreter's are, and flattened to Dewey tuples
-only where two of them are compared.  Only the
+node to the input node its rule read, both by preorder index, and each
+output value slot takes the value found at that index.  Dewey addresses
+are rebuilt from a parent table where a test names one.  Only the
 encoders and the decoders are shared with the production path.
 """
 
@@ -16,46 +15,48 @@ from repro.errors import ReproError
 from repro.transducers.origins import apply_with_origins
 
 
-def dewey(address):
-    """The Dewey tuple (1-based; root ``()``) of a parent-linked address."""
+def parent_table(tree):
+    """``(node, parent index, 1-based child index)`` per node of ``tree``
+    in preorder; the root's parent index is -1."""
+    rows = []
+    stack = [(tree, -1, 0)]
+    while stack:
+        node, parent, index = stack.pop()
+        here = len(rows)
+        rows.append((node, parent, index))
+        for child in range(len(node.children), 0, -1):
+            stack.append((node.children[child - 1], here, child))
+    return rows
+
+
+def dewey(rows, index):
+    """The Dewey address (1-based; root ``()``) of preorder ``index``."""
     path = []
-    while address:
-        address, index = address
-        path.append(index)
+    while rows[index][1] >= 0:
+        _, parent, child = rows[index]
+        path.append(child)
+        index = parent
     return tuple(reversed(path))
 
 
-def slot_addresses(tree, labels):
-    """Parent-linked addresses of the value slots of ``tree``, in preorder."""
-    found = []
-    stack = [((), tree)]
-    while stack:
-        address, node = stack.pop()
-        if node.label in labels:
-            found.append(address)
-        for index in range(len(node.children), 0, -1):
-            stack.append(((address, index), node.children[index - 1]))
-    return found
+def slot_ordinals(tree, labels):
+    """«preorder index → slot ordinal» of the value slots of ``tree``."""
+    indexes = [
+        index
+        for index, (node, _, _) in enumerate(parent_table(tree))
+        if node.label in labels
+    ]
+    return {index: ordinal for ordinal, index in enumerate(indexes)}
 
 
 def oracle_sources(transducer, source, labels):
     """``[[M]](source)`` and «output slot ordinal → input slot ordinal»,
     both from :func:`apply_with_origins` (raises outside the domain)."""
     output, origins = apply_with_origins(transducer, source)
-    in_ordinal = {
-        dewey(address): ordinal
-        for ordinal, address in enumerate(slot_addresses(source, labels))
-    }
-    out_ordinal = {
-        dewey(address): ordinal
-        for ordinal, address in enumerate(slot_addresses(output, labels))
-    }
+    in_ordinal = slot_ordinals(source, labels)
     sources = {}
-    for out_address, in_address in origins.items():
-        ordinal = out_ordinal.get(dewey(out_address))
-        if ordinal is None:
-            continue
-        copied = in_ordinal.get(dewey(in_address))
+    for index, ordinal in slot_ordinals(output, labels).items():
+        copied = in_ordinal.get(origins[index])
         if copied is not None:
             sources[ordinal] = copied
     return output, sources

@@ -121,23 +121,29 @@ class TestContract:
         assert codec.render(document) == text
         assert codec.parse(codec.render(document)) == document
 
-    def test_decoders_read_the_batchs_slot_counts(self, monkeypatch):
-        """Every value slot the XML decoder skips is already counted by
-        the batch's provenance pass: the decoder walks nothing again."""
+    def test_decoders_share_the_batchs_slot_counts(self, monkeypatch):
+        """The XML decoder counts the value slots it skips in one memo
+        per batch: each distinct skipped subtree is walked once, however
+        many documents of the batch hold it."""
         import repro.xml.encode as xml_encode
 
-        calls = []
+        memos, misses, skipped = [], [], set()
         counted = xml_encode.slot_count
 
         def recording(node, labels, counts=None):
-            calls.append(counts is not None and node.uid in counts)
+            memos.append(counts)
+            skipped.add(node.uid)
+            if node.uid not in counts:
+                misses.append(node.uid)
             return counted(node, labels, counts)
 
         monkeypatch.setattr(xml_encode, "slot_count", recording)
         transformation = load_transformation(MODELS_DIR / "library@1.json")
         documents = [library_document(count) for count in (1, 3, 3)]
         outputs = transformation.apply_batch(documents)
-        assert calls and all(calls)
+        assert isinstance(memos[0], dict)
+        assert all(memo is memos[0] for memo in memos)
+        assert sorted(misses) == sorted(skipped)
         monkeypatch.undo()
         assert outputs == [transformation.apply(d) for d in documents]
 

@@ -1,4 +1,4 @@
-"""Tests for origin tracking and for the provenance pass checked against it."""
+"""Tests for origin tracking and for the slot-map memo checked against it."""
 
 import sys
 import tracemalloc
@@ -10,23 +10,23 @@ from repro.codec import load_transformation
 from repro.engine import engine_for
 from repro.errors import UndefinedTransductionError
 from repro.transducers.dtop import DTOP
-from repro.transducers.origins import (
-    apply_with_origins,
-    slot_count,
-    value_sources,
-)
+from repro.transducers.origins import apply_with_origins, slot_count
 from repro.transducers.rhs import Call, call, rhs_tree
 from repro.trees.alphabet import RankedAlphabet
 from repro.trees.tree import Tree, parse_term
 from repro.workloads.flip import flip_input, flip_transducer
 
 from tests.fuzz.test_differential import random_forest, random_machine
-from tests.origins_oracle import dewey, oracle_sources
+from tests.origins_oracle import dewey, oracle_sources, parent_table
 
 
-def dewey_origins(origins):
-    """An origin map with both sides flattened to Dewey tuples."""
-    return {dewey(out): dewey(into) for out, into in origins.items()}
+def dewey_origins(source, output, origins):
+    """An origin list as «output Dewey address → input Dewey address»."""
+    out_rows, in_rows = parent_table(output), parent_table(source)
+    return {
+        dewey(out_rows, index): dewey(in_rows, into)
+        for index, into in enumerate(origins)
+    }
 
 
 class TestOrigins:
@@ -38,32 +38,36 @@ class TestOrigins:
 
     def test_every_output_node_has_origin(self):
         transducer = flip_transducer()
-        output, origins = apply_with_origins(transducer, flip_input(1, 2))
-        assert set(dewey_origins(origins)) == set(output.nodes())
+        source = flip_input(1, 2)
+        output, origins = apply_with_origins(transducer, source)
+        assert len(origins) == output.size
+        assert set(dewey_origins(source, output, origins)) == set(output.nodes())
 
     def test_swap_origins(self):
         """The b-list in the output comes from input child 2."""
         transducer = flip_transducer()
-        output, origins = apply_with_origins(transducer, flip_input(1, 1))
+        source = flip_input(1, 1)
+        output, origins = apply_with_origins(transducer, source)
         # Output position (1,) is the b produced while reading input (2,).
-        assert origins[((), 1)] == ((), 2)
-        assert dewey_origins(origins)[(2,)] == (1,)
+        assert origins[1] == 1 + source.children[0].size
+        dewey_map = dewey_origins(source, output, origins)
+        assert dewey_map[(1,)] == (2,)
+        assert dewey_map[(2,)] == (1,)
 
     def test_axiom_output_originates_at_root(self):
         transducer = flip_transducer()
         _, origins = apply_with_origins(transducer, flip_input(0, 0))
-        assert origins[()] == ()
+        assert origins[0] == 0
 
     def test_copying_origins(self):
         from repro.workloads.families import exp_full_binary
         from repro.trees.generate import monadic_tree
 
         transducer, _ = exp_full_binary()
-        output, origins = apply_with_origins(
-            transducer, monadic_tree(["a"], end="e")
-        )
+        source = monadic_tree(["a"], end="e")
+        output, origins = apply_with_origins(transducer, source)
         # Both leaves of f(l, l) originate from the same input node (1,).
-        origins = dewey_origins(origins)
+        origins = dewey_origins(source, output, origins)
         assert origins[(1,)] == (1,)
         assert origins[(2,)] == (1,)
 
@@ -74,14 +78,14 @@ class TestOrigins:
 
 def _recursive_origins(transducer, source):
     """The recursive definition: instantiate templates depth first, with
-    parent-linked addresses."""
+    Dewey addresses."""
     origins = {}
 
     def instantiate(part, node, in_addr, out_addr):
         label = part.label
         if isinstance(label, Call):
             child = node.children[label.var - 1] if label.var else node
-            child_addr = (in_addr, label.var) if label.var else in_addr
+            child_addr = in_addr + (label.var,) if label.var else in_addr
             rhs = transducer.rhs(label.state, child.label)
             if rhs is None:
                 raise UndefinedTransductionError(
@@ -92,7 +96,7 @@ def _recursive_origins(transducer, source):
         return Tree(
             label,
             tuple(
-                instantiate(child, node, in_addr, (out_addr, index))
+                instantiate(child, node, in_addr, out_addr + (index,))
                 for index, child in enumerate(part.children, start=1)
             ),
         )
@@ -105,6 +109,8 @@ def _outcome(run, machine, tree):
         output, origins = run(machine, tree)
     except UndefinedTransductionError as error:
         return ("error", str(error))
+    if isinstance(origins, list):
+        origins = dewey_origins(tree, output, origins)
     return (str(output), origins)
 
 
@@ -125,7 +131,7 @@ def test_wide_cons_list_needs_no_recursion():
     tree, values = transformation.codec.input_encoder.encode_with_values(
         [f"s{index}" for index in range(5 * sys.getrecursionlimit())]
     )
-    # Parent-linked addresses keep the origin map linear in the output.
+    # Integer node indexes keep the origin map linear in the output.
     tracemalloc.start()
     try:
         output, origins = apply_with_origins(transformation.transducer, tree)
@@ -142,23 +148,26 @@ def test_wide_cons_list_needs_no_recursion():
 RANDOM_SLOTS = ("c", "g", "d", "u")
 
 
-def test_value_sources_match_the_origin_oracle():
-    """Random machines copy, delete and call bare; the pass over the
-    engine's output must find exactly the oracle's slot pairs, with one
-    slot-count memo per forest, as within a batch."""
+def test_slot_sources_match_the_origin_oracle():
+    """Random machines copy, delete and call bare; the slot-map memo
+    must give exactly the oracle's slot pairs, filled or answered from
+    the memo the forest before it filled."""
     pairs = 0
     for seed in range(12):
         machine, _ = random_machine(seed)
+        engine = engine_for(machine)
         forest = random_forest(machine, seed)
-        counts = {}
-        outputs = engine_for(machine).run_batch_outcomes(forest)
+        outputs = engine.run_batch_outcomes(forest)
         for tree, output in zip(forest, outputs):
             if isinstance(output, Exception):
+                with pytest.raises(UndefinedTransductionError):
+                    engine.slot_sources(tree, RANDOM_SLOTS)
                 continue
             expected_output, expected = oracle_sources(machine, tree, RANDOM_SLOTS)
             assert output is expected_output
-            got = value_sources(machine, tree, output, RANDOM_SLOTS, counts)
-            assert got == expected, (seed, str(tree))
+            for _ in range(2):
+                got = engine.slot_sources(tree, RANDOM_SLOTS)
+                assert got == expected, (seed, str(tree))
             pairs += len(expected)
     assert pairs > 100
 
@@ -207,11 +216,11 @@ def test_bare_calls_down_a_long_spine():
     )
     source = _spine(SPINE_CELLS)
     output = engine_for(machine).run(source)
-    assert value_sources(machine, source, output, ("v",)) == {0: SPINE_CELLS}
+    assert engine_for(machine).slot_sources(source, ("v",)) == {0: SPINE_CELLS}
     # The oracle agrees: the output slot's origin is the last ``v``.
     oracle_output, origins = apply_with_origins(machine, source)
     assert oracle_output is output
-    assert dewey_origins(origins) == {
+    assert dewey_origins(source, output, origins) == {
         (): (2,) * SPINE_CELLS,
         (1,): (2,) * SPINE_CELLS + (1,),
     }
@@ -230,7 +239,7 @@ def test_copying_a_long_spine():
     source = _spine(SPINE_CELLS)
     output = engine_for(identity).run(source)
     assert output is source
-    assert value_sources(identity, source, output, ("v",)) == {
+    assert engine_for(identity).slot_sources(source, ("v",)) == {
         slot: slot for slot in range(SPINE_CELLS + 1)
     }
     doubling = _spine_machine(
@@ -241,7 +250,7 @@ def test_copying_a_long_spine():
         }
     )
     output = engine_for(doubling).run(source)
-    sources = value_sources(doubling, source, output, ("v",))
+    sources = engine_for(doubling).slot_sources(source, ("v",))
     assert sources == {
         slot: min(slot // 2, SPINE_CELLS) for slot in range(2 * SPINE_CELLS + 1)
     }
